@@ -1,6 +1,6 @@
 """One pass of one workload, in a fresh process.
 
-    python3 bench/worker.py --workload game --seed 3 [--trace FILE] [--setup-only]
+    python3 bench/worker.py --workload game --seed 3 [--trace FILE | --setup-only]
 
 Imports lqccs from the `src` directory of the checkout that holds this
 file, sets up the workload's inputs (parse and typecheck every program,
@@ -8,7 +8,13 @@ build the states), then runs every verdict once, one after another, and
 checks each against its known answer. Prints one JSON object: the
 monotonic time at which set-up ended, one record per verdict, peak RSS
 and library versions, plus per-layer numbers with `--trace`, which also
-writes the spans to FILE.
+writes the spans to FILE. With `--setup-only` it stops after set-up
+and prints only the time at which set-up ended.
+
+While the verdicts run, the worker also samples the speed of the host
+(`HostProbe`). Each record holds the verdict's time and the mean time of
+the probes taken around and during it, from which `run.py` derives the
+verdict's time at a fixed reference speed.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import argparse
 import json
 import math
 import resource
+import signal
 import sys
 import time
 import traceback
@@ -171,6 +178,55 @@ SETUPS = {"corpus": setup_corpus, "game": setup_game, "wide": setup_wide}
 
 
 # ---------------------------------------------------------------------------
+# host speed. On the shared host where this benchmark was built, speed
+# switches between a fast and a slow state within seconds, and the share
+# of slow time drifts over minutes, so a pass can take 1.4x as long as
+# the one before it with the same work (see BASELINE.md). A fixed piece of
+# pure-Python work, which never touches lqccs, is timed before each
+# verdict and every PROBE_PERIOD_S during it; its time tracks the host's
+# speed at that moment.
+
+PROBE_PERIOD_S = 0.1
+PROBE_TABLE = {(i, "x%d" % i): i for i in range(64)}
+
+
+def probe_work():
+    # tuple hashing, dict lookups and int arithmetic, the interpreter work
+    # lqccs does most; it creates no object the cyclic GC tracks, so its
+    # time does not depend on how many objects lqccs keeps alive
+    acc = 0
+    for _ in range(40):
+        for key in PROBE_TABLE:
+            acc += PROBE_TABLE[key] * key[0]
+    return acc
+
+
+class HostProbe:
+    """Samples `probe_work()`: `take()` times it once, and between
+    `start()` and `stop()` a SIGALRM timer also takes a sample every
+    PROBE_PERIOD_S, between two bytecodes of whatever is running."""
+
+    def __init__(self):
+        self.samples = []  # (start, seconds)
+
+    def take(self, *_signal_args):
+        t0 = time.perf_counter()
+        probe_work()
+        self.samples.append((t0, time.perf_counter() - t0))
+
+    def start(self):
+        signal.signal(signal.SIGALRM, self.take)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_PERIOD_S, PROBE_PERIOD_S)
+
+    def stop(self):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+    def stolen(self, first, t0, t1) -> float:
+        """Seconds that samples from index `first` on took within [t0, t1)."""
+        return sum(d for s, d in self.samples[first:] if t0 <= s < t1)
+
+
+# ---------------------------------------------------------------------------
 
 
 def main(argv=None) -> int:
@@ -178,7 +234,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=workloads.WORKLOADS, required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--trace", metavar="FILE", help="trace the layers; write spans to FILE")
-    ap.add_argument("--setup-only", action="store_true")
+    ap.add_argument("--setup-only", action="store_true", help="stop after set-up")
     args = ap.parse_args(argv)
 
     import_lqccs()
@@ -190,25 +246,41 @@ def main(argv=None) -> int:
         tracer.install()
     verdicts = SETUPS[args.workload](args.seed)
     setup_end = time.monotonic()
+    if args.setup_only:
+        print(json.dumps({"setup_end": setup_end}))
+        return 0
     report = {"setup_end": setup_end, "records": []}
-    if not args.setup_only:
-        for input_id, run, check in verdicts:
-            if tracer is not None:
-                tracer.begin_request(input_id)
-            error = result = None
-            t0 = time.perf_counter()
-            try:
-                result = run()
-            except Exception as exc:  # a failed verdict is counted, not fatal
-                frame = traceback.extract_tb(exc.__traceback__)[-1]
-                error = (f"{type(exc).__name__}: {exc} "
-                         f"(at {Path(frame.filename).name}:{frame.lineno} in {frame.name})")
-            elapsed = time.perf_counter() - t0
-            record = {"id": input_id, "ms": 1000.0 * elapsed, "error": error}
-            if error is None:
-                record["correct"], record["decided"] = check(result)
-            result = None  # let a large final state go before the next verdict
-            report["records"].append(record)
+    probe = HostProbe()
+    boundaries = []  # index of the sample taken just before each verdict
+    probe.start()
+    for input_id, run, check in verdicts:
+        if tracer is not None:
+            tracer.begin_request(input_id)
+        error = result = None
+        probe.take()
+        boundaries.append(len(probe.samples) - 1)
+        t0 = time.perf_counter()
+        try:
+            result = run()
+        except Exception as exc:  # a failed verdict is counted, not fatal
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            error = (f"{type(exc).__name__}: {exc} "
+                     f"(at {Path(frame.filename).name}:{frame.lineno} in {frame.name})")
+        t1 = time.perf_counter()
+        # the samples taken during the verdict are not the verdict's time
+        elapsed = t1 - t0 - probe.stolen(boundaries[-1], t0, t1)
+        record = {"id": input_id, "ms": 1000.0 * elapsed, "error": error}
+        if error is None:
+            record["correct"], record["decided"] = check(result)
+        result = None  # let a large final state go before the next verdict
+        report["records"].append(record)
+    probe.stop()
+    probe.take()
+    boundaries.append(len(probe.samples) - 1)
+    for i, record in enumerate(report["records"]):
+        # the samples from this verdict's boundary to the next one's
+        around = [d for _, d in probe.samples[boundaries[i]:boundaries[i + 1] + 1]]
+        record["probe_ms"] = 1000.0 * sum(around) / len(around)
     report["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     import numpy
     import scipy
