@@ -182,7 +182,6 @@ def main(argv=None) -> int:
     p.add_argument("--ctx-size", type=int, default=14)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--ancillas", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)  # search is deterministic
 
     p = sub.add_parser("certify", help="density-quotient certificate for a pair")
     p.add_argument("file")

@@ -1218,11 +1218,8 @@ def _search(dl, dr, mode, bounds, sig, stats):
         return result
 
     def _attack_with(fa, fb, frame, depth):
-        try:
-            moves_a = _lifted_moves(fa, mode, sig, bounds.choice_cap)
-            moves_b = _lifted_moves(fb, mode, sig, bounds.choice_cap)
-        except ChoiceExplosion:
-            raise
+        moves_a = _lifted_moves(fa, mode, sig, bounds.choice_cap)
+        moves_b = _lifted_moves(fb, mode, sig, bounds.choice_cap)
         if mode == CONSTRAINED:
             indices = []
             for idx, _ in moves_a + moves_b:

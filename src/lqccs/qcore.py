@@ -3,14 +3,14 @@
 States are density matrices over an ordered register of named qubits;
 qubit i of the register is the i-th tensor factor (most significant bit
 of the basis index). Operators act on arbitrary subsets of the register
-by conjugation with the permutation unitary that brings the targets to
-the front.
+by local contraction: a k-qubit operator is contracted into the k target
+axes of the state's (2,)*2n tensor view, so it is never extended to the
+whole register.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,49 +47,6 @@ def kron_all(mats) -> np.ndarray:
 
 def dagger(a) -> np.ndarray:
     return _as_array(a).conj().T
-
-
-@lru_cache(maxsize=None)
-def _front_permutation(targets: tuple, total: int) -> np.ndarray:
-    """Index permutation sending basis state indices so that the qubits in
-    `targets` occupy the leading positions (remaining qubits keep their
-    relative order)."""
-    rest = [q for q in range(total) if q not in targets]
-    order = list(targets) + rest
-    dim = 1 << total
-    perm = np.empty(dim, dtype=np.int64)
-    for idx in range(dim):
-        out = 0
-        for new_pos, old_pos in enumerate(order):
-            bit = (idx >> (total - 1 - old_pos)) & 1
-            out |= bit << (total - 1 - new_pos)
-        perm[idx] = out
-    return perm
-
-
-def lift_at(mats, targets, total_qubits: int):
-    """Extend operators acting on len(targets) qubits to `total_qubits`,
-    at the given target positions: S^-1 (K otimes I) S with S the
-    permutation unitary moving the targets to the front."""
-    targets = tuple(targets)
-    if len(set(targets)) != len(targets):
-        raise TargetError(f"duplicate targets {targets}")
-    for t in targets:
-        if not (0 <= t < total_qubits):
-            raise TargetError(f"target {t} out of range for {total_qubits} qubits")
-    n = len(targets)
-    dim_rest = 1 << (total_qubits - n)
-    perm = _front_permutation(targets, total_qubits)
-    out = []
-    for k in mats:
-        k = _as_array(k)
-        if k.shape != (1 << n, 1 << n):
-            raise TargetError(f"operator shape {k.shape} does not match {n} targets")
-        big = np.kron(k, np.eye(dim_rest, dtype=complex))
-        # conjugate by the permutation: rows/cols reindexed by perm
-        lifted = big[np.ix_(perm, perm)]
-        out.append(lifted)
-    return out
 
 
 class QubitRegister:
@@ -289,27 +246,49 @@ class Measurement:
         return len(self.operators)
 
 
-def apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatrix:
-    """Sum_i E_i rho E_i^dag with the Kraus operators lifted at `targets`."""
+def _conjugations(ops, targets, rho: DensityMatrix):
+    """K rho K^dag for each operator K in `ops`, acting on the qubits
+    `targets` of rho's register, as 2^n x 2^n matrices.
+
+    K is contracted into the target row axes of rho's (2,)*2n tensor view
+    and conj(K) into the matching column axes; no 2^n x 2^n operator is
+    built."""
     positions = rho.register.positions(targets)
-    if e.arity != len(positions):
-        raise TargetError(f"superoperator arity {e.arity} but {len(positions)} targets")
-    lifted = lift_at(e.kraus, positions, rho.num_qubits)
+    k = len(positions)
+    if len(set(positions)) != k:
+        raise TargetError(f"duplicate targets {tuple(targets)}")
+    n = rho.num_qubits
+    dim = 1 << n
+    rows = list(positions)
+    cols = [n + p for p in positions]
+    ins = list(range(k, 2 * k))
+    # after both contractions the axes are: target rows, other rows, other
+    # columns, target columns; moveaxis puts the targets back in place
+    outs = list(range(k)) + list(range(2 * n - k, 2 * n))
+    tensor = rho.mat.reshape((2,) * (2 * n))
+    for op in ops:
+        if op.shape != (1 << k, 1 << k):
+            raise TargetError(f"operator shape {op.shape} does not match {k} targets")
+        op = op.reshape((2,) * (2 * k))
+        # the column targets keep their axis numbers n + p: the k row axes
+        # that the first contraction removes are replaced by K's k output axes
+        t = np.tensordot(op, tensor, axes=(ins, rows))
+        t = np.tensordot(t, op.conj(), axes=(cols, ins))
+        yield np.moveaxis(t, outs, rows + cols).reshape(dim, dim)
+
+
+def apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatrix:
+    """Sum_i E_i rho E_i^dag with the Kraus operators acting on `targets`."""
     out = np.zeros_like(rho.mat)
-    for k in lifted:
-        out += k @ rho.mat @ k.conj().T
+    for post in _conjugations(e.kraus, targets, rho):
+        out += post
     return DensityMatrix(rho.register, out, check=False)
 
 
 def measure(m: Measurement, targets, rho: DensityMatrix):
     """All outcomes with positive probability: (m, p_m, rho_m / p_m)."""
-    positions = rho.register.positions(targets)
-    if m.arity != len(positions):
-        raise TargetError(f"measurement arity {m.arity} but {len(positions)} targets")
-    lifted = lift_at(m.operators, positions, rho.num_qubits)
     results = []
-    for outcome, op in enumerate(lifted):
-        post = op @ rho.mat @ op.conj().T
+    for outcome, post in enumerate(_conjugations(m.operators, targets, rho)):
         p = post.trace().real
         if p <= TOL_PROB:
             continue
