@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from . import corpus, qcore
+from . import corpus, ops, qcore
 from .equiv import (
     AttackStep,
     BarbLeaf,
@@ -27,26 +27,16 @@ from .semantics import Distribution, dist_barbs, lift_step, make_config
 from .syntax import NIL
 from .typecheck import typecheck
 
-STATE_TOKENS = {
-    "ket0": qcore.KET0,
-    "ket1": qcore.KET1,
-    "ketplus": qcore.KETP,
-    "ketminus": qcore.KETM,
-    "phi+": qcore.PHI_P,
-    "phi-": qcore.PHI_M,
-    "psi+": qcore.PSI_P,
-    "psi-": qcore.PSI_M,
-}
-
 
 def build_state(spec: str, qubits, ancillas: int = 0):
     """Comma-separated state tokens consumed left to right over the
     declared register, e.g. `ket0,phi+` for three qubits."""
+    by_token = dict(ops.STATES.values())
     vecs = []
     used = 0
     tokens = [t.strip() for t in spec.split(",") if t.strip()] if spec else []
     for tok in tokens:
-        v = STATE_TOKENS.get(tok.lower())
+        v = by_token.get(tok.lower())
         if v is None:
             raise ValueError(f"unknown state token {tok!r}")
         vecs.append(v)

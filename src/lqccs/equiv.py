@@ -63,6 +63,7 @@ from .syntax import (
     Sum,
     Tau,
     Var,
+    _children,
     free_channels,
     observer_violation,
     par_all,
@@ -259,7 +260,8 @@ def _determinism_probes(dist: Distribution, bounds: SearchBounds) -> list:
             chans |= set(proc_barbs(c.proc))
     chans = sorted(chans)
     flags = _fresh_names("probe", 2, _used_channels(dist))
-    arities = _send_arities(dist)
+    sends, _ = _channel_usage((dist,), None)
+    arities = {c: arity for c, (arity, _) in sends.items()}
     frames = [_probe_recv(a, arities.get(a, 1), flags[0]) for a in chans]
     for a, b in itertools.combinations(chans, 2):
         ra = _probe_recv(a, arities.get(a, 1), flags[0])
@@ -274,34 +276,6 @@ def _probe_recv(chan: str, arity: int, flag: str):
     # but at runtime only qubit names matter), flag the channel
     body = Par(Send(flag, (NatLit(0),)), Nil(tuple(Var(v) for v in names)))
     return Recv(chan, names, body)
-
-
-def _send_arities(dist: Distribution) -> dict:
-    out: dict = {}
-
-    def walk(t):
-        if isinstance(t, Send):
-            out[t.chan] = len(t.payload)
-        for ch in _term_children(t):
-            walk(ch)
-
-    for c, _ in dist.items():
-        if not c.is_bot:
-            walk(c.proc)
-            walk(c.obs)
-    return out
-
-
-def _term_children(t):
-    if isinstance(t, (Tau, ApplyOp, Measure, Recv, RandBit)):
-        return (t.cont,)
-    if isinstance(t, (Sum, Par)):
-        return (t.left, t.right)
-    if isinstance(t, Restrict):
-        return (t.body,)
-    if isinstance(t, Ite):
-        return (t.then, t.els)
-    return ()
 
 
 def density_quotient_equiv(
@@ -364,62 +338,6 @@ def _group_state(groups, key) -> DensityMatrix:
 
 # ---------------------------------------------------------------------------
 # refinement
-
-
-def refines(p_small, p_big):
-    """Refinement witness (list of substitution records) or None."""
-    if p_small == p_big:
-        return []
-    if isinstance(p_big, Sum):
-        if isinstance(p_small, Ite):
-            w1 = refines(p_small.then, p_big.left)
-            w2 = refines(p_small.els, p_big.right)
-            if w1 is not None and w2 is not None:
-                return [("ite", p_big, p_small.cond)] + w1 + w2
-        if isinstance(p_small, Sum):
-            w1 = refines(p_small.left, p_big.left)
-            w2 = refines(p_small.right, p_big.right)
-            if w1 is not None and w2 is not None:
-                return w1 + w2
-        wl = refines(p_small, p_big.left)
-        if wl is not None:
-            return [("left", p_big)] + wl
-        wr = refines(p_small, p_big.right)
-        if wr is not None:
-            return [("right", p_big)] + wr
-        return None
-    pairs = None
-    if isinstance(p_small, Tau) and isinstance(p_big, Tau):
-        pairs = [(p_small.cont, p_big.cont)]
-    elif isinstance(p_small, ApplyOp) and isinstance(p_big, ApplyOp):
-        if (p_small.op, p_small.args) == (p_big.op, p_big.args):
-            pairs = [(p_small.cont, p_big.cont)]
-    elif isinstance(p_small, Measure) and isinstance(p_big, Measure):
-        if (p_small.op, p_small.args, p_small.var) == (p_big.op, p_big.args, p_big.var):
-            pairs = [(p_small.cont, p_big.cont)]
-    elif isinstance(p_small, Recv) and isinstance(p_big, Recv):
-        if (p_small.chan, p_small.vars) == (p_big.chan, p_big.vars):
-            pairs = [(p_small.cont, p_big.cont)]
-    elif isinstance(p_small, RandBit) and isinstance(p_big, RandBit):
-        if p_small.var == p_big.var:
-            pairs = [(p_small.cont, p_big.cont)]
-    elif isinstance(p_small, Par) and isinstance(p_big, Par):
-        pairs = [(p_small.left, p_big.left), (p_small.right, p_big.right)]
-    elif isinstance(p_small, Restrict) and isinstance(p_big, Restrict):
-        if p_small.chan == p_big.chan:
-            pairs = [(p_small.body, p_big.body)]
-    elif isinstance(p_small, Ite) and isinstance(p_big, Ite):
-        if p_small.cond == p_big.cond:
-            pairs = [(p_small.then, p_big.then), (p_small.els, p_big.els)]
-    if pairs is None:
-        return None
-    out = []
-    for s, b in pairs:
-        w = refines(s, b)
-        if w is None:
-            return None
-        out.extend(w)
-    return out
 
 
 def refines_upto(p_small, p_big) -> bool:
@@ -878,7 +796,7 @@ def _to_tag_key(idx: str) -> str:
 
 
 def _node_count(t) -> int:
-    return 1 + sum(_node_count(c) for c in _term_children(t))
+    return 1 + sum(_node_count(c) for c in _children(t))
 
 
 def _used_channels(dist: Distribution) -> set:
@@ -916,7 +834,7 @@ def _channel_usage(dists, sig):
             if sig is not None and t.chan in sig.channels:
                 qubit = "qubit" in sig.channels[t.chan]
             recvs[t.chan] = (len(t.vars), qubit)
-        for c in _term_children(t):
+        for c in _children(t):
             walk(c)
 
     for d in dists:
@@ -1218,23 +1136,12 @@ def _search(dl, dr, mode, bounds, sig, stats):
         return result
 
     def _attack_with(fa, fb, frame, depth):
+        # saturated moves all carry index None, so they form one group
         moves_a = _lifted_moves(fa, mode, sig, bounds.choice_cap)
         moves_b = _lifted_moves(fb, mode, sig, bounds.choice_cap)
-        if mode == CONSTRAINED:
-            indices = []
-            for idx, _ in moves_a + moves_b:
-                if idx not in indices:
-                    indices.append(idx)
-            sides = []
-            for idx in indices:
-                at_a = [d for i, d in moves_a if i == idx] or [Distribution.point(BOT)]
-                at_b = [d for i, d in moves_b if i == idx] or [Distribution.point(BOT)]
-                sides.append((idx, at_a, at_b))
-        else:
-            at_a = [d for _, d in moves_a]
-            at_b = [d for _, d in moves_b]
-            sides = [(None, at_a, at_b)]
-        for idx, at_a, at_b in sides:
+        for idx in dict.fromkeys(idx for idx, _ in moves_a + moves_b):
+            at_a = [d for i, d in moves_a if i == idx] or [Distribution.point(BOT)]
+            at_b = [d for i, d in moves_b if i == idx] or [Distribution.point(BOT)]
             for side, mine, theirs in (("left", at_a, at_b), ("right", at_b, at_a)):
                 for mv in mine:
                     refutations = []
@@ -1273,12 +1180,8 @@ def replay_witness(dl, dr, witness, mode, bounds, sig=None) -> bool:
         except TypingError:
             return False
     mine, theirs = (a, b) if witness.side == "left" else (b, a)
-    if mode == CONSTRAINED:
-        my_moves = _moves_at(mine, witness.index, mode, sig, bounds.choice_cap)
-        their_moves = _moves_at(theirs, witness.index, mode, sig, bounds.choice_cap)
-    else:
-        my_moves = [d for _, d in _lifted_moves(mine, mode, sig, bounds.choice_cap)]
-        their_moves = [d for _, d in _lifted_moves(theirs, mode, sig, bounds.choice_cap)]
+    my_moves = _moves_at(mine, witness.index, mode, sig, bounds.choice_cap)
+    their_moves = _moves_at(theirs, witness.index, mode, sig, bounds.choice_cap)
     if witness.move.key() not in {m.key() for m in my_moves}:
         return False
     stored = dict(witness.refutations)

@@ -16,15 +16,16 @@ from .syntax import Signature
 
 _TENSORABLE = {"I": qcore.I2, "H": qcore.H, "X": qcore.X, "Z": qcore.Z, "ZX": qcore.ZX}
 _FIXED = {"CNOT": qcore.CNOT, "SWAP": qcore.SWAP}
-_SET_STATES = {
-    "Set0": qcore.projector(qcore.KET0),
-    "Set1": qcore.projector(qcore.KET1),
-    "SetPlus": qcore.projector(qcore.KETP),
-    "SetMinus": qcore.projector(qcore.KETM),
-    "SetPhiP": qcore.projector(qcore.PHI_P),
-    "SetPhiM": qcore.projector(qcore.PHI_M),
-    "SetPsiP": qcore.projector(qcore.PSI_P),
-    "SetPsiM": qcore.projector(qcore.PSI_M),
+# the named states: Set-operator name -> (`--state` token, state vector)
+STATES = {
+    "Set0": ("ket0", qcore.KET0),
+    "Set1": ("ket1", qcore.KET1),
+    "SetPlus": ("ketplus", qcore.KETP),
+    "SetMinus": ("ketminus", qcore.KETM),
+    "SetPhiP": ("phi+", qcore.PHI_P),
+    "SetPhiM": ("phi-", qcore.PHI_M),
+    "SetPsiP": ("psi+", qcore.PSI_P),
+    "SetPsiM": ("psi-", qcore.PSI_M),
 }
 
 
@@ -37,12 +38,12 @@ def _builtin_operator(name: str, arity: int):
         if arity != 2:
             raise ArityError(f"{name} takes 2 qubits, got {arity}")
         return qcore.Superoperator.unitary(_FIXED[name])
-    if name in _SET_STATES:
-        rho = _SET_STATES[name]
-        want = rho.shape[0].bit_length() - 1
+    if name in STATES:
+        vec = STATES[name][1]
+        want = vec.shape[0].bit_length() - 1
         if arity != want:
             raise ArityError(f"{name} takes {want} qubits, got {arity}")
-        return qcore.Superoperator.constant(rho)
+        return qcore.Superoperator.constant(qcore.projector(vec))
     if name == "SetMaxMix":
         return qcore.Superoperator.constant(qcore.maximally_mixed(arity))
     if name == "PauliMix":

@@ -10,9 +10,7 @@ deadlock point.
 
 from __future__ import annotations
 
-import itertools
-
-from .errors import ChoiceExplosion, TypingError
+from .errors import TypingError
 from .ops import resolve_measurement, resolve_operator
 from .qcore import apply_superop, measure
 from .rewrite import normalize, normalize_observer, substitute_many
@@ -21,21 +19,21 @@ from .semantics import (
     DEFAULT_CHOICE_CAP,
     Configuration,
     Distribution,
-    _dedupe,
-    _payload_values,
     _qubit_args,
     _rebuild,
+    communications,
     exec_view,
+    lift,
+    move_key,
     step_genuine,
+    unique,
 )
 from .syntax import (
     NIL,
     ApplyOp,
     Measure,
-    Nil,
     Par,
     Recv,
-    Restrict,
     Send,
     Sum,
     qubit_atoms,
@@ -70,16 +68,8 @@ def estep_genuine(config: Configuration, sig=None) -> list:
     moves = [(DIAMOND, d) for d in step_genuine(config, sig)]
     obs = normalize_observer(config.obs)
     proc = normalize(config.proc)
-    for idx, dist in _observer_moves(config.rho, proc, obs, sig):
-        moves.append((idx, dist))
-    out = []
-    seen = set()
-    for idx, d in moves:
-        k = (idx, d.key())
-        if k not in seen:
-            seen.add(k)
-            out.append((idx, d))
-    return out
+    moves.extend(_observer_moves(config.rho, proc, obs, sig))
+    return unique(moves, move_key)
 
 
 def _observer_moves(rho, proc, obs, sig) -> list:
@@ -111,45 +101,20 @@ def _observer_moves(rho, proc, obs, sig) -> list:
             branches.append((Configuration(post, proc, cont), p))
         moves.append(("", Distribution(branches)))
     elif isinstance(obs, Send):
-        vals = _payload_values(obs.payload)
-        if vals is not None:
-            comps, restricted = exec_view(proc)
-            if obs.chan not in restricted:
-                for j, receiver in enumerate(comps):
-                    if isinstance(receiver, Restrict):
-                        continue
-                    for g in sum_guards(receiver):
-                        if not isinstance(g, Recv) or g.chan != obs.chan:
-                            continue
-                        if len(g.vars) != len(vals):
-                            continue
-                        cont = substitute_many(g.cont, list(zip(g.vars, vals)))
-                        rest = [c for k, c in enumerate(comps) if k != j]
-                        new_proc = _rebuild(rest + [cont], restricted)
-                        moves.append(
-                            ("", Distribution.point(Configuration(rho, new_proc, NIL)))
-                        )
-    elif isinstance(obs, (Recv, Sum)):
-        receptions = [g for g in sum_guards(obs) if isinstance(g, Recv)]
         comps, restricted = exec_view(proc)
-        for g in receptions:
-            for i, sender in enumerate(comps):
-                if isinstance(sender, Restrict):
-                    continue
-                for gs in sum_guards(sender):
-                    if not isinstance(gs, Send) or gs.chan != g.chan:
-                        continue
-                    if gs.chan in restricted:
-                        continue
-                    vals = _payload_values(gs.payload)
-                    if vals is None or len(vals) != len(g.vars):
-                        continue
-                    cont = normalize_observer(substitute_many(g.cont, list(zip(g.vars, vals))))
-                    rest = [c for k, c in enumerate(comps) if k != i]
-                    new_proc = _rebuild(rest, restricted)
-                    moves.append(
-                        ("", Distribution.point(Configuration(rho, new_proc, cont)))
-                    )
+        for _, j, cont in communications([(-1, obs)], list(enumerate(comps)), restricted):
+            rest = [c for k, c in enumerate(comps) if k != j]
+            new_proc = _rebuild(rest + [cont], restricted)
+            moves.append(("", Distribution.point(Configuration(rho, new_proc, NIL))))
+    elif isinstance(obs, (Recv, Sum)):
+        comps, restricted = exec_view(proc)
+        for g in sum_guards(obs):
+            if not isinstance(g, Recv):
+                continue
+            for i, _, cont in communications(enumerate(comps), [(-1, g)], restricted):
+                new_obs = normalize_observer(cont)
+                new_proc = _rebuild([c for k, c in enumerate(comps) if k != i], restricted)
+                moves.append(("", Distribution.point(Configuration(rho, new_proc, new_obs))))
     return moves
 
 
@@ -157,36 +122,7 @@ def lift_estep(dist: Distribution, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> l
     """Indexed lifting: for each index enabled by some element, the
     product of per-element choices at that index, with deadlock points
     filling in for elements that lack the index."""
-    elems = list(dist.items())
-    per_elem = [estep(c, sig) for c, _ in elems]
-    indices = []
-    for mv in per_elem:
-        for idx, _ in mv:
-            if idx not in indices:
-                indices.append(idx)
-    out = []
-    for idx in indices:
-        options = []
-        total = 1
-        for mv in per_elem:
-            here = [d for i, d in mv if i == idx]
-            if not here:
-                here = [Distribution.point(BOT)]
-            options.append(here)
-            total *= len(here)
-            if total > cap:
-                raise ChoiceExplosion(f"{total}+ move combinations exceed the cap {cap}")
-        for combo in itertools.product(*options):
-            out.append((idx, Distribution.convex(
-                [(p, d) for (_, p), d in zip(elems, combo)])))
-    seen = set()
-    uniq = []
-    for idx, d in out:
-        k = (idx, d.key())
-        if k not in seen:
-            seen.add(k)
-            uniq.append((idx, d))
-    return uniq
+    return lift(dist, lambda c: estep(c, sig), cap)
 
 
 def moves_at(dist: Distribution, index: str, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> list:
@@ -213,29 +149,21 @@ def apply_context(dist: Distribution, frame, sig=None) -> Distribution:
     frame = normalize_observer(frame)
     if frame == NIL:
         return dist
-    frame_qubits = qubit_atoms(frame)
-
-    def attach(c: Configuration) -> Configuration:
-        if c.is_bot:
-            return c
-        owned = qubit_atoms(c.proc) | qubit_atoms(c.obs)
-        if frame_qubits & owned:
-            raise TypingError(
-                f"context qubits {sorted(frame_qubits & owned)} already owned by the configuration"
-            )
-        if not frame_qubits <= set(c.rho.register.names):
-            raise TypingError(
-                f"context qubits {sorted(frame_qubits - set(c.rho.register.names))} not in the state"
-            )
-        new_obs = frame if c.obs == NIL else Par(c.obs, frame)
-        return Configuration(c.rho, c.proc, new_obs)
-
-    return dist.map(attach)
+    return _attach(dist, frame, lambda c: Configuration(
+        c.rho, c.proc, frame if c.obs == NIL else Par(c.obs, frame)))
 
 
 def apply_process_context(dist: Distribution, frame, sig=None) -> Distribution:
     """Parallel process context for the plain semantics."""
     frame = normalize(frame)
+    return _attach(dist, frame, lambda c: Configuration(
+        c.rho, normalize(Par(c.proc, frame)), c.obs))
+
+
+def _attach(dist: Distribution, frame, compose) -> Distribution:
+    """Map every non-BOT element through `compose` once the frame's
+    qubits are checked to be in its state and owned by neither its
+    process nor its observer."""
     frame_qubits = qubit_atoms(frame)
 
     def attach(c: Configuration) -> Configuration:
@@ -250,6 +178,6 @@ def apply_process_context(dist: Distribution, frame, sig=None) -> Distribution:
             raise TypingError(
                 f"context qubits {sorted(frame_qubits - set(c.rho.register.names))} not in the state"
             )
-        return Configuration(c.rho, normalize(Par(c.proc, frame)), c.obs)
+        return compose(c)
 
     return dist.map(attach)

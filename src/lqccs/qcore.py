@@ -379,60 +379,6 @@ def bell_measurement() -> Measurement:
     return Measurement([projector(v) for v in (PHI_P, PHI_M, PSI_P, PSI_M)], check=False)
 
 
-_STATE_VECTORS = {
-    "ket0": KET0,
-    "ket1": KET1,
-    "ketplus": KETP,
-    "ketminus": KETM,
-    "Phi+": PHI_P,
-    "Phi-": PHI_M,
-    "Psi+": PSI_P,
-    "Psi-": PSI_M,
-}
-
-_GATES = {
-    "I": I2,
-    "X": X,
-    "Z": Z,
-    "H": H,
-    "ZX": ZX,
-    "CNOT": CNOT,
-    "SWAP": SWAP,
-}
-
-
 def maximally_mixed(n: int) -> np.ndarray:
     dim = 1 << n
     return np.eye(dim, dtype=complex) / dim
-
-
-def builtin(name: str):
-    """Look up a named gate, measurement, or state.
-
-    Gates come back as Superoperator, measurement names as Measurement,
-    state names as DensityMatrix over placeholder qubit names q0..qn-1.
-    Parameterized forms: Set(<state>), MaxMixed(<n>), Set(MaxMixed(<n>)).
-    """
-    if name in _GATES:
-        return Superoperator.unitary(_GATES[name])
-    if name == "M01":
-        return computational_measurement(1)
-    if name == "Mpm":
-        return hadamard_measurement(1)
-    if name == "MBell":
-        return bell_measurement()
-    if name in _STATE_VECTORS:
-        v = _STATE_VECTORS[name]
-        n = v.shape[0].bit_length() - 1
-        return pure_state(v, tuple(f"q{i}" for i in range(n)))
-    if name.startswith("MaxMixed(") and name.endswith(")"):
-        n = int(name[len("MaxMixed(") : -1])
-        return DensityMatrix(tuple(f"q{i}" for i in range(n)), maximally_mixed(n), check=False)
-    if name.startswith("Set(") and name.endswith(")"):
-        inner = name[len("Set(") : -1]
-        if inner in _STATE_VECTORS:
-            return Superoperator.constant(projector(_STATE_VECTORS[inner]))
-        if inner.startswith("MaxMixed(") and inner.endswith(")"):
-            n = int(inner[len("MaxMixed(") : -1])
-            return Superoperator.constant(maximally_mixed(n))
-    raise NameError(f"unknown builtin {name!r}")

@@ -19,19 +19,15 @@ from .syntax import (
     NIL,
     ApplyOp,
     Measure,
-    Nil,
-    Par,
     QubitLit,
     RandBit,
     Recv,
     Restrict,
     Send,
-    Sum,
     Tau,
     free_channels,
     par_all,
     par_components,
-    qubit_atoms,
     sum_guards,
 )
 
@@ -261,14 +257,48 @@ def step_genuine(config: Configuration, sig=None) -> list:
     results = []
     for dist in _proc_moves(rho, normalize(config.proc), sig):
         results.append(dist.map(lambda c: c if c.is_bot else c.with_observer(obs)))
-    return _dedupe(results)
+    return unique(results)
 
 
-def _dedupe(dists):
+def unique(items, key=Distribution.key) -> list:
+    """First occurrence of each item, in order, compared by `key`."""
     seen = {}
-    for d in dists:
-        seen.setdefault(d.key(), d)
+    for item in items:
+        seen.setdefault(key(item), item)
     return list(seen.values())
+
+
+def move_key(move):
+    """Identity of an (index, distribution) move."""
+    return (move[0], move[1].key())
+
+
+def communications(senders, receivers, blocked=frozenset()):
+    """The communication rule: yields (i, j, continuation) for each send
+    guard of a sender i matched by a reception guard of a distinct
+    receiver j on the same channel, not in `blocked`, with the same
+    arity; the continuation is the receiver's, with the payload values
+    substituted. Receivers is a list and senders an iterable of
+    (position, term) pairs; restricted blobs and open payloads never
+    communicate."""
+    for i, sender in senders:
+        if isinstance(sender, Restrict):
+            continue
+        for gs in sum_guards(sender):
+            if not isinstance(gs, Send) or gs.chan in blocked:
+                continue
+            vals = _payload_values(gs.payload)
+            if vals is None:
+                continue
+            for j, receiver in receivers:
+                if i == j or isinstance(receiver, Restrict):
+                    continue
+                for gr in sum_guards(receiver):
+                    if not isinstance(gr, Recv) or gr.chan != gs.chan:
+                        continue
+                    if len(gr.vars) != len(vals):
+                        continue
+                    yield i, j, substitute_many(gr.cont, list(zip(gr.vars, vals)))
 
 
 def _proc_moves(rho: DensityMatrix, proc, sig) -> list:
@@ -318,43 +348,40 @@ def _proc_moves(rho: DensityMatrix, proc, sig) -> list:
                     )
                 moves.append(Distribution(branches))
     # communication between two distinct components
-    for i, sender in enumerate(comps):
-        if isinstance(sender, Restrict):
-            continue
-        for gs in sum_guards(sender):
-            if not isinstance(gs, Send):
-                continue
-            vals = _payload_values(gs.payload)
-            if vals is None:
-                continue
-            for j, receiver in enumerate(comps):
-                if i == j or isinstance(receiver, Restrict):
-                    continue
-                for gr in sum_guards(receiver):
-                    if not isinstance(gr, Recv) or gr.chan != gs.chan:
-                        continue
-                    if len(gr.vars) != len(vals):
-                        continue
-                    cont = substitute_many(gr.cont, list(zip(gr.vars, vals)))
-                    rest = [c for k, c in enumerate(comps) if k not in (i, j)]
-                    moves.append(succ(rho, rest + [cont]))
-    return _dedupe(moves)
+    live = list(enumerate(comps))
+    for i, j, cont in communications(live, live):
+        rest = [c for k, c in enumerate(comps) if k not in (i, j)]
+        moves.append(succ(rho, rest + [cont]))
+    return unique(moves)
+
+
+def lift(dist: Distribution, moves_of, cap: int = DEFAULT_CHOICE_CAP) -> list:
+    """Lift indexed moves to a distribution: for each index that some
+    element enables, in order of first appearance, every per-element
+    choice of moves at that index, linearly combined; an element that
+    lacks the index contributes the BOT point."""
+    elems = list(dist.items())
+    per_elem = [moves_of(c) for c, _ in elems]
+    indices = dict.fromkeys(idx for mv in per_elem for idx, _ in mv)
+    out = []
+    for idx in indices:
+        options = []
+        total = 1
+        for mv in per_elem:
+            here = [d for i, d in mv if i == idx] or [Distribution.point(BOT)]
+            options.append(here)
+            total *= len(here)
+            if total > cap:
+                raise ChoiceExplosion(f"{total}+ move combinations exceed the cap {cap}")
+        for combo in itertools.product(*options):
+            out.append((idx, Distribution.convex([(p, d) for (_, p), d in zip(elems, combo)])))
+    return unique(out, move_key)
 
 
 def lift_step(dist: Distribution, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> list:
     """Lift the reduction relation: every per-element choice of moves,
     linearly combined. Stuck elements contribute the BOT point."""
-    elems = list(dist.items())
-    per_elem = [step(c, sig) for c, _ in elems]
-    total = 1
-    for m in per_elem:
-        total *= len(m)
-        if total > cap:
-            raise ChoiceExplosion(f"{total}+ move combinations exceed the cap {cap}")
-    out = []
-    for combo in itertools.product(*per_elem):
-        out.append(Distribution.convex([(p, d) for (_, p), d in zip(elems, combo)]))
-    return _dedupe(out)
+    return [d for _, d in lift(dist, lambda c: [(None, m) for m in step(c, sig)], cap)]
 
 
 # --- barbs -------------------------------------------------------------------

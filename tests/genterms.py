@@ -178,7 +178,7 @@ class TermGen:
             a, b = rng.sample(list(recv_chans), 2)
             return Sum(self._obs_recv(a, owned, env, depth - 1),
                        self._obs_recv(b, owned, env, depth - 1))
-        split = frozenset(q for q in owned if rng.random() < 0.5)
+        split = frozenset(q for q in sorted(owned) if rng.random() < 0.5)
         return Par(self.observer(split, env, depth - 1, recv_chans),
                    self.observer(owned - split, env, depth - 1, recv_chans))
 

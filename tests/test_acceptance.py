@@ -21,11 +21,12 @@ from lqccs.equiv import (
     density_quotient_equiv,
     distinguish,
     partial_trace_necessary,
-    refines,
+    refines_upto,
     replay_measurement_witness,
     replay_witness,
 )
 from lqccs.errors import LinearityError
+from lqccs.ops import resolve_operator
 from lqccs.parser import parse_process
 from lqccs.semantics import Distribution, dist_barbs, lift_step, make_config, mixture
 from lqccs.typecheck import typecheck, typecheck_unique_property
@@ -40,7 +41,7 @@ def _report(num, label, t0):
 def test_criterion_1_quantum_backend_exactness():
     t0 = time.monotonic()
     rho = qcore.pure_state(qcore.KET0, ("q",))
-    got = qcore.apply_superop(qcore.builtin("H"), ("q",), rho)
+    got = qcore.apply_superop(resolve_operator("H", 1), ("q",), rho)
     assert np.max(np.abs(got.mat - qcore.projector(qcore.KETP))) < TOL
 
     red = qcore.partial_trace(qcore.pure_state(qcore.PHI_P, ("a", "b")), ("a",))
@@ -155,7 +156,7 @@ def test_criterion_5b_refinement_moves_matched():
         small, changed = test_equiv._refine_randomly(gen, big, {})
         if not changed:
             continue
-        assert refines(small, big) is not None
+        assert refines_upto(small, big)
         st = random_density(np.random.default_rng(seed), ("q1",))
         ds = Distribution.point(make_config(st, small))
         db = Distribution.point(make_config(st, big))

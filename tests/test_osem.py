@@ -4,7 +4,15 @@ import pytest
 from genterms import TermGen, make_signature, random_config, random_density
 from lqccs import qcore
 from lqccs.errors import TypingError
-from lqccs.osem import DIAMOND, apply_context, estep, estep_genuine, lift_estep, moves_at
+from lqccs.osem import (
+    DIAMOND,
+    apply_context,
+    apply_process_context,
+    estep,
+    estep_genuine,
+    lift_estep,
+    moves_at,
+)
 from lqccs.parser import parse_process
 from lqccs.rewrite import normalize, normalize_observer
 from lqccs.semantics import (
@@ -134,6 +142,24 @@ def test_diamond_preserves_observer_paths_touch_it():
                     assert succ.obs != cfg.obs
 
 
+class TestRestrictionBlocksObserver:
+    """The observer is outside every restriction of the process, so it
+    cannot communicate on a restricted channel in either direction."""
+
+    @staticmethod
+    def observer_moves(proc, obs):
+        c = make_config(k0("q"), P(proc), P(obs))
+        return [d for idx, d in estep_genuine(c, SIG) if idx == ""]
+
+    def test_observer_send_to_restricted_receiver(self):
+        assert len(self.observer_moves("k?x.nil || disc(q)", "k!0")) == 1
+        assert self.observer_moves("(k?x.nil || disc(q)) \\ k", "k!0") == []
+
+    def test_observer_receive_from_restricted_sender(self):
+        assert len(self.observer_moves("k!0 || disc(q)", "k?x.l!true")) == 1
+        assert self.observer_moves("(k!0 || disc(q)) \\ k", "k?x.l!true") == []
+
+
 class TestLiftEstep:
     def test_point_lift_equals_estep(self):
         c = make_config(qcore.pure_state(qcore.KETP, ("q",)), P("c!q"), P(MEAS_01))
@@ -211,10 +237,11 @@ class TestApplyContext:
 
     def test_frame_qubits_must_be_free(self):
         d = Distribution.point(make_config(k0("q"), P("c!q")))
-        with pytest.raises(TypingError):
-            apply_context(d, P("H(q).disc(q)"))
-        with pytest.raises(TypingError):
-            apply_context(d, P("H(o1).disc(o1)"))  # o1 not in the state
+        for attach in (apply_context, apply_process_context):
+            with pytest.raises(TypingError):
+                attach(d, P("H(q).disc(q)"))
+            with pytest.raises(TypingError):
+                attach(d, P("H(o1).disc(o1)"))  # o1 not in the state
 
 
 class TestExtendedBarbs:

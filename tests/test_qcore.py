@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqccs import qcore
+from lqccs.cli import build_state
 from lqccs.errors import RegisterError, TargetError
+from lqccs.ops import resolve_measurement, resolve_operator
 from lqccs.qcore import (
     CNOT,
     H,
@@ -25,7 +27,6 @@ from lqccs.qcore import (
     Measurement,
     Superoperator,
     apply_superop,
-    builtin,
     kron,
     kron_all,
     measure,
@@ -93,14 +94,14 @@ class TestLiftAt:
     def test_no_lift_needed(self):
         assert np.allclose(dense_embedding(H, [0], 1), H)
         rho = random_state(np.random.default_rng(1), 1)
-        out = apply_superop(builtin("H"), ("q",), DensityMatrix(("q",), rho, check=False))
+        out = apply_superop(resolve_operator("H", 1), ("q",), DensityMatrix(("q",), rho, check=False))
         assert np.allclose(out.mat, H @ rho @ H.conj().T)
 
     def test_x_on_second_qubit(self):
         # oracle: explicit I (x) X product applied to |00><00|
         assert np.allclose(dense_embedding(X, [1], 2), kron(I2, X))
         rho = pure_state(kron(KET0, KET0), ("a", "b"))
-        got = apply_superop(builtin("X"), ("b",), rho)
+        got = apply_superop(resolve_operator("X", 1), ("b",), rho)
         assert np.allclose(got.mat, projector(kron(KET0, KET1)))
 
     def test_cnot_reversed_control(self):
@@ -109,10 +110,10 @@ class TestLiftAt:
         want = swap @ CNOT @ swap
         assert np.allclose(dense_embedding(CNOT, [1, 0], 2), want)
         rho = random_state(np.random.default_rng(7), 2)
-        got = apply_superop(builtin("CNOT"), ("b", "a"), DensityMatrix(("a", "b"), rho, check=False))
+        got = apply_superop(resolve_operator("CNOT", 2), ("b", "a"), DensityMatrix(("a", "b"), rho, check=False))
         assert np.allclose(got.mat, want @ rho @ want.conj().T)
         rho = pure_state(kron(KET0, KET1), ("a", "b"))
-        got = apply_superop(builtin("CNOT"), ("b", "a"), rho)
+        got = apply_superop(resolve_operator("CNOT", 2), ("b", "a"), rho)
         assert np.allclose(got.mat, projector(kron(KET1, KET1)))
 
     def test_single_qubit_lift_equals_kron_composition(self):
@@ -125,19 +126,19 @@ class TestLiftAt:
                 assert np.allclose(dense_embedding(H, [i], n), full)
                 rho = random_state(rng, n)
                 dm = DensityMatrix(register(n), rho, check=False)
-                out = apply_superop(builtin("H"), (f"q{i}",), dm)
+                out = apply_superop(resolve_operator("H", 1), (f"q{i}",), dm)
                 assert np.allclose(out.mat, full @ rho @ full.conj().T)
 
     def test_bad_targets(self):
         rho = pure_state(kron(KET0, KET0), ("a", "b"))
         with pytest.raises(TargetError):
-            apply_superop(builtin("X"), ("c",), rho)
+            apply_superop(resolve_operator("X", 1), ("c",), rho)
         with pytest.raises(TargetError):
-            apply_superop(builtin("CNOT"), ("a", "a"), rho)
+            apply_superop(resolve_operator("CNOT", 2), ("a", "a"), rho)
         with pytest.raises(TargetError):
-            apply_superop(builtin("CNOT"), ("a",), rho)
+            apply_superop(resolve_operator("CNOT", 2), ("a",), rho)
         with pytest.raises(TargetError):
-            measure(builtin("M01"), ("a", "b"), rho)
+            measure(resolve_measurement("M01", 1), ("a", "b"), rho)
 
     def test_permutation_consistency_three_qubits(self):
         # applying at the targets equals permuting the state to bring the
@@ -146,7 +147,7 @@ class TestLiftAt:
         for targets in itertools.permutations(range(3), 2):
             rho = random_state(rng, 3)
             dm = DensityMatrix(register(3), rho, check=False)
-            got = apply_superop(builtin("CNOT"), tuple(f"q{t}" for t in targets), dm)
+            got = apply_superop(resolve_operator("CNOT", 2), tuple(f"q{t}" for t in targets), dm)
             rest = [q for q in range(3) if q not in targets]
             perm = bit_permutation(list(targets) + rest, 3)
             inv = np.argsort(perm)
@@ -202,12 +203,12 @@ def test_local_contraction_matches_dense_embedding(case):
 class TestApplySuperop:
     def test_hadamard_on_ket0(self):
         rho = pure_state(KET0, ("q",))
-        out = apply_superop(builtin("H"), ("q",), rho)
+        out = apply_superop(resolve_operator("H", 1), ("q",), rho)
         assert np.allclose(out.mat, projector(KETP), atol=1e-12)
 
     def test_constant_superoperator(self):
         rng = np.random.default_rng(3)
-        setter = builtin("Set(Phi+)")
+        setter = resolve_operator("SetPhiP", 2)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
         rho /= rho.trace()
@@ -233,13 +234,13 @@ class TestApplySuperop:
             rho = a @ a.conj().T
             rho /= rho.trace()
             dm = DensityMatrix(("a", "b"), rho, check=False)
-            out = apply_superop(builtin("CNOT"), ("a", "b"), dm)
+            out = apply_superop(resolve_operator("CNOT", 2), ("a", "b"), dm)
             assert abs(out.trace() - 1.0) < 1e-9
 
 
 class TestMeasure:
     def test_plus_in_computational_basis(self):
-        res = measure(builtin("M01"), ("q",), pure_state(KETP, ("q",)))
+        res = measure(resolve_measurement("M01", 1), ("q",), pure_state(KETP, ("q",)))
         assert len(res) == 2
         (o0, p0, s0), (o1, p1, s1) = res
         assert (o0, o1) == (0, 1)
@@ -248,12 +249,12 @@ class TestMeasure:
         assert np.allclose(s1.mat, projector(KET1))
 
     def test_certain_outcome_drops_zero_branch(self):
-        res = measure(builtin("M01"), ("q",), pure_state(KET0, ("q",)))
+        res = measure(resolve_measurement("M01", 1), ("q",), pure_state(KET0, ("q",)))
         assert len(res) == 1
         assert res[0][0] == 0 and abs(res[0][1] - 1.0) < 1e-9
 
     def test_bell_pair_decays_to_correlated_basis(self):
-        res = measure(builtin("M01"), ("a",), pure_state(PHI_P, ("a", "b")))
+        res = measure(resolve_measurement("M01", 1), ("a",), pure_state(PHI_P, ("a", "b")))
         assert len(res) == 2
         (o0, p0, s0), (o1, p1, s1) = res
         assert abs(p0 - 0.5) < 1e-9 and abs(p1 - 0.5) < 1e-9
@@ -267,7 +268,7 @@ class TestMeasure:
             rho = a @ a.conj().T
             rho /= rho.trace()
             dm = DensityMatrix(("a", "b"), rho, check=False)
-            res = measure(builtin("Mpm"), ("b",), dm)
+            res = measure(resolve_measurement("Mpm", 1), ("b",), dm)
             assert abs(sum(p for _, p, _ in res) - 1.0) < 1e-9
             for _, _, post in res:
                 assert abs(post.trace() - 1.0) < 1e-9
@@ -356,27 +357,27 @@ class TestMix:
 
 class TestBuiltins:
     def test_cnot_flips_target(self):
-        out = builtin("CNOT").kraus[0] @ kron(KET1, KET0)
+        out = resolve_operator("CNOT", 2).kraus[0] @ kron(KET1, KET0)
         assert np.allclose(out, kron(KET1, KET1))
 
     def test_bell_state(self):
-        got = builtin("Phi+")
+        got = build_state("phi+", ("q0", "q1"))
         assert np.allclose(got.mat, projector(PHI_P))
 
     def test_hadamard_basis_measurement(self):
-        m = builtin("Mpm")
+        m = resolve_measurement("Mpm", 1)
         assert np.allclose(m.operators[0], projector(KETP))
         assert np.allclose(m.operators[1], projector(KETM))
 
     def test_measurement_completeness(self):
-        for name in ("M01", "Mpm", "MBell"):
-            m = builtin(name)
+        for name, arity in (("M01", 1), ("Mpm", 1), ("MBell", 2)):
+            m = resolve_measurement(name, arity)
             acc = sum(op.conj().T @ op for op in m.operators)
             assert np.allclose(acc, ident(acc.shape[0]), atol=1e-9)
 
     def test_unknown_name(self):
         with pytest.raises(NameError):
-            builtin("Hadamarde")
+            resolve_operator("Hadamarde", 1)
 
     def test_kraus_sum_condition_checked(self):
         with pytest.raises(ValueError):
