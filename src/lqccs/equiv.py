@@ -39,6 +39,7 @@ from .semantics import (
     BOT,
     Configuration,
     Distribution,
+    at_index,
     barb_mismatch,
     dist_barbs,
     lift_step,
@@ -55,16 +56,15 @@ from .syntax import (
     Nil,
     Par,
     QubitLit,
-    RandBit,
     Recv,
     Restrict,
     Send,
     Signature,
     Sum,
-    Tau,
     Var,
-    _children,
+    children,
     free_channels,
+    map_term,
     observer_violation,
     par_all,
     par_components,
@@ -158,9 +158,7 @@ def _lifted_moves(dist: Distribution, mode: str, sig, cap: int) -> list:
 
 
 def _moves_at(dist: Distribution, index, mode: str, sig, cap: int) -> list:
-    if mode == SATURATED:
-        return lift_step(dist, sig, cap)
-    return moves_at(dist, index, sig, cap)
+    return at_index(_lifted_moves(dist, mode, sig, cap), index)
 
 
 def _apply_frame(dist: Distribution, frame, mode: str, sig) -> Distribution:
@@ -192,31 +190,19 @@ def syntactically_deterministic(proc) -> bool:
     guards = sum_guards(comp)
     if len(guards) > 1:
         return False
-    g = guards[0]
-    if isinstance(g, (Send, Nil)):
-        return True
-    if isinstance(g, (Tau, ApplyOp, Measure, Recv, RandBit)):
-        return _det_term(g.cont)
-    return False
+    # a conditional at the top is left unresolved here, so it counts as a choice
+    return not isinstance(guards[0], Ite) and _det_term(guards[0])
 
 
 def _det_term(t) -> bool:
     if isinstance(t, Sum):
         return False
-    if isinstance(t, (Send, Nil)):
-        return True
-    if isinstance(t, (Tau, ApplyOp, Measure, Recv, RandBit)):
-        return _det_term(t.cont)
-    if isinstance(t, Restrict):
-        return _det_term(t.body)
-    if isinstance(t, Ite):
-        return _det_term(t.then) and _det_term(t.els)
     if isinstance(t, Par):
         live = [c for c in par_components(t) if not isinstance(c, Nil)]
         if len(live) > 1:
             return False
         return all(_det_term(c) for c in live)
-    return False
+    return all(_det_term(c) for c in children(t))
 
 
 def is_deterministic(dist: Distribution, bounds: SearchBounds = SearchBounds(), sig=None) -> str:
@@ -393,30 +379,15 @@ def _refines_upto_raw(ps, pb, memo) -> bool:
         if len(small_guards) > len(big_guards):
             return False
         return _match_guards(small_guards, big_guards, memo)
-    pairs = None
-    if isinstance(ps, Tau) and isinstance(pb, Tau):
-        pairs = [(ps.cont, pb.cont)]
-    elif isinstance(ps, ApplyOp) and isinstance(pb, ApplyOp):
-        if (ps.op, ps.args) == (pb.op, pb.args):
-            pairs = [(ps.cont, pb.cont)]
-    elif isinstance(ps, Measure) and isinstance(pb, Measure):
-        if (ps.op, ps.args, ps.var) == (pb.op, pb.args, pb.var):
-            pairs = [(ps.cont, pb.cont)]
-    elif isinstance(ps, Recv) and isinstance(pb, Recv):
-        if (ps.chan, ps.vars) == (pb.chan, pb.vars):
-            pairs = [(ps.cont, pb.cont)]
-    elif isinstance(ps, RandBit) and isinstance(pb, RandBit):
-        if ps.var == pb.var:
-            pairs = [(ps.cont, pb.cont)]
-    elif isinstance(ps, Restrict) and isinstance(pb, Restrict):
-        if ps.chan == pb.chan:
-            pairs = [(ps.body, pb.body)]
-    elif isinstance(ps, Ite) and isinstance(pb, Ite):
-        if ps.cond == pb.cond:
-            pairs = [(ps.then, pb.then), (ps.els, pb.els)]
-    if pairs is None:
+    # same constructor and same non-term fields: refine the sub-terms pairwise
+    if _label(ps) != _label(pb):
         return False
-    return all(_refines_upto(s, b, memo) for s, b in pairs)
+    return all(_refines_upto(s, b, memo) for s, b in zip(children(ps), children(pb)))
+
+
+def _label(t):
+    """The node with its sub-terms blanked out."""
+    return map_term(t, lambda c, bound: None, lambda e: e)
 
 
 def _match_components(cs, cb, memo) -> bool:
@@ -683,18 +654,12 @@ def ptag_obs(obs, k: str = "", pi=None):
     tag = Send(_tag_channel(k), (NatLit(0),))
     if isinstance(obs, Nil):
         return obs
-    if isinstance(obs, ApplyOp):
-        return Sum(ApplyOp(obs.op, obs.args, ptag_obs(obs.cont, k + "i", None)), tag)
-    if isinstance(obs, Measure):
-        return Sum(Measure(obs.op, obs.args, obs.var, ptag_obs(obs.cont, k + "i", None)), tag)
-    if isinstance(obs, Recv):
-        return Sum(Recv(obs.chan, obs.vars, ptag_obs(obs.cont, k + "i", None)), tag)
     if isinstance(obs, Send):
         return Sum(obs, tag)
-    if isinstance(obs, Sum):
-        return Sum(ptag_obs(obs.left, k, None), ptag_obs(obs.right, k, None))
-    if isinstance(obs, Ite):
-        return Ite(obs.cond, ptag_obs(obs.then, k, None), ptag_obs(obs.els, k, None))
+    if isinstance(obs, (ApplyOp, Measure, Recv)):
+        return Sum(map_term(obs, lambda c, bound: ptag_obs(c, k + "i", None), lambda e: e), tag)
+    if isinstance(obs, (Sum, Ite)):
+        return map_term(obs, lambda c, bound: ptag_obs(c, k, None), lambda e: e)
     raise TypeError(f"not an observer: {obs!r}")
 
 
@@ -796,7 +761,7 @@ def _to_tag_key(idx: str) -> str:
 
 
 def _node_count(t) -> int:
-    return 1 + sum(_node_count(c) for c in _children(t))
+    return 1 + sum(_node_count(c) for c in children(t))
 
 
 def _used_channels(dist: Distribution) -> set:
@@ -834,7 +799,7 @@ def _channel_usage(dists, sig):
             if sig is not None and t.chan in sig.channels:
                 qubit = "qubit" in sig.channels[t.chan]
             recvs[t.chan] = (len(t.vars), qubit)
-        for c in _children(t):
+        for c in children(t):
             walk(c)
 
     for d in dists:
@@ -918,16 +883,16 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
         for v in (NatLit(0), NatLit(1)):
             pieces.append(Send(c, (v,)))
 
-    frames = [p for p in pieces if _node_count(p) <= bounds.context_size]
+    # (frame, size, qubit atoms); a sum or parallel pair is sized from its
+    # parts and built only when it fits the bound
+    pieces = [(p, _node_count(p), qubit_atoms(p)) for p in pieces]
+    frames = [f for f in pieces if f[1] <= bounds.context_size]
 
     # reception sums over distinct channels
-    recv_pieces = [p for p in pieces if isinstance(p, Recv)]
-    for a, b in itertools.combinations(recv_pieces, 2):
-        if a.chan == b.chan:
-            continue
-        s = Sum(a, b)
-        if _node_count(s) <= bounds.context_size:
-            frames.append(s)
+    recv_pieces = [f for f in pieces if isinstance(f[0], Recv)]
+    for (a, na, qa), (b, nb, qb) in itertools.combinations(recv_pieces, 2):
+        if a.chan != b.chan and 1 + na + nb <= bounds.context_size:
+            frames.append((Sum(a, b), 1 + na + nb, qa | qb))
     if mode == SATURATED:
         # guarded sums beyond receptions, e.g. one reception with a
         # choice of measurement bases in its continuation
@@ -938,20 +903,19 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
                     _measure_flag_body("M01", x, 0, flags[0], flags[1]),
                     _measure_flag_body("Mpm", x, 0, flags[2], flags[3]),
                 )
-                frames.append(Recv(c, ("x",), body))
+                frame = Recv(c, ("x",), body)
+                frames.append((frame, _node_count(frame), qubit_atoms(frame)))
     # parallel pairs; components must not share ancilla qubits
     singles = list(frames)
-    for a, b in itertools.combinations(singles, 2):
-        if qubit_atoms(a) & qubit_atoms(b):
-            continue
-        p = Par(a, b)
-        if _node_count(p) <= bounds.context_size:
-            frames.append(p)
+    for (a, na, qa), (b, nb, qb) in itertools.combinations(singles, 2):
+        if 1 + na + nb <= bounds.context_size and not qa & qb:
+            frames.append((Par(a, b), 1 + na + nb, qa | qb))
 
     out = []
     seen = set()
-    for f in list(bounds.hint_contexts) + sorted(frames, key=_node_count):
-        if _node_count(f) > bounds.context_size:
+    hints = [(f, _node_count(f), None) for f in bounds.hint_contexts]
+    for f, size, _ in hints + sorted(frames, key=lambda frame: frame[1]):
+        if size > bounds.context_size:
             continue
         if mode == CONSTRAINED and observer_violation(f):
             continue
@@ -1140,8 +1104,8 @@ def _search(dl, dr, mode, bounds, sig, stats):
         moves_a = _lifted_moves(fa, mode, sig, bounds.choice_cap)
         moves_b = _lifted_moves(fb, mode, sig, bounds.choice_cap)
         for idx in dict.fromkeys(idx for idx, _ in moves_a + moves_b):
-            at_a = [d for i, d in moves_a if i == idx] or [Distribution.point(BOT)]
-            at_b = [d for i, d in moves_b if i == idx] or [Distribution.point(BOT)]
+            at_a = at_index(moves_a, idx)
+            at_b = at_index(moves_b, idx)
             for side, mine, theirs in (("left", at_a, at_b), ("right", at_b, at_a)):
                 for mv in mine:
                     refutations = []
@@ -1230,11 +1194,8 @@ def check_candidate(
             return InconclusiveAtBounds(bounds, str(exc))
         for here, there, label in ((moves_a, moves_b, "left"), (moves_b, moves_a, "right")):
             for idx, succ in here:
-                cands = [d for i, d in there if i == idx]
-                if not cands:
-                    cands = [Distribution.point(BOT)]
                 matched = False
-                for cand in cands:
+                for cand in at_index(there, idx):
                     pair = (succ, cand) if label == "left" else (cand, succ)
                     if _pair_in_relation(pair, pairs, upto_cv):
                         matched = True
@@ -1293,13 +1254,9 @@ def _in_convex_hull(a: Distribution, b: Distribution, pairs) -> bool:
 # execution helpers shared with the corpus
 
 
-def _genuine_lifted(dist: Distribution, sig, cap) -> list:
-    """Lifted indexed moves minus the pure-deadlock diamond fallback."""
-    return [
-        (i, d)
-        for i, d in lift_estep(dist, sig, cap)
-        if not (i == DIAMOND and d.bot_mass() >= 1.0 - TOL_PROB)
-    ]
+def _genuine(moves) -> list:
+    """Indexed moves minus the pure-deadlock diamond fallback."""
+    return [(i, d) for i, d in moves if not (i == DIAMOND and d.bot_mass() >= 1.0 - TOL_PROB)]
 
 
 def advance_unique(dist: Distribution, sig=None, max_steps: int = 64, cap: int = 100_000):
@@ -1308,7 +1265,7 @@ def advance_unique(dist: Distribution, sig=None, max_steps: int = 64, cap: int =
     distributions visited, including the start."""
     trace = [dist]
     for _ in range(max_steps):
-        moves = _genuine_lifted(dist, sig, cap)
+        moves = _genuine(lift_estep(dist, sig, cap))
         if len(moves) != 1:
             break
         dist = moves[0][1]
@@ -1325,22 +1282,11 @@ def advance_scheduled(dist: Distribution, sig=None, max_steps: int = 64):
     for _ in range(max_steps):
         elems = list(dist.items())
         per = [estep_augmented(c, sig) for c, _ in elems]
-        indices = sorted(
-            {
-                i
-                for mv in per
-                for i, d in mv
-                if not (i == DIAMOND and d.bot_mass() >= 1.0 - TOL_PROB)
-            }
-        )
+        indices = sorted({i for mv in per for i, _ in _genuine(mv)})
         if not indices:
             break
         idx = indices[0]
-        parts = []
-        for (c, p), mv in zip(elems, per):
-            here = [d for i, d in mv if i == idx]
-            pick = min(here, key=lambda d: d.key()) if here else Distribution.point(BOT)
-            parts.append((p, pick))
-        dist = Distribution.convex(parts)
+        dist = Distribution.convex(
+            [(p, min(at_index(mv, idx), key=Distribution.key)) for (_, p), mv in zip(elems, per)])
         trace.append(dist)
     return trace

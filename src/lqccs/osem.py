@@ -21,6 +21,7 @@ from .semantics import (
     Distribution,
     _qubit_args,
     _rebuild,
+    at_index,
     communications,
     exec_view,
     lift,
@@ -128,8 +129,7 @@ def lift_estep(dist: Distribution, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> l
 def moves_at(dist: Distribution, index: str, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> list:
     """Successors of the lifted relation at one index; the deadlock point
     when no element enables it."""
-    found = [d for idx, d in lift_estep(dist, sig, cap) if idx == index]
-    return found if found else [Distribution.point(BOT)]
+    return at_index(lift_estep(dist, sig, cap), index)
 
 
 def ext_barbs(x) -> dict:

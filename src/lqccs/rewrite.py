@@ -29,18 +29,19 @@ from .syntax import (
     Par,
     QubitLit,
     RandBit,
-    Recv,
     Restrict,
-    Send,
     Sum,
     Tau,
     Var,
+    expr_vars,
     free_channels,
+    map_term,
     par_all,
     par_components,
     qubit_atoms,
     sum_all,
     sum_guards,
+    term_exprs,
 )
 
 # --- evaluation -------------------------------------------------------------
@@ -102,16 +103,6 @@ def value_to_expr(v):
     raise EvalError(f"not a value: {v!r}")
 
 
-def expr_is_closed(e, bound=frozenset()) -> bool:
-    if isinstance(e, Var):
-        return e.name in bound
-    if isinstance(e, Not):
-        return expr_is_closed(e.arg, bound)
-    if isinstance(e, BinOp):
-        return expr_is_closed(e.left, bound) and expr_is_closed(e.right, bound)
-    return True
-
-
 def _norm_expr(e):
     """Evaluate closed classical subexpressions to literals."""
     if isinstance(e, (Var, BoolLit, NatLit, QubitLit)):
@@ -121,7 +112,7 @@ def _norm_expr(e):
         out = Not(arg)
     else:
         out = BinOp(e.op, _norm_expr(e.left), _norm_expr(e.right))
-    if expr_is_closed(out):
+    if not expr_vars(out):
         return value_to_expr(eval_expr(out))
     return out
 
@@ -132,46 +123,24 @@ def _norm_expr(e):
 def map_free_vars(term, f):
     """Rewrite every free Var leaf with f; binders shadow."""
 
-    def on_expr(e, bound):
-        if isinstance(e, Var):
-            return e if e.name in bound else f(e)
-        if isinstance(e, Not):
-            return Not(on_expr(e.arg, bound))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, on_expr(e.left, bound), on_expr(e.right, bound))
-        return e
+    def mappers(bound):
+        def on_expr(e):
+            if isinstance(e, Var):
+                return e if e.name in bound else f(e)
+            if isinstance(e, Not):
+                return Not(on_expr(e.arg))
+            if isinstance(e, BinOp):
+                return BinOp(e.op, on_expr(e.left), on_expr(e.right))
+            return e
 
-    def walk(t, bound):
-        if isinstance(t, Nil):
-            return Nil(tuple(on_expr(e, bound) for e in t.discards))
-        if isinstance(t, Tau):
-            return Tau(walk(t.cont, bound))
-        if isinstance(t, ApplyOp):
-            return ApplyOp(t.op, tuple(on_expr(e, bound) for e in t.args), walk(t.cont, bound))
-        if isinstance(t, Measure):
-            return Measure(
-                t.op,
-                tuple(on_expr(e, bound) for e in t.args),
-                t.var,
-                walk(t.cont, bound | {t.var}),
-            )
-        if isinstance(t, Recv):
-            return Recv(t.chan, t.vars, walk(t.cont, bound | set(t.vars)))
-        if isinstance(t, Send):
-            return Send(t.chan, tuple(on_expr(e, bound) for e in t.payload))
-        if isinstance(t, Sum):
-            return Sum(walk(t.left, bound), walk(t.right, bound))
-        if isinstance(t, Par):
-            return Par(walk(t.left, bound), walk(t.right, bound))
-        if isinstance(t, Restrict):
-            return Restrict(walk(t.body, bound), t.chan)
-        if isinstance(t, Ite):
-            return Ite(on_expr(t.cond, bound), walk(t.then, bound), walk(t.els, bound))
-        if isinstance(t, RandBit):
-            return RandBit(t.var, walk(t.cont, bound | {t.var}))
-        raise TypeError(f"not a term: {t!r}")
+        def on_child(t, binds):
+            if binds:
+                return map_term(t, *mappers(bound.union(binds)))
+            return map_term(t, on_child, on_expr)
 
-    return walk(term, frozenset())
+        return on_child, on_expr
+
+    return map_term(term, *mappers(frozenset()))
 
 
 def infer_free_qubits(term):
@@ -180,26 +149,9 @@ def infer_free_qubits(term):
 
     def collect(t, bound):
         if isinstance(t, (ApplyOp, Measure, Nil)):
-            exprs = t.args if not isinstance(t, Nil) else t.discards
-            for e in exprs:
-                if isinstance(e, Var) and e.name not in bound:
-                    names.add(e.name)
-        if isinstance(t, (Tau, ApplyOp)):
-            collect(t.cont, bound)
-        elif isinstance(t, Measure):
-            collect(t.cont, bound | {t.var})
-        elif isinstance(t, Recv):
-            collect(t.cont, bound | set(t.vars))
-        elif isinstance(t, RandBit):
-            collect(t.cont, bound | {t.var})
-        elif isinstance(t, (Sum, Par)):
-            collect(t.left, bound)
-            collect(t.right, bound)
-        elif isinstance(t, Restrict):
-            collect(t.body, bound)
-        elif isinstance(t, Ite):
-            collect(t.then, bound)
-            collect(t.els, bound)
+            names.update(e.name for e in term_exprs(t)
+                         if isinstance(e, Var) and e.name not in bound)
+        return map_term(t, lambda c, binds: collect(c, bound.union(binds)), lambda e: e)
 
     collect(term, frozenset())
     if not names:
@@ -238,16 +190,6 @@ def normalize(t):
     if isinstance(t, Nil):
         discards = sorted((_norm_expr(e) for e in t.discards), key=pretty_key)
         return Nil(tuple(discards))
-    if isinstance(t, Tau):
-        return Tau(normalize(t.cont))
-    if isinstance(t, ApplyOp):
-        return ApplyOp(t.op, tuple(_norm_expr(e) for e in t.args), normalize(t.cont))
-    if isinstance(t, Measure):
-        return Measure(t.op, tuple(_norm_expr(e) for e in t.args), t.var, normalize(t.cont))
-    if isinstance(t, Recv):
-        return Recv(t.chan, t.vars, normalize(t.cont))
-    if isinstance(t, Send):
-        return Send(t.chan, tuple(_norm_expr(e) for e in t.payload))
     if isinstance(t, Sum):
         guards = []
         for g in sum_guards(t):
@@ -277,9 +219,7 @@ def normalize(t):
         if isinstance(cond, BoolLit):
             return normalize(t.then if cond.value else t.els)
         return Ite(cond, normalize(t.then), normalize(t.els))
-    if isinstance(t, RandBit):
-        return RandBit(t.var, normalize(t.cont))
-    raise TypeError(f"not a term: {t!r}")
+    return map_term(t, lambda c, bound: normalize(c), _norm_expr)
 
 
 def _normalize_restrict(body, chan):
@@ -349,16 +289,6 @@ def normalize_observer(t):
     are canonicalized."""
     if isinstance(t, Nil):
         return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_key)))
-    if isinstance(t, ApplyOp):
-        return ApplyOp(t.op, tuple(_norm_expr(e) for e in t.args), normalize_observer(t.cont))
-    if isinstance(t, Measure):
-        return Measure(
-            t.op, tuple(_norm_expr(e) for e in t.args), t.var, normalize_observer(t.cont)
-        )
-    if isinstance(t, Recv):
-        return Recv(t.chan, t.vars, normalize_observer(t.cont))
-    if isinstance(t, Send):
-        return Send(t.chan, tuple(_norm_expr(e) for e in t.payload))
     if isinstance(t, Sum):
         guards = []
         for g in sum_guards(t):
@@ -370,14 +300,14 @@ def normalize_observer(t):
             return NIL
         guards = sorted(set(guards), key=term_key)
         return sum_all(guards)
-    if isinstance(t, Par):
-        return Par(normalize_observer(t.left), normalize_observer(t.right))
     if isinstance(t, Ite):
         cond = _norm_expr(t.cond)
         if isinstance(cond, BoolLit):
             return normalize_observer(t.then if cond.value else t.els)
         return Ite(cond, normalize_observer(t.then), normalize_observer(t.els))
-    raise TypeError(f"not an observer term: {t!r}")
+    if isinstance(t, (Tau, Restrict, RandBit)):
+        raise TypeError(f"not an observer term: {t!r}")
+    return map_term(t, lambda c, bound: normalize_observer(c), _norm_expr)
 
 
 def congruent_observer(r, s) -> bool:

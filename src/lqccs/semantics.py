@@ -252,12 +252,13 @@ def step_genuine(config: Configuration, sig=None) -> list:
     """Reductions derivable by the actual rules (no deadlock augmentation)."""
     if config.is_bot:
         return []
-    rho = config.rho
+    moves = _proc_moves(config.rho, normalize(config.proc), sig)
     obs = config.obs
-    results = []
-    for dist in _proc_moves(rho, normalize(config.proc), sig):
-        results.append(dist.map(lambda c: c if c.is_bot else c.with_observer(obs)))
-    return unique(results)
+    if obs == NIL:
+        return moves
+    # one fixed observer added to every element neither merges nor splits
+    # moves, so they need no second dedupe
+    return [dist.map(lambda c: c if c.is_bot else c.with_observer(obs)) for dist in moves]
 
 
 def unique(items, key=Distribution.key) -> list:
@@ -368,7 +369,7 @@ def lift(dist: Distribution, moves_of, cap: int = DEFAULT_CHOICE_CAP) -> list:
         options = []
         total = 1
         for mv in per_elem:
-            here = [d for i, d in mv if i == idx] or [Distribution.point(BOT)]
+            here = at_index(mv, idx)
             options.append(here)
             total *= len(here)
             if total > cap:
@@ -376,6 +377,12 @@ def lift(dist: Distribution, moves_of, cap: int = DEFAULT_CHOICE_CAP) -> list:
         for combo in itertools.product(*options):
             out.append((idx, Distribution.convex([(p, d) for (_, p), d in zip(elems, combo)])))
     return unique(out, move_key)
+
+
+def at_index(moves, index) -> list:
+    """The successors among (index, successor) moves at `index`, or the
+    BOT point when there are none."""
+    return [d for i, d in moves if i == index] or [Distribution.point(BOT)]
 
 
 def lift_step(dist: Distribution, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> list:

@@ -176,6 +176,68 @@ def is_guard(term: Term) -> bool:
     return False
 
 
+# --- traversal ---------------------------------------------------------------
+# The one place that knows each constructor's sub-terms, expressions and
+# binders: receptions, measurements and random bits bind their variables
+# in their continuations.
+
+
+def children(term: Term) -> tuple:
+    """The immediate sub-terms, in field order."""
+    if isinstance(term, (Tau, ApplyOp, Measure, Recv, RandBit)):
+        return (term.cont,)
+    if isinstance(term, (Sum, Par)):
+        return (term.left, term.right)
+    if isinstance(term, Restrict):
+        return (term.body,)
+    if isinstance(term, Ite):
+        return (term.then, term.els)
+    return ()
+
+
+def term_exprs(term: Term) -> tuple:
+    """The expressions held by the node itself, in field order."""
+    if isinstance(term, Nil):
+        return term.discards
+    if isinstance(term, (ApplyOp, Measure)):
+        return term.args
+    if isinstance(term, Send):
+        return term.payload
+    if isinstance(term, Ite):
+        return (term.cond,)
+    return ()
+
+
+def map_term(term: Term, on_child, on_expr) -> Term:
+    """The node rebuilt with each sub-term s replaced by on_child(s, names
+    the node binds in s) and each expression e by on_expr(e); every other
+    field is kept."""
+    if isinstance(term, Par):
+        return Par(on_child(term.left, ()), on_child(term.right, ()))
+    if isinstance(term, Send):
+        return Send(term.chan, tuple(map(on_expr, term.payload)))
+    if isinstance(term, Nil):
+        return Nil(tuple(map(on_expr, term.discards)))
+    if isinstance(term, Recv):
+        return Recv(term.chan, term.vars, on_child(term.cont, term.vars))
+    if isinstance(term, ApplyOp):
+        return ApplyOp(term.op, tuple(map(on_expr, term.args)), on_child(term.cont, ()))
+    if isinstance(term, Measure):
+        return Measure(term.op, tuple(map(on_expr, term.args)), term.var,
+                       on_child(term.cont, (term.var,)))
+    if isinstance(term, Ite):
+        return Ite(on_expr(term.cond), on_child(term.then, ()), on_child(term.els, ()))
+    if isinstance(term, Sum):
+        return Sum(on_child(term.left, ()), on_child(term.right, ()))
+    if isinstance(term, Restrict):
+        return Restrict(on_child(term.body, ()), term.chan)
+    if isinstance(term, RandBit):
+        return RandBit(term.var, on_child(term.cont, (term.var,)))
+    if isinstance(term, Tau):
+        return Tau(on_child(term.cont, ()))
+    raise TypeError(f"not a term: {term!r}")
+
+
 def check_process_sorts(term: Term, where: str = "process"):
     """Reject terms outside the two-level grammar (sums of non-guards)."""
     if isinstance(term, Sum):
@@ -184,7 +246,7 @@ def check_process_sorts(term: Term, where: str = "process"):
                 raise SortError(f"sum alternative {g!r} is not a guarded term")
             check_process_sorts(g, where)
         return
-    for child in _children(term):
+    for child in children(term):
         check_process_sorts(child, where)
 
 
@@ -208,7 +270,7 @@ def observer_violation(term: Term) -> Optional[str]:
             if v:
                 return v
         return None
-    for child in _children(term):
+    for child in children(term):
         v = observer_violation(child)
         if v:
             return v
@@ -221,18 +283,6 @@ def check_observer(term: Term):
         raise SortError(v)
 
 
-def _children(term: Term) -> tuple:
-    if isinstance(term, (Tau, ApplyOp, Measure, Recv, RandBit)):
-        return (term.cont,)
-    if isinstance(term, (Sum, Par)):
-        return (term.left, term.right)
-    if isinstance(term, Restrict):
-        return (term.body,)
-    if isinstance(term, Ite):
-        return (term.then, term.els)
-    return ()
-
-
 def free_channels(term: Term) -> frozenset:
     if isinstance(term, Send):
         return frozenset({term.chan})
@@ -241,7 +291,7 @@ def free_channels(term: Term) -> frozenset:
     if isinstance(term, Restrict):
         return free_channels(term.body) - {term.chan}
     out = frozenset()
-    for child in _children(term):
+    for child in children(term):
         out |= free_channels(child)
     return out
 
@@ -260,39 +310,28 @@ def expr_qubits(e: Expr) -> frozenset:
     return frozenset({e.name}) if isinstance(e, QubitLit) else frozenset()
 
 
-def _term_exprs(term: Term) -> tuple:
-    if isinstance(term, Nil):
-        return term.discards
-    if isinstance(term, (ApplyOp, Measure)):
-        return term.args
-    if isinstance(term, Send):
-        return term.payload
-    if isinstance(term, Ite):
-        return (term.cond,)
-    return ()
-
-
 def free_vars(term: Term) -> frozenset:
     """Free classical variables (bound by receptions, measurements, randbit)."""
-    out = frozenset()
-    for e in _term_exprs(term):
-        out |= expr_vars(e)
-    bound = ()
-    if isinstance(term, (Measure, RandBit)):
-        bound = (term.var,)
-    elif isinstance(term, Recv):
-        bound = term.vars
-    for child in _children(term):
-        out |= free_vars(child) - frozenset(bound)
-    return out
+    found = set()
+
+    def on_child(child, bound):
+        found.update(free_vars(child).difference(bound))
+        return child
+
+    def on_expr(e):
+        found.update(expr_vars(e))
+        return e
+
+    map_term(term, on_child, on_expr)
+    return frozenset(found)
 
 
 def qubit_atoms(term: Term) -> frozenset:
     """All qubit names mentioned anywhere in the term."""
     out = frozenset()
-    for e in _term_exprs(term):
+    for e in term_exprs(term):
         out |= expr_qubits(e)
-    for child in _children(term):
+    for child in children(term):
         out |= qubit_atoms(child)
     return out
 

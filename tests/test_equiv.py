@@ -127,6 +127,15 @@ class TestRefinement:
 
     def test_not_a_refinement(self):
         assert not refines_upto(P("c!q"), P("d!q"))
+        # same constructor, different label: the continuations alone do not decide
+        for small, big in [
+            ("H(q).c!q", "X(q).c!q"),
+            ("k?x.c!x", "l?x.c!x"),
+            ("M01(q |> x).c!q", "Mpm(q |> x).c!q"),
+            ("randbit(x).c!q", "randbit(y).c!q"),
+            ("(k?x.l!x) \\ k", "(k?x.l!x) \\ l"),
+        ]:
+            assert not refines_upto(P(small), P(big)), (small, big)
 
     def test_branch_collapse(self):
         assert refines_upto(P("c!q"), P("c!q + d!q"))

@@ -133,8 +133,9 @@ class TestSubstitute:
         assert substitute(t, "x", QubitLit("q1")) == parse_process("c!q1", sig)
 
     def test_shadowing(self):
-        t = P("k?x.k!x")
-        assert substitute(t, "x", 3) == t
+        for text in ("k?x.k!x", "randbit(x).k!x", "M01(q1 |> x).(k!x || disc(q1))"):
+            t = P(text)
+            assert substitute(t, "x", 3) == t, text
 
     def test_qubit_capture_rejected(self):
         t = parse_process("c!x || disc(q)")
