@@ -62,6 +62,7 @@ from .syntax import (
     Signature,
     Sum,
     Var,
+    cached,
     children,
     free_channels,
     map_term,
@@ -760,6 +761,7 @@ def _to_tag_key(idx: str) -> str:
 # context enumeration
 
 
+@cached("_size")
 def _node_count(t) -> int:
     return 1 + sum(_node_count(c) for c in children(t))
 
@@ -768,7 +770,7 @@ def _used_channels(dist: Distribution) -> set:
     used = set()
     for c, _ in dist.items():
         if not c.is_bot:
-            used |= set(free_channels(c.proc)) | set(free_channels(c.obs))
+            used |= free_channels(c.proc) | free_channels(c.obs)
     return used
 
 
@@ -883,16 +885,15 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
         for v in (NatLit(0), NatLit(1)):
             pieces.append(Send(c, (v,)))
 
-    # (frame, size, qubit atoms); a sum or parallel pair is sized from its
-    # parts and built only when it fits the bound
-    pieces = [(p, _node_count(p), qubit_atoms(p)) for p in pieces]
-    frames = [f for f in pieces if f[1] <= bounds.context_size]
+    # a sum or parallel pair is sized from its parts and built only when it
+    # fits the bound
+    frames = [p for p in pieces if _node_count(p) <= bounds.context_size]
 
     # reception sums over distinct channels
-    recv_pieces = [f for f in pieces if isinstance(f[0], Recv)]
-    for (a, na, qa), (b, nb, qb) in itertools.combinations(recv_pieces, 2):
-        if a.chan != b.chan and 1 + na + nb <= bounds.context_size:
-            frames.append((Sum(a, b), 1 + na + nb, qa | qb))
+    recv_pieces = [p for p in pieces if isinstance(p, Recv)]
+    for a, b in itertools.combinations(recv_pieces, 2):
+        if a.chan != b.chan and 1 + _node_count(a) + _node_count(b) <= bounds.context_size:
+            frames.append(Sum(a, b))
     if mode == SATURATED:
         # guarded sums beyond receptions, e.g. one reception with a
         # choice of measurement bases in its continuation
@@ -903,19 +904,18 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
                     _measure_flag_body("M01", x, 0, flags[0], flags[1]),
                     _measure_flag_body("Mpm", x, 0, flags[2], flags[3]),
                 )
-                frame = Recv(c, ("x",), body)
-                frames.append((frame, _node_count(frame), qubit_atoms(frame)))
+                frames.append(Recv(c, ("x",), body))
     # parallel pairs; components must not share ancilla qubits
     singles = list(frames)
-    for (a, na, qa), (b, nb, qb) in itertools.combinations(singles, 2):
-        if 1 + na + nb <= bounds.context_size and not qa & qb:
-            frames.append((Par(a, b), 1 + na + nb, qa | qb))
+    for a, b in itertools.combinations(singles, 2):
+        if 1 + _node_count(a) + _node_count(b) <= bounds.context_size \
+                and not qubit_atoms(a) & qubit_atoms(b):
+            frames.append(Par(a, b))
 
     out = []
     seen = set()
-    hints = [(f, _node_count(f), None) for f in bounds.hint_contexts]
-    for f, size, _ in hints + sorted(frames, key=lambda frame: frame[1]):
-        if size > bounds.context_size:
+    for f in list(bounds.hint_contexts) + sorted(frames, key=_node_count):
+        if _node_count(f) > bounds.context_size:
             continue
         if mode == CONSTRAINED and observer_violation(f):
             continue
@@ -1002,7 +1002,7 @@ def _all_names(dist: Distribution) -> set:
     for c, _ in dist.items():
         if not c.is_bot:
             out |= set(c.rho.register.names)
-            out |= set(free_channels(c.proc)) | set(free_channels(c.obs))
+            out |= free_channels(c.proc) | free_channels(c.obs)
     return out
 
 

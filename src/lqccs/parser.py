@@ -44,6 +44,7 @@ from .syntax import (
     Sum,
     Tau,
     Var,
+    cached,
     check_observer,
     check_process_sorts,
 )
@@ -452,6 +453,7 @@ def _pretty_cont(t) -> str:
     return pretty(t)
 
 
+@cached("_pretty")
 def pretty(t) -> str:
     if isinstance(t, Nil):
         if not t.discards:

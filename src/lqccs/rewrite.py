@@ -185,33 +185,20 @@ def term_key(t) -> str:
     return pretty(t)
 
 
+def _flat_parts(t, split, norm) -> list:
+    """The parts of t under `split`, each normalized by `norm`, nil
+    dropped and the normalized parts split again."""
+    return [p for c in split(t) if (n := norm(c)) != NIL for p in split(n)]
+
+
 @lru_cache(maxsize=None)
 def normalize(t):
     if isinstance(t, Nil):
-        discards = sorted((_norm_expr(e) for e in t.discards), key=pretty_key)
-        return Nil(tuple(discards))
-    if isinstance(t, Sum):
-        guards = []
-        for g in sum_guards(t):
-            g = normalize(g)
-            if g == NIL:
-                continue
-            guards.extend(sum_guards(g))
-        if not guards:
-            return NIL
-        guards.sort(key=term_key)
-        return sum_all(guards)
-    if isinstance(t, Par):
-        comps = []
-        for c in par_components(t):
-            c = normalize(c)
-            if c == NIL:
-                continue
-            comps.extend(par_components(c))
-        if not comps:
-            return NIL
-        comps.sort(key=term_key)
-        return par_all(comps)
+        return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_expr)))
+    if isinstance(t, (Sum, Par)):
+        split, join = (sum_guards, sum_all) if isinstance(t, Sum) else (par_components, par_all)
+        parts = sorted(_flat_parts(t, split, normalize), key=term_key)
+        return join(parts) if parts else NIL
     if isinstance(t, Restrict):
         return _normalize_restrict(normalize(t.body), t.chan)
     if isinstance(t, Ite):
@@ -254,20 +241,15 @@ def _normalize_restrict(body, chan):
             changed = True
             break
     for c in sorted(chans):
-        using = [x for x in comps if c in free_channels(x)]
-        if not using:
-            continue  # channel never used: restriction is inert
-        rest = [x for x in comps if c not in free_channels(x)]
-        blob = Restrict(par_all(sorted(using, key=term_key)), c)
-        comps = rest + [blob]
+        rest, using = [], []
+        for x in comps:
+            (using if c in free_channels(x) else rest).append(x)
+        if using:  # else no component uses c: the restriction is inert
+            comps = rest + [Restrict(par_all(sorted(using, key=term_key)), c)]
     if not comps:
         return NIL
     comps.sort(key=term_key)
     return par_all(comps)
-
-
-def pretty_key(e) -> str:
-    return pretty_expr(e)
 
 
 def congruent(p, q, env=None) -> bool:
@@ -288,18 +270,10 @@ def normalize_observer(t):
     Par tree keeps its shape; only sums, conditionals, and expressions
     are canonicalized."""
     if isinstance(t, Nil):
-        return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_key)))
+        return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_expr)))
     if isinstance(t, Sum):
-        guards = []
-        for g in sum_guards(t):
-            g = normalize_observer(g)
-            if g == NIL:
-                continue
-            guards.extend(sum_guards(g))
-        if not guards:
-            return NIL
-        guards = sorted(set(guards), key=term_key)
-        return sum_all(guards)
+        guards = sorted(set(_flat_parts(t, sum_guards, normalize_observer)), key=term_key)
+        return sum_all(guards) if guards else NIL
     if isinstance(t, Ite):
         cond = _norm_expr(t.cond)
         if isinstance(cond, BoolLit):

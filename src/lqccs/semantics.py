@@ -181,7 +181,6 @@ def exec_view(proc):
     the siblings is legal (no free-channel capture); otherwise they stay
     opaque components that only step internally."""
     comps = par_components(proc)
-    fcs = [free_channels(c) for c in comps]
     out = []
     restricted: set = set()
     for i, comp in enumerate(comps):
@@ -193,8 +192,7 @@ def exec_view(proc):
                 inner = inner.body
             inner_comps, inner_restr = exec_view(inner)
             all_restr = chain | set(inner_restr)
-            sibling_fc = frozenset().union(*(fcs[j] for j in range(len(comps)) if j != i)) \
-                if len(comps) > 1 else frozenset()
+            sibling_fc = frozenset().union(*map(free_channels, comps[:i] + comps[i + 1:]))
             if all_restr & sibling_fc or all_restr & restricted:
                 out.append(comp)
             else:

@@ -3,13 +3,16 @@
 Processes and observers share one node set; the observer fragment is the
 subset without tau, restriction, and random bits, with sums limited to
 receptions on pairwise distinct channels (checked by `observer_violation`).
-All nodes are frozen, so terms are hashable and shareable.
+All nodes are frozen. Term nodes are hash-consed (Filliâtre and Conchon,
+"Type-Safe Modular Hash-Consing", 2006): equal terms are one object.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
+from weakref import KeyedRef
 
 from .errors import SortError
 
@@ -58,75 +61,137 @@ Expr = Union[Var, BoolLit, NatLit, QubitLit, Not, BinOp]
 
 # --- process / observer terms ---------------------------------------------
 
+_TABLE: dict = {}  # (class, fields) -> weak reference to the live node
 
-@dataclass(frozen=True)
-class Nil:
+
+def _forget(ref):
+    if _TABLE.get(ref.key) is ref:  # not yet replaced by a newer node
+        del _TABLE[ref.key]
+
+
+class _Interned(type):
+    """Metaclass of the term nodes: a constructor call returns the live
+    node with the same class and fields (keywords and defaults bound by
+    the dataclass), if any. The table holds nodes weakly, so a term that
+    nothing else holds is freed."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__match_args__):
+            probe = super().__call__(*args, **kwargs)
+            args = tuple(getattr(probe, f) for f in cls.__match_args__)
+        key = (cls, args)
+        ref = _TABLE.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = super().__call__(*args)
+            object.__setattr__(node, "_hash", hash(args))
+            _TABLE[key] = KeyedRef(node, _forget, key)
+        return node
+
+
+class _Node(metaclass=_Interned):
+    """Base of the term nodes: `==` is identity; the hash is the field
+    tuple's, as for a frozen dataclass, so set and dict order under a given
+    PYTHONHASHSEED does not change. `cached` fills the other slots."""
+
+    __slots__ = ("_hash", "_free_channels", "_qubit_atoms", "_size", "_pretty", "__weakref__")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+def cached(slot: str):
+    """Decorator for a function of one term: its value on a node is
+    computed once and kept in the node's `slot`."""
+
+    def wrap(compute):
+        @functools.wraps(compute)
+        def read(term):
+            try:
+                return getattr(term, slot)
+            except AttributeError:
+                object.__setattr__(term, slot, compute(term))
+                return getattr(term, slot)
+
+        return read
+
+    return wrap
+
+
+_node = dataclass(frozen=True, slots=True, eq=False)
+
+
+@_node
+class Nil(_Node):
     """Deadlock that keeps ownership of the discarded qubits (empty tuple
     is the plain inert process)."""
 
     discards: tuple = ()
 
 
-@dataclass(frozen=True)
-class Tau:
+@_node
+class Tau(_Node):
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class ApplyOp:
+@_node
+class ApplyOp(_Node):
     op: str
     args: tuple  # qubit expressions
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Measure:
+@_node
+class Measure(_Node):
     op: str
     args: tuple
     var: str
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Recv:
+@_node
+class Recv(_Node):
     chan: str
     vars: tuple  # one or more bound names (polyadic)
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Send:
+@_node
+class Send(_Node):
     chan: str
     payload: tuple  # one or more expressions
 
 
-@dataclass(frozen=True)
-class Sum:
+@_node
+class Sum(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Par:
+@_node
+class Par(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Restrict:
+@_node
+class Restrict(_Node):
     body: "Term"
     chan: str
 
 
-@dataclass(frozen=True)
-class Ite:
+@_node
+class Ite(_Node):
     cond: Expr
     then: "Term"
     els: "Term"
 
 
-@dataclass(frozen=True)
-class RandBit:
+@_node
+class RandBit(_Node):
     var: str
     cont: "Term"
 
@@ -283,17 +348,20 @@ def check_observer(term: Term):
         raise SortError(v)
 
 
+_SETS: dict = {}  # one object per distinct cached set
+
+
+@cached("_free_channels")
 def free_channels(term: Term) -> frozenset:
     if isinstance(term, Send):
-        return frozenset({term.chan})
-    if isinstance(term, Recv):
-        return frozenset({term.chan}) | free_channels(term.cont)
-    if isinstance(term, Restrict):
-        return free_channels(term.body) - {term.chan}
-    out = frozenset()
-    for child in children(term):
-        out |= free_channels(child)
-    return out
+        out = frozenset({term.chan})
+    elif isinstance(term, Recv):
+        out = frozenset({term.chan}) | free_channels(term.cont)
+    elif isinstance(term, Restrict):
+        out = free_channels(term.body) - {term.chan}
+    else:
+        out = frozenset().union(*map(free_channels, children(term)))
+    return _SETS.setdefault(out, out)
 
 
 def expr_vars(e: Expr) -> frozenset:
@@ -326,14 +394,12 @@ def free_vars(term: Term) -> frozenset:
     return frozenset(found)
 
 
+@cached("_qubit_atoms")
 def qubit_atoms(term: Term) -> frozenset:
     """All qubit names mentioned anywhere in the term."""
-    out = frozenset()
-    for e in term_exprs(term):
-        out |= expr_qubits(e)
-    for child in children(term):
-        out |= qubit_atoms(child)
-    return out
+    out = frozenset().union(*map(expr_qubits, term_exprs(term)),
+                            *map(qubit_atoms, children(term)))
+    return _SETS.setdefault(out, out)
 
 
 # --- declarations ----------------------------------------------------------

@@ -28,7 +28,20 @@ def test_target_resolves(target):
 @pytest.mark.parametrize("target", tracer.CACHED_TARGETS)
 def test_cached_target_reports_its_cache(target):
     _, _, orig = tracer._resolve(target)
-    assert callable(orig.cache_info)
+    info = orig.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+
+
+@pytest.mark.parametrize("target", tracer.LEAF_TARGETS)
+def test_leaf_target_is_a_plain_function(target):
+    # `install` rebinds a leaf by name in the modules (or on the class)
+    # that hold it; a leaf turned into a node attribute, a property or an
+    # inherited method would silently stay unwrapped
+    owner, attr, orig = tracer._resolve(target)
+    assert inspect.isfunction(orig)
+    assert vars(owner)[attr] is orig
+    if not inspect.isclass(owner):
+        assert orig.__module__ == owner.__name__
 
 
 @pytest.mark.parametrize("target", sorted(tracer.OBSERVERS))

@@ -27,7 +27,7 @@ from lqccs.equiv import (
     replay_witness,
     superop_closure_pair,
 )
-from lqccs.errors import ShapeError
+from lqccs.errors import ShapeError, TargetError
 from lqccs.ops import resolve_operator
 from lqccs.parser import parse_process
 from lqccs.rewrite import normalize
@@ -93,6 +93,18 @@ class TestDensityQuotient:
             mixed_l = mixture(dl1, dl2, p)
             mixed_r = mixture(dr1, dr2, p)
             assert isinstance(density_quotient_equiv(mixed_l, mixed_r), CertifiedBisimilar)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=TargetError,
+        reason="_group_state rebuilds the group's state on invented register names "
+        "g0, g1, ..., so checking a process that acts on a real qubit for "
+        "determinism asks the state for a qubit it does not have",
+    )
+    def test_group_state_keeps_the_register(self):
+        d = Distribution.point(make_config(qcore.pure_state(qcore.KET0, ("q",)),
+                                           parse_process("M01(q |> x).(k!x || d!x)")))
+        assert isinstance(density_quotient_equiv(d, d), (CertifiedBisimilar, InconclusiveAtBounds))
 
 
 class TestIsDeterministic:
