@@ -1,12 +1,14 @@
-"""Executable corpus: the six-row comparison table and the three
-protocols (teleportation, superdense coding, quantum coin flipping),
-each packaged with its program source, initial states, bounds, and an
-expected-verdict check."""
+"""Executable corpus: rows 2-6 of the paper's six-row comparison table,
+as data checked by one function, and the three protocols (teleportation,
+superdense coding, quantum coin flipping). Each entry carries its program
+source, the bounds its check runs with, and the check."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -26,238 +28,186 @@ from .equiv import (
 from .osem import apply_context, lift_estep, moves_at
 from .parser import parse_process, parse_program
 from .qcore import TOL_PROB
-from .semantics import Distribution, dist_barbs, make_config
-from .syntax import Signature
+from .semantics import Distribution, barb_mismatch, dist_barbs, make_config
+from .syntax import Send, Signature, par_components
 
 
 @dataclass
 class CorpusEntry:
     name: str
     source: str
-    states: str
-    mode: str
-    expected: str
     bounds: SearchBounds
-    check: object = field(repr=False, default=None)
-
-    def run(self):
-        """-> (ok, detail)"""
-        return self.check()
+    run: Callable = field(repr=False)  # () -> (ok, detail)
 
 
-def _point(state, proc, obs=None):
-    from .syntax import NIL
+def _point(state, proc):
+    return Distribution.point(make_config(state, proc))
 
-    return Distribution.point(make_config(state, proc, obs if obs is not None else NIL))
+
+def _zeros(names):
+    """The all-|0> state on the named qubits."""
+    return qcore.pure_state(qcore.kron_all([qcore.KET0] * len(names)), names)
+
+
+def _forced_end(dist, sig):
+    """The end of the forced run from `dist`, or None unless the run takes
+    5 steps, as each protocol's forced prefix does."""
+    run = advance_unique(dist, sig)
+    return run[-1] if len(run) - 1 == 5 else None
 
 
 # ---------------------------------------------------------------------------
-# Table rows
+# Table rows: each pair `Left`/`Right` starts from the all-|0> state on
+# `qubits` and must get the `expected` (mode, verdict, certificate kind)
+# from `distinguish` at `bounds`, with `hint` as the only hint context.
 
 
-_ROW2_SRC = """
+@dataclass(frozen=True)
+class TableRow:
+    name: str
+    source: str
+    qubits: tuple
+    bounds: SearchBounds
+    expected: tuple  # ((mode, verdict, certificate kind or None), ...)
+    detail: str
+    hint: str | None = None
+    evidence: Callable | None = None  # (sig, dl, dr, bounds) -> failure or None
+
+
+def check_row(row: TableRow):
+    """-> (ok, detail): run `distinguish` in each expected mode and compare
+    the verdict, the certificate kind and, for a hinted distinguisher,
+    that the witness is the hint context."""
+    sig, defs = parse_program(row.source)
+    state = _zeros(row.qubits)
+    dl, dr = _point(state, defs["Left"]), _point(state, defs["Right"])
+    hint = None if row.hint is None else parse_process(row.hint, sig)
+    bounds = row.bounds if hint is None else replace(row.bounds, hint_contexts=(hint,))
+    for mode, verdict, kind in row.expected:
+        v = distinguish(dl, dr, mode, bounds, sig)
+        if v.verdict != verdict:
+            return False, f"{mode} mode: {v.verdict}, expected {verdict}"
+        if kind is not None and v.certificate[0] != kind:
+            return False, f"{mode} mode: certificate {v.certificate[0]}, expected {kind}"
+        if hint is not None and isinstance(v, Distinguished) and v.witness.context != hint:
+            return False, f"{mode} mode: the witness is not the hint context"
+    failure = row.evidence and row.evidence(sig, dl, dr, row.bounds)
+    if failure:
+        return False, failure
+    return True, row.detail
+
+
+def _discard_tracing(sig, dl, dr, bounds):
+    """After any preparation is delivered and the qubit discarded, tracing
+    out the discard equates both sides."""
+    sig.qubits = ("anc0",)  # the preparations name the ancilla
+    for prep in ("c!anc0", "H(anc0).c!anc0", "X(anc0).c!anc0"):
+        frame = parse_process(prep, sig)
+        red_l, red_r = (
+            config_partial_trace(advance_unique(moves_at(ctx, "", sig)[0], sig)[-1], ("anc0",))
+            for ctx in (apply_context(dl, frame), apply_context(dr, frame))
+        )
+        cert = density_quotient_equiv(red_l, red_r, bounds, sig)
+        if not isinstance(cert, CertifiedBisimilar):
+            return f"trace-reduction certificate failed for prep {prep}"
+    return None
+
+
+_DISTINGUISHED_BOTH = (
+    (SATURATED, "distinguished", None),
+    (CONSTRAINED, "distinguished", None),
+)
+
+TABLE1 = (
+    TableRow(
+        name="table1-row2",
+        source="""
 channel c : qubit;
 process Left = c?x.H(x).disc(x);
 process Right = c?x.X(x).disc(x);
-"""
-
-
-def build_row2() -> CorpusEntry:
-    bounds = SearchBounds(context_size=12, depth=4, fresh_channels=2, ancillas=0)
-
-    def check():
-        sig, defs = parse_program(_ROW2_SRC)
-        sig.qubits = ("anc0",)
-        anc = qcore.pure_state(qcore.KET0, ("anc0",))
-        dl = _point(anc, defs["Left"])
-        dr = _point(anc, defs["Right"])
-        for mode in (SATURATED, CONSTRAINED):
-            v = distinguish(dl, dr, mode, bounds, sig)
-            if isinstance(v, Distinguished):
-                return False, f"unexpected distinguisher in {mode} mode"
-        # equivalence evidence: after any preparation is delivered and the
-        # qubit discarded, tracing out the discard equates both sides
-        for prep in ("c!anc0", "H(anc0).c!anc0", "X(anc0).c!anc0"):
-            frame = parse_process(prep, sig)
-            ctx_l = apply_context(dl, frame)
-            ctx_r = apply_context(dr, frame)
-            fin_l = advance_unique(moves_at(ctx_l, "", sig)[0], sig)[-1]
-            fin_r = advance_unique(moves_at(ctx_r, "", sig)[0], sig)[-1]
-            red_l = config_partial_trace(fin_l, ("anc0",))
-            red_r = config_partial_trace(fin_r, ("anc0",))
-            cert = density_quotient_equiv(red_l, red_r, bounds, sig)
-            if not isinstance(cert, CertifiedBisimilar):
-                return False, f"trace-reduction certificate failed for prep {prep}"
-        return True, "no distinguisher at bounds; certified after discard tracing"
-
-    return CorpusEntry(
-        name="table1-row2",
-        source=_ROW2_SRC,
-        states="one |0> ancilla",
-        mode="both",
-        expected="equivalent in both modes (certificate after discard tracing)",
-        bounds=bounds,
-        check=check,
-    )
-
-
-_ROW3_SRC = """
+""",
+        qubits=("anc0",),
+        bounds=SearchBounds(context_size=12, depth=4, fresh_channels=2, ancillas=0),
+        expected=(
+            (SATURATED, "inconclusive-at-bounds", None),
+            (CONSTRAINED, "inconclusive-at-bounds", None),
+        ),
+        detail="no distinguisher at bounds; certified after discard tracing",
+        evidence=_discard_tracing,
+    ),
+    TableRow(
+        name="table1-row3",
+        source="""
 channel c : qubit;
 channel d : qubit;
 process Left = c?x.H(x).d!x;
 process Right = c?x.X(x).d!x;
-"""
-
-
-def build_row3() -> CorpusEntry:
-    bounds = SearchBounds(context_size=14, depth=5, fresh_channels=2, ancillas=0)
-
-    def check():
-        sig, defs = parse_program(_ROW3_SRC)
-        anc = qcore.pure_state(qcore.KET0, ("anc0",))
-        dl = _point(anc, defs["Left"])
-        dr = _point(anc, defs["Right"])
-        for mode in (SATURATED, CONSTRAINED):
-            v = distinguish(dl, dr, mode, bounds, sig)
-            if not isinstance(v, Distinguished):
-                return False, f"not distinguished in {mode} mode: {v.verdict}"
-        return True, "distinguished in both modes"
-
-    return CorpusEntry(
-        name="table1-row3",
-        source=_ROW3_SRC,
-        states="one |0> ancilla",
-        mode="both",
-        expected="distinguished in both modes",
-        bounds=bounds,
-        check=check,
-    )
-
-
-_ROW4_SRC = """
+""",
+        qubits=("anc0",),
+        bounds=SearchBounds(context_size=14, depth=5, fresh_channels=2, ancillas=0),
+        expected=_DISTINGUISHED_BOTH,
+        detail="distinguished in both modes",
+    ),
+    TableRow(
+        name="table1-row4",
+        source="""
 channel c : qubit;
 qubit q1, q2;
 process Left = SetMaxMix(q1,q2).(c!q1 || c!q2);
 process Right = SetPhiP(q1,q2).(c!q1 || c!q2);
-"""
-
-
-def build_row4() -> CorpusEntry:
-    bounds = SearchBounds(context_size=14, depth=5, fresh_channels=2, ancillas=0)
-
-    def check():
-        sig, defs = parse_program(_ROW4_SRC)
-        st = qcore.pure_state(qcore.kron(qcore.KET0, qcore.KET0), ("q1", "q2"))
-        dl = _point(st, defs["Left"])
-        dr = _point(st, defs["Right"])
-        for mode in (SATURATED, CONSTRAINED):
-            v = distinguish(dl, dr, mode, bounds, sig)
-            if not isinstance(v, Distinguished):
-                return False, f"not distinguished in {mode} mode: {v.verdict}"
-        return True, "distinguished in both modes (entangled pair detected)"
-
-    return CorpusEntry(
-        name="table1-row4",
-        source=_ROW4_SRC,
-        states="|00>",
-        mode="both",
-        expected="distinguished in both modes",
-        bounds=bounds,
-        check=check,
-    )
-
-
-_ROW5_SRC = """
+""",
+        qubits=("q1", "q2"),
+        bounds=SearchBounds(context_size=14, depth=5, fresh_channels=2, ancillas=0),
+        expected=_DISTINGUISHED_BOTH,
+        detail="distinguished in both modes (entangled pair detected)",
+    ),
+    TableRow(
+        name="table1-row5",
+        source="""
 channel c : qubit;
 qubit q;
 process Left = SetPlus(q).M01(q |> x).c!q;
 process Right = Set0(q).Mpm(q |> x).c!q;
-"""
-
-_BROKEN_NONDET_CTX = (
-    "c?x.(M01(x |> y).((if y = 0 then flag0!0 else flag1!0) || disc(x))"
-    " + Mpm(x |> y).((if y = 0 then flag2!0 else flag3!0) || disc(x)))"
-)
-
-
-def build_row5() -> CorpusEntry:
-    def check():
-        sig, defs = parse_program(_ROW5_SRC)
-        st = qcore.pure_state(qcore.KET0, ("q",))
-        dl = _point(st, defs["Left"])
-        dr = _point(st, defs["Right"])
-        hint = parse_process(_BROKEN_NONDET_CTX, sig)
-        sat_bounds = SearchBounds(
-            context_size=14, depth=6, fresh_channels=4, ancillas=0, hint_contexts=(hint,)
-        )
-        v = distinguish(dl, dr, SATURATED, sat_bounds, sig)
-        if not isinstance(v, Distinguished):
-            return False, f"saturated mode: {v.verdict}"
-        if v.witness.context != hint:
-            return False, "saturated witness is not the two-basis reception context"
-        cs_bounds = SearchBounds(context_size=14, depth=6, fresh_channels=4, ancillas=0)
-        v2 = distinguish(dl, dr, CONSTRAINED, cs_bounds, sig)
-        if not isinstance(v2, CertifiedBisimilar):
-            return False, f"constrained mode: {v2.verdict}"
-        if v2.certificate[0] != "density-quotient":
-            return False, f"unexpected certificate {v2.certificate[0]}"
-        return True, "distinguished saturated (two-basis context), certified constrained"
-
-    return CorpusEntry(
-        name="table1-row5",
-        source=_ROW5_SRC,
-        states="|0>",
-        mode="both",
-        expected="distinguished saturated / certified bisimilar constrained",
+""",
+        qubits=("q",),
         bounds=SearchBounds(context_size=14, depth=6, fresh_channels=4, ancillas=0),
-        check=check,
-    )
-
-
-_ROW6_SRC = """
+        # the two-basis reception context: it chooses the basis without
+        # measuring, which only saturated contexts may do
+        hint=(
+            "c?x.(M01(x |> y).((if y = 0 then flag0!0 else flag1!0) || disc(x))"
+            " + Mpm(x |> y).((if y = 0 then flag2!0 else flag3!0) || disc(x)))"
+        ),
+        expected=(
+            (SATURATED, "distinguished", None),
+            (CONSTRAINED, "certified-bisimilar", "density-quotient"),
+        ),
+        detail="distinguished saturated (two-basis context), certified constrained",
+    ),
+    TableRow(
+        name="table1-row6",
+        source="""
 channel c : qubit;
 channel d : qubit;
 qubit q;
 process Left = SetPlus(q).M01(q |> x).(c!q + d!q);
 process Right = Set0(q).Mpm(q |> x).(c!q + d!q);
-"""
-
-_NONDETPROC_CTX = (
-    "c?x.M01(x |> y).((if y = 0 then flag0!0 else flag1!0) || disc(x))"
-    " + d?x.I(x).disc(x)"
+""",
+        qubits=("q",),
+        bounds=SearchBounds(context_size=14, depth=6, fresh_channels=2, ancillas=0),
+        # the reception-sum context: the process's choice of channel is
+        # correlated with its measurement
+        hint=(
+            "c?x.M01(x |> y).((if y = 0 then flag0!0 else flag1!0) || disc(x))"
+            " + d?x.I(x).disc(x)"
+        ),
+        expected=((CONSTRAINED, "distinguished", None),),
+        detail="distinguished constrained (measurement-correlated choice)",
+    ),
 )
 
 
-def build_row6() -> CorpusEntry:
-    def check():
-        sig, defs = parse_program(_ROW6_SRC)
-        st = qcore.pure_state(qcore.KET0, ("q",))
-        dl = _point(st, defs["Left"])
-        dr = _point(st, defs["Right"])
-        hint = parse_process(_NONDETPROC_CTX, sig)
-        bounds = SearchBounds(
-            context_size=14, depth=6, fresh_channels=2, ancillas=0, hint_contexts=(hint,)
-        )
-        v = distinguish(dl, dr, CONSTRAINED, bounds, sig)
-        if not isinstance(v, Distinguished):
-            return False, f"constrained mode: {v.verdict}"
-        if v.witness.context != hint:
-            return False, "witness is not the reception-sum context"
-        return True, "distinguished constrained (measurement-correlated choice)"
-
-    return CorpusEntry(
-        name="table1-row6",
-        source=_ROW6_SRC,
-        states="|0>",
-        mode="constrained",
-        expected="distinguished in constrained mode",
-        bounds=SearchBounds(context_size=14, depth=6, fresh_channels=2, ancillas=0),
-        check=check,
-    )
-
-
 def build_table1():
-    return [build_row2(), build_row3(), build_row4(), build_row5(), build_row6()]
+    return [CorpusEntry(r.name, r.source, r.bounds, partial(check_row, r)) for r in TABLE1]
 
 
 # ---------------------------------------------------------------------------
@@ -293,32 +243,18 @@ def build_teleportation() -> CorpusEntry:
         out_send = parse_process("out!q2", sig)
         for name, psi in teleport_states():
             st = qcore.pure_state(qcore.kron(psi, qcore.PHI_P), ("q0", "q1", "q2"))
-            run = advance_unique(_point(st, defs["Tel"]), sig)
-            if len(run) - 1 != 5:
-                return False, f"{name}: expected 5 forced steps, got {len(run) - 1}"
-            reduced = config_partial_trace(run[-1], ("q0", "q1"))
+            ends = [_forced_end(_point(st, defs[p]), sig) for p in ("Tel", "Spec")]
+            if any(end is None for end in ends):
+                return False, f"{name}: protocol or specification is not 5 forced steps"
+            reduced, spec = (config_partial_trace(end, ("q0", "q1")) for end in ends)
             target = _point(qcore.pure_state(psi, ("q2",)), out_send)
-            cert = density_quotient_equiv(reduced, target, bounds, sig)
-            if not isinstance(cert, CertifiedBisimilar):
-                return False, f"{name}: output not certified equal to the input state"
-            spec_run = advance_unique(_point(st, defs["Spec"]), sig)
-            if len(spec_run) - 1 != 5:
-                return False, f"{name}: spec chain is {len(spec_run) - 1} steps, not 5"
-            spec_red = config_partial_trace(spec_run[-1], ("q0", "q1"))
-            cert2 = density_quotient_equiv(reduced, spec_red, bounds, sig)
-            if not isinstance(cert2, CertifiedBisimilar):
-                return False, f"{name}: protocol and specification not certified equal"
+            for other, what in ((target, "the input state"), (spec, "the specification")):
+                cert = density_quotient_equiv(reduced, other, bounds, sig)
+                if not isinstance(cert, CertifiedBisimilar):
+                    return False, f"{name}: output not certified equal to {what}"
         return True, "output state certified for all sampled inputs; spec matched in lockstep"
 
-    return CorpusEntry(
-        name="teleportation",
-        source=TELEPORT_SRC,
-        states="|psi> x |Phi+> for psi in {|0>, |+>, 3/5|0>+4/5|1>}",
-        mode="constrained",
-        expected="after 5 steps and tracing the discards, output = |psi><psi|",
-        bounds=bounds,
-        check=check,
-    )
+    return CorpusEntry("teleportation", TELEPORT_SRC, bounds, check)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +281,7 @@ _SUPERDENSE_CTX = (
 )
 
 
-def _reachable_barbmaps(dist, sig, depth, cap=100_000):
+def _reachable_barbmaps(dist, sig, depth):
     """All barb maps reachable through the indexed lifting."""
     seen = set()
     out = []
@@ -353,7 +289,7 @@ def _reachable_barbmaps(dist, sig, depth, cap=100_000):
     for _ in range(depth):
         nxt = []
         for d in frontier:
-            for _, succ in lift_estep(d, sig, cap):
+            for _, succ in lift_estep(d, sig):
                 k = succ.key()
                 if k in seen:
                     continue
@@ -365,22 +301,23 @@ def _reachable_barbmaps(dist, sig, depth, cap=100_000):
 
 
 def build_superdense() -> CorpusEntry:
+    bounds = SearchBounds(depth=8, ancillas=0, fresh_channels=2)
+
     def check():
         sig, defs = parse_program(SUPERDENSE_SRC)
         st = qcore.pure_state(qcore.PSI_P, ("q0", "q1"))
         dbob = _point(st, defs["SDCBob"])
         drob = _point(st, defs["SDCRob"])
         # forced decode prefixes; Rob passes through the maximally mixed pair
-        run_b = advance_unique(dbob, sig)
-        run_r = advance_unique(drob, sig)
-        if len(run_b) - 1 != 5 or len(run_r) - 1 != 5:
+        end_b, end_r = _forced_end(dbob, sig), _forced_end(drob, sig)
+        if end_b is None or end_r is None:
             return False, "decode prefixes are not 5 forced steps"
-        (rob_cfg, _), = run_r[-1].items()
+        (rob_cfg, _), = end_r.items()
         if not np.allclose(rob_cfg.rho.mat, np.eye(4) / 4, atol=1e-9):
             return False, "Rob's decoded state is not the maximally mixed pair"
         frame = parse_process(_SUPERDENSE_CTX, sig)
-        bob_maps = _reachable_barbmaps(apply_context(run_b[-1], frame), sig, 3)
-        rob_maps = _reachable_barbmaps(apply_context(run_r[-1], frame), sig, 3)
+        bob_maps = _reachable_barbmaps(apply_context(end_b, frame), sig, 3)
+        rob_maps = _reachable_barbmaps(apply_context(end_r, frame), sig, 3)
         hit = any(
             abs(m.get("success", 0.0) - 0.5) <= TOL_PROB
             and m.get("fail", 0.0) <= TOL_PROB
@@ -392,22 +329,12 @@ def build_superdense() -> CorpusEntry:
             s, f = m.get("success", 0.0), m.get("fail", 0.0)
             if abs(s - f) > TOL_PROB or (abs(s) > TOL_PROB and abs(s - 0.5) > TOL_PROB):
                 return False, f"Rob reached success {s}, fail {f}"
-        hint = frame
-        bounds = SearchBounds(depth=8, ancillas=0, fresh_channels=2, hint_contexts=(hint,))
-        v = distinguish(dbob, drob, CONSTRAINED, bounds, sig)
+        v = distinguish(dbob, drob, CONSTRAINED, replace(bounds, hint_contexts=(frame,)), sig)
         if not isinstance(v, Distinguished):
             return False, f"constrained mode: {v.verdict}"
         return True, "Bob reaches success 1/2, fail 0; Rob both-or-neither; distinguished"
 
-    return CorpusEntry(
-        name="superdense",
-        source=SUPERDENSE_SRC,
-        states="|Psi+> on (q0, q1)",
-        mode="constrained",
-        expected="Bob and Rob distinguished; barb profile success 1/2 / fail 0 vs both-or-neither",
-        bounds=SearchBounds(depth=8, ancillas=0, fresh_channels=2),
-        check=check,
-    )
+    return CorpusEntry("superdense", SUPERDENSE_SRC, bounds, check)
 
 
 # ---------------------------------------------------------------------------
@@ -491,29 +418,34 @@ def qcf_source(n: int) -> str:
     return "\n".join(lines)
 
 
+def _lockstep(sig, defs, state, proc, spec, max_steps):
+    """-> (run, failure): run `proc` and its specification `spec` with the
+    fixed schedule; they must take as many steps and show the same barbs
+    at each step."""
+    run = advance_scheduled(_point(state, defs[proc]), sig, max_steps=max_steps)
+    ref = advance_scheduled(_point(state, defs[spec]), sig, max_steps=max_steps)
+    if len(run) != len(ref):
+        return None, f"step counts differ: {proc} {len(run) - 1}, {spec} {len(ref) - 1}"
+    for k, (dp, ds) in enumerate(zip(run, ref)):
+        bm = barb_mismatch(dist_barbs(dp), dist_barbs(ds))
+        if bm is not None:
+            return None, f"{proc} diverges from {spec} at step {k}: {bm}"
+    return run, None
+
+
 def build_qcf(n: int = 1) -> CorpusEntry:
     src = qcf_source(n)
     bounds = SearchBounds(depth=6, fresh_channels=4, ancillas=0)
 
     def check():
         sig, defs = parse_program(src)
-        zeros = qcore.pure_state(
-            qcore.kron_all([qcore.KET0] * n) if n > 1 else qcore.KET0,
-            tuple(f"q{i+1}" for i in range(n)),
-        )
-        # fairness: run the protocol and the specification in lockstep
-        run = advance_scheduled(_point(zeros, defs["QCF"]), sig, max_steps=16 * n + 16)
-        spec = advance_scheduled(_point(zeros, defs["FairCoin"]), sig, max_steps=16 * n + 16)
-        if len(run) != len(spec):
-            return False, f"step counts differ: protocol {len(run)-1}, spec {len(spec)-1}"
-        for k, (dp, ds) in enumerate(zip(run, spec)):
-            bp = {c: p for c, p in dist_barbs(dp).items()}
-            bs = {c: p for c, p in dist_barbs(ds).items()}
-            if set(bp) != set(bs) or any(abs(bp[c] - bs[c]) > TOL_PROB for c in bp):
-                return False, f"barbs diverge from the specification at step {k}"
-        final = run[-1]
+        zeros = _zeros(tuple(f"q{i+1}" for i in range(n)))
+        # fairness: the protocol runs in lockstep with the specification
+        run, failure = _lockstep(sig, defs, zeros, "QCF", "FairCoin", 16 * n + 16)
+        if failure:
+            return False, failure
         masses = {0: 0.0, 1: 0.0}
-        for cfg, p in final.items():
+        for cfg, p in run[-1].items():
             barbs = sorted(dist_barbs(Distribution.point(cfg)))
             if barbs != ["a", "b"]:
                 return False, f"final element with barbs {barbs}"
@@ -526,55 +458,40 @@ def build_qcf(n: int = 1) -> CorpusEntry:
         if any("cheat" in dist_barbs(d) for d in run):
             return False, "honest run expressed the cheat barb"
         # dishonest Bob: the sent prefixes are certified equal, yet
-        # distinguishable under unconstrained contexts
-        ok, why = _qcf_dishonest_bob(sig, n)
-        if not ok:
-            return False, why
-        ok, why = _qcf_dishonest_alice(n)
-        if not ok:
-            return False, why
+        # distinguishable under unconstrained contexts; dishonest Alice wins
+        failure = _qcf_dishonest_bob(sig, n) or _qcf_dishonest_alice(n)
+        if failure:
+            return False, failure
         return True, "fair outcome; Bob cannot cheat (certified); Alison always wins"
 
-    return CorpusEntry(
-        name=f"qcf-n{n}",
-        source=src,
-        states="|0...0>",
-        mode="constrained",
-        expected="fair coin; message prefixes certified; Alison wins undetected",
-        bounds=bounds,
-        check=check,
-    )
+    return CorpusEntry(f"qcf-n{n}", src, bounds, check)
 
 
 def _outcome_payloads(proc) -> dict:
-    from .syntax import Send, par_components
-
-    out = {}
-    for comp in par_components(proc):
-        if isinstance(comp, Send) and len(comp.payload) == 1:
-            val = comp.payload[0]
-            if hasattr(val, "value"):
-                out[comp.chan] = int(val.value)
-    return out
+    """Channel -> the number sent, for each single-value send in parallel."""
+    return {
+        comp.chan: int(comp.payload[0].value)
+        for comp in par_components(proc)
+        if isinstance(comp, Send) and len(comp.payload) == 1 and hasattr(comp.payload[0], "value")
+    }
 
 
 def _qcf_dishonest_bob(sig: Signature, n: int):
     send = parse_process("atob!(" + ", ".join(f"q{i+1}" for i in range(n)) + ")", sig)
     names = tuple(f"q{i+1}" for i in range(n))
     dim = 1 << n
-    pairs_01 = []
-    pairs_pm = []
-    h = qcore.kron_all([qcore.H] * n) if n > 1 else qcore.H
-    for j in range(dim):
-        v = np.zeros((dim, 1), dtype=complex)
-        v[j, 0] = 1.0
-        pairs_01.append((make_config(qcore.pure_state(v, names), send), 1.0 / dim))
-        pairs_pm.append((make_config(qcore.pure_state(h @ v, names), send), 1.0 / dim))
-    a01 = Distribution(pairs_01)
-    apm = Distribution(pairs_pm)
+    basis = np.eye(dim, dtype=complex)
+    # Alice's uniform mixtures over the computational and the Hadamard basis
+    a01, apm = (
+        Distribution([
+            (make_config(qcore.pure_state(u @ basis[:, [j]], names), send), 1.0 / dim)
+            for j in range(dim)
+        ])
+        for u in (basis, qcore.kron_all([qcore.H] * n))
+    )
     cert = density_quotient_equiv(a01, apm, SearchBounds(), sig)
     if not isinstance(cert, CertifiedBisimilar):
-        return False, "message prefixes not certified equal"
+        return "message prefixes not certified equal"
     ys = ", ".join(f"y{i}" for i in range(n))
     hint = parse_process(
         f"atob?({ys})."
@@ -582,14 +499,11 @@ def _qcf_dishonest_bob(sig: Signature, n: int):
         f" + Mpm(y0 |> r).((if r = 0 then flag2!0 else flag3!0) || disc({ys})))",
         sig,
     )
-    v = distinguish(
-        a01, apm, SATURATED,
-        SearchBounds(depth=4, fresh_channels=4, ancillas=0, hint_contexts=(hint,)),
-        sig,
-    )
+    bounds = SearchBounds(depth=4, fresh_channels=4, ancillas=0, hint_contexts=(hint,))
+    v = distinguish(a01, apm, SATURATED, bounds, sig)
     if not isinstance(v, Distinguished):
-        return False, f"prefixes not distinguished in saturated mode: {v.verdict}"
-    return True, None
+        return f"prefixes not distinguished in saturated mode: {v.verdict}"
+    return None
 
 
 def alison_source(n: int) -> str:
@@ -619,43 +533,34 @@ def alison_source(n: int) -> str:
 
 def _qcf_dishonest_alice(n: int):
     sig, defs = parse_program(alison_source(n))
-    names = tuple([f"q{i+1}" for i in range(n)] + [f"qp{i+1}" for i in range(n)])
-    zeros = qcore.pure_state(
-        qcore.kron_all([qcore.KET0] * (2 * n)) if 2 * n > 1 else qcore.KET0, names
-    )
-    run = advance_scheduled(_point(zeros, defs["QCFAlison"]), sig, max_steps=16 * n + 16)
-    spec = advance_scheduled(_point(zeros, defs["UnfairCoin"]), sig, max_steps=16 * n + 16)
-    if len(run) != len(spec):
-        return False, f"Alison step counts differ: {len(run)-1} vs {len(spec)-1}"
-    for k, (dp, ds) in enumerate(zip(run, spec)):
-        bp = dist_barbs(dp)
-        bs = dist_barbs(ds)
-        if set(bp) != set(bs) or any(abs(bp[c] - bs[c]) > TOL_PROB for c in bp):
-            return False, f"Alison diverges from UnfairCoin at step {k}: {bp} vs {bs}"
-    final = run[-1]
-    for cfg, p in final.items():
+    zeros = _zeros(tuple([f"q{i+1}" for i in range(n)] + [f"qp{i+1}" for i in range(n)]))
+    run, failure = _lockstep(sig, defs, zeros, "QCFAlison", "UnfairCoin", 16 * n + 16)
+    if failure:
+        return failure
+    for cfg, p in run[-1].items():
         sends = _outcome_payloads(cfg.proc)
         if sends.get("a") != 0 or sends.get("b") != 0:
-            return False, "Alison did not force outcome 0 on both channels"
+            return "Alison did not force outcome 0 on both channels"
     if any("cheat" in dist_barbs(d) for d in run):
-        return False, "Alison was caught cheating"
-    return True, None
+        return "Alison was caught cheating"
+    return None
 
 
 # ---------------------------------------------------------------------------
 
 
+def _protocols():
+    return [build_teleportation(), build_superdense(), build_qcf(1)]
+
+
 def all_entries():
-    return build_table1() + [build_teleportation(), build_superdense(), build_qcf(1)]
+    return build_table1() + _protocols()
 
 
 def suite(name: str):
-    if name == "table1":
-        return build_table1()
-    if name == "protocols":
-        return [build_teleportation(), build_superdense(), build_qcf(1)]
-    if name == "all":
-        return all_entries()
+    named = {"table1": build_table1, "protocols": _protocols, "all": all_entries}
+    if name in named:
+        return named[name]()
     for entry in all_entries():
         if entry.name == name:
             return [entry]

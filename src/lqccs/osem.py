@@ -46,10 +46,6 @@ L = "ℓ"
 R = "r"
 
 
-def is_path(index: str) -> bool:
-    return index != DIAMOND
-
-
 def estep(config: Configuration, sig=None) -> list:
     """Indexed moves of a triple. A stuck process still yields the
     diamond move to the deadlock point (the process side of the semantics
@@ -130,16 +126,6 @@ def moves_at(dist: Distribution, index: str, sig=None, cap: int = DEFAULT_CHOICE
     """Successors of the lifted relation at one index; the deadlock point
     when no element enables it."""
     return at_index(lift_estep(dist, sig, cap), index)
-
-
-def ext_barbs(x) -> dict:
-    """Barb map of an extended configuration or distribution (observer
-    sends count, matched through the full congruence on the observer)."""
-    from .semantics import dist_barbs
-
-    if isinstance(x, Configuration):
-        x = Distribution.point(x)
-    return dist_barbs(x)
 
 
 def apply_context(dist: Distribution, frame, sig=None) -> Distribution:

@@ -433,13 +433,6 @@ def dist_barbs(dist: Distribution) -> dict:
     return out
 
 
-def barbs_equal(b1: dict, b2: dict, tol: float = TOL_PROB) -> bool:
-    for k in set(b1) | set(b2):
-        if abs(b1.get(k, 0.0) - b2.get(k, 0.0)) > tol:
-            return False
-    return True
-
-
 def barb_mismatch(b1: dict, b2: dict, tol: float = TOL_PROB):
     """First differing channel, or None."""
     for k in sorted(set(b1) | set(b2)):

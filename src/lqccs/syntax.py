@@ -431,9 +431,3 @@ class Signature:
 
     def channel_type(self, chan: str):
         return self.channels.get(chan)
-
-    def declare_channel(self, chan: str, types):
-        self.channels[chan] = tuple(types)
-
-    def is_qubit_name(self, name: str) -> bool:
-        return name in self.qubits or self.variables.get(name) == QUBIT

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lqccs import corpus, qcore
-from lqccs.equiv import advance_scheduled, advance_unique, config_partial_trace
+from lqccs.equiv import (
+    advance_scheduled, advance_unique, config_partial_trace, distinguish,
+)
 from lqccs.parser import parse_program
 from lqccs.semantics import Distribution, dist_barbs, make_config
 
@@ -11,6 +15,40 @@ from lqccs.semantics import Distribution, dist_barbs, make_config
 def test_table_rows(entry):
     ok, detail = entry.run()
     assert ok, detail
+
+
+def _row(name):
+    return next(row for row in corpus.TABLE1 if row.name == name)
+
+
+def test_check_row_rejects_a_flipped_verdict():
+    row = _row("table1-row3")
+    (mode, _, kind), rest = row.expected[0], row.expected[1:]
+    flipped = replace(row, expected=((mode, "inconclusive-at-bounds", kind),) + rest)
+    ok, detail = corpus.check_row(flipped)
+    assert not ok and "expected inconclusive-at-bounds" in detail
+
+
+def test_check_row_rejects_a_witness_other_than_the_hint():
+    # the search still distinguishes row 6, but not with this hint
+    row = replace(_row("table1-row6"), hint="d?x.I(x).disc(x)")
+    ok, detail = corpus.check_row(row)
+    assert not ok and "hint" in detail
+
+
+def test_table_entries_run_with_their_bounds(monkeypatch):
+    seen = []
+
+    def recording(dl, dr, mode, bounds, sig):
+        seen.append(bounds)
+        return distinguish(dl, dr, mode, bounds, sig)
+
+    monkeypatch.setattr(corpus, "distinguish", recording)
+    for entry in corpus.build_table1():
+        seen.clear()
+        assert entry.run()[0], entry.name
+        assert seen, entry.name
+        assert all(replace(b, hint_contexts=()) == entry.bounds for b in seen), entry.name
 
 
 def test_teleportation_entry():

@@ -275,11 +275,6 @@ class TestMeasure:
                 assert np.linalg.eigvalsh(post.mat).min() > -1e-9
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="DensityMatrix.__eq__ compares within TOL_MAT but __hash__ rounds the "
-    "entries, so states that compare equal can hash apart",
-)
 def test_equal_states_hash_alike():
     a = DensityMatrix(("q",), np.diag([0.50000005, 0.49999995]))
     b = DensityMatrix(("q",), np.diag([0.50000005 + 1e-12, 0.49999995 - 1e-12]))
