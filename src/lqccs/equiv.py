@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qcore
+from . import memo, qcore
 from .errors import ChoiceExplosion, ShapeError, TypingError
 from .osem import (
     DIAMOND,
@@ -94,6 +95,10 @@ class Stats:
     contexts_tried: int = 0
     states_visited: int = 0
     wall_ms: int = 0
+    # per memoized function (`apply_superop`, `measure`, `step_genuine`,
+    # `estep_genuine`): results the verdict's memo returned, and computed
+    memo_hits: Counter = field(default_factory=Counter)
+    memo_misses: Counter = field(default_factory=Counter)
 
     def to_json(self):
         return {
@@ -969,26 +974,29 @@ def distinguish(
     """Bounded two-player game. Distinguished verdicts are replayed before
     being returned; in constrained mode, the density-quotient certificate
     (after advancing forced silent prefixes) may certify bisimilarity;
-    anything else is inconclusive."""
+    anything else is inconclusive. The verdict is computed under one memo
+    (`memo.scope`); the replay runs after it is closed, so a witness is
+    re-derived by fresh computation."""
     t0 = time.monotonic()
     stats = Stats()
-    bm = barb_mismatch(dist_barbs(dl), dist_barbs(dr))
-    if bm is not None:
-        w = BarbLeaf(*bm)
-        stats.wall_ms = int((time.monotonic() - t0) * 1000)
-        return Distinguished(w, stats)
-    if mode == CONSTRAINED:
-        cert = _certify(dl, dr, bounds, sig)
-        if cert is not None:
+    with memo.scope(stats):
+        bm = barb_mismatch(dist_barbs(dl), dist_barbs(dr))
+        if bm is not None:
+            w = BarbLeaf(*bm)
             stats.wall_ms = int((time.monotonic() - t0) * 1000)
-            return CertifiedBisimilar(cert, stats)
-    elif dl.key() == dr.key():
-        stats.wall_ms = int((time.monotonic() - t0) * 1000)
-        return CertifiedBisimilar(("equal-distributions", None), stats)
-    reg_names = _all_names(dl) | _all_names(dr)
-    pl = pad_ancillas(dl, bounds.ancillas, reg_names)
-    pr = pad_ancillas(dr, bounds.ancillas, reg_names)
-    witness = _search(pl, pr, mode, bounds, sig, stats)
+            return Distinguished(w, stats)
+        if mode == CONSTRAINED:
+            cert = _certify(dl, dr, bounds, sig)
+            if cert is not None:
+                stats.wall_ms = int((time.monotonic() - t0) * 1000)
+                return CertifiedBisimilar(cert, stats)
+        elif dl.key() == dr.key():
+            stats.wall_ms = int((time.monotonic() - t0) * 1000)
+            return CertifiedBisimilar(("equal-distributions", None), stats)
+        reg_names = _all_names(dl) | _all_names(dr)
+        pl = pad_ancillas(dl, bounds.ancillas, reg_names)
+        pr = pad_ancillas(dr, bounds.ancillas, reg_names)
+        witness = _search(pl, pr, mode, bounds, sig, stats)
     stats.wall_ms = int((time.monotonic() - t0) * 1000)
     if witness is not None:
         if not replay_witness(pl, pr, witness, mode, bounds, sig):
@@ -1015,8 +1023,10 @@ def certify(
     """Certificate-only entry point: distribution equality or the density
     quotient, after advancing both sides through forced silent prefixes."""
     t0 = time.monotonic()
-    cert = _certify(dl, dr, bounds, sig)
-    stats = Stats(wall_ms=int((time.monotonic() - t0) * 1000))
+    stats = Stats()
+    with memo.scope(stats):
+        cert = _certify(dl, dr, bounds, sig)
+    stats.wall_ms = int((time.monotonic() - t0) * 1000)
     if cert is not None:
         return CertifiedBisimilar(cert, stats)
     return InconclusiveAtBounds(bounds, "no certificate applies", stats)

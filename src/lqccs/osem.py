@@ -11,6 +11,7 @@ deadlock point.
 from __future__ import annotations
 
 from .errors import TypingError
+from .memo import recall
 from .ops import resolve_measurement, resolve_operator
 from .qcore import apply_superop, measure
 from .rewrite import normalize, normalize_observer, substitute_many
@@ -25,6 +26,7 @@ from .semantics import (
     communications,
     exec_view,
     lift,
+    memo_key,
     move_key,
     step_genuine,
     unique,
@@ -54,12 +56,17 @@ def estep(config: Configuration, sig=None) -> list:
         return [(DIAMOND, Distribution.point(BOT))]
     moves = estep_genuine(config, sig)
     if not any(idx == DIAMOND for idx, _ in moves):
-        moves.append((DIAMOND, Distribution.point(BOT)))
-    return moves
+        return [*moves, (DIAMOND, Distribution.point(BOT))]
+    return list(moves)
 
 
 def estep_genuine(config: Configuration, sig=None) -> list:
-    """Moves derivable by the actual rules (no deadlock augmentation)."""
+    """Moves derivable by the actual rules (no deadlock augmentation).
+    Within a verdict the list is shared through the memo: do not mutate it."""
+    return recall(_estep_genuine, memo_key, config, sig)
+
+
+def _estep_genuine(config: Configuration, sig) -> list:
     if config.is_bot:
         return []
     moves = [(DIAMOND, d) for d in step_genuine(config, sig)]

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import RegisterError, TargetError
+from .memo import recall
 
 TOL_MAT = 1e-9
 TOL_PROB = 1e-9
@@ -239,6 +240,19 @@ class Measurement:
         return len(self.operators)
 
 
+def _target_positions(ops, targets, rho: DensityMatrix) -> tuple:
+    """Register positions of `targets`, checked to be distinct and to fit
+    every operator in `ops`."""
+    positions = rho.register.positions(targets)
+    k = len(positions)
+    if len(set(positions)) != k:
+        raise TargetError(f"duplicate targets {tuple(targets)}")
+    for op in ops:
+        if op.shape != (1 << k, 1 << k):
+            raise TargetError(f"operator shape {op.shape} does not match {k} targets")
+    return positions
+
+
 def _conjugations(ops, targets, rho: DensityMatrix):
     """K rho K^dag for each operator K in `ops`, acting on the qubits
     `targets` of rho's register, as 2^n x 2^n matrices.
@@ -246,10 +260,8 @@ def _conjugations(ops, targets, rho: DensityMatrix):
     K is contracted into the target row axes of rho's (2,)*2n tensor view
     and conj(K) into the matching column axes; no 2^n x 2^n operator is
     built."""
-    positions = rho.register.positions(targets)
+    positions = _target_positions(ops, targets, rho)
     k = len(positions)
-    if len(set(positions)) != k:
-        raise TargetError(f"duplicate targets {tuple(targets)}")
     n = rho.num_qubits
     dim = 1 << n
     rows = list(positions)
@@ -260,8 +272,6 @@ def _conjugations(ops, targets, rho: DensityMatrix):
     outs = list(range(k)) + list(range(2 * n - k, 2 * n))
     tensor = rho.mat.reshape((2,) * (2 * n))
     for op in ops:
-        if op.shape != (1 << k, 1 << k):
-            raise TargetError(f"operator shape {op.shape} does not match {k} targets")
         op = op.reshape((2,) * (2 * k))
         # the column targets keep their axis numbers n + p: the k row axes
         # that the first contraction removes are replaced by K's k output axes
@@ -270,8 +280,29 @@ def _conjugations(ops, targets, rho: DensityMatrix):
         yield np.moveaxis(t, outs, rows + cols).reshape(dim, dim)
 
 
+def _target_marginal(positions, rho: DensityMatrix) -> np.ndarray:
+    """Reduced state of rho on the qubits at `positions`, in that order."""
+    n = rho.num_qubits
+    # row axis i and column axis n + i share a label, and so are traced
+    # out, unless i is a target
+    labels = list(range(n)) * 2
+    for p in positions:
+        labels[n + p] = n + p
+    out = list(positions) + [n + p for p in positions]
+    dim = 1 << len(positions)
+    return np.einsum(rho.mat.reshape((2,) * (2 * n)), labels, out).reshape(dim, dim)
+
+
+def _backend_key(op, targets, rho: DensityMatrix):
+    return (op, tuple(targets), rho.key())
+
+
 def apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatrix:
     """Sum_i E_i rho E_i^dag with the Kraus operators acting on `targets`."""
+    return recall(_apply_superop, _backend_key, e, targets, rho)
+
+
+def _apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatrix:
     out = np.zeros_like(rho.mat)
     for post in _conjugations(e.kraus, targets, rho):
         out += post
@@ -280,8 +311,20 @@ def apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatri
 
 def measure(m: Measurement, targets, rho: DensityMatrix):
     """All outcomes with positive probability: (m, p_m, rho_m / p_m)."""
+    return recall(_measure, _backend_key, m, targets, rho)
+
+
+def _measure(m: Measurement, targets, rho: DensityMatrix):
+    # p_m = tr(M_m^dag M_m rho_T) on the targets' reduced state rho_T picks
+    # the outcomes to keep before any 2^n x 2^n post-state is built
+    marginal = _target_marginal(_target_positions(m.operators, targets, rho), rho)
+    kept = [
+        outcome for outcome, op in enumerate(m.operators)
+        if np.vdot(op.conj().T @ op, marginal).real > TOL_PROB
+    ]
+    ops = [m.operators[outcome] for outcome in kept]
     results = []
-    for outcome, post in enumerate(_conjugations(m.operators, targets, rho)):
+    for outcome, post in zip(kept, _conjugations(ops, targets, rho)):
         p = post.trace().real
         if p <= TOL_PROB:
             continue

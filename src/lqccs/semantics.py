@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import ChoiceExplosion, EvalError
+from .memo import recall
 from .ops import resolve_measurement, resolve_operator
 from .qcore import TOL_PROB, DensityMatrix, apply_superop, measure
 from .rewrite import normalize, normalize_observer, substitute_many
@@ -242,12 +243,22 @@ def step(config: Configuration, sig=None) -> list:
     (and BOT itself) step to the point distribution on BOT."""
     if config.is_bot:
         return [Distribution.point(BOT)]
-    moves = step_genuine(config, sig)
-    return moves if moves else [Distribution.point(BOT)]
+    return list(step_genuine(config, sig)) or [Distribution.point(BOT)]
+
+
+def memo_key(config: Configuration, sig):
+    """Memo key of a configuration's moves: the signature by identity
+    (it is unhashable), the configuration by its state key and terms."""
+    return (config, id(sig))
 
 
 def step_genuine(config: Configuration, sig=None) -> list:
-    """Reductions derivable by the actual rules (no deadlock augmentation)."""
+    """Reductions derivable by the actual rules (no deadlock augmentation).
+    Within a verdict the list is shared through the memo: do not mutate it."""
+    return recall(_step_genuine, memo_key, config, sig)
+
+
+def _step_genuine(config: Configuration, sig) -> list:
     if config.is_bot:
         return []
     moves = _proc_moves(config.rho, normalize(config.proc), sig)

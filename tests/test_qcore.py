@@ -200,6 +200,71 @@ def test_local_contraction_matches_dense_embedding(case):
         assert np.max(np.abs(post.mat - posts[outcome] / p_want)) < 1e-12
 
 
+def measure_all_outcomes(m, targets, rho):
+    """Reference for `measure`: build every outcome's post-state, then
+    drop the outcomes of probability at most TOL_PROB."""
+    results = []
+    for outcome, post in enumerate(qcore._conjugations(m.operators, targets, rho)):
+        p = post.trace().real
+        if p > qcore.TOL_PROB:
+            results.append((outcome, float(p), DensityMatrix(rho.register, post / p, check=False)))
+    return results
+
+
+@st.composite
+def measured_states(draw):
+    """(measurement, targets, state): 1-3 qubits, 1-2 targets in any order,
+    a builtin measurement or M_m = P_m V for a random unitary V, and a
+    state whose targets are confined to the span of a random nonempty set
+    of the measurement's outcomes, so the others have probability zero, or
+    of computational basis states."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, min(2, n)))
+    positions = tuple(draw(st.permutations(range(n)))[:k])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["M01", "Mpm", "rotated"] + (["MBell"] if k == 2 else [])))
+    if kind == "rotated":
+        v, _ = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
+        m = Measurement([np.diag(row) @ v for row in np.eye(1 << k)], check=False)
+    else:
+        m = resolve_measurement(kind, k)
+    kept = draw(st.lists(st.booleans(), min_size=len(m), max_size=len(m)).filter(any))
+    basis = draw(st.booleans())
+    span = sum((np.diag(np.eye(1 << k)[i]) if basis else op.conj().T @ op)
+               for i, (op, keep) in enumerate(zip(m.operators, kept)) if keep)
+    big = dense_embedding(span, positions, n)
+    rho = big @ random_state(rng, n) @ big.conj().T
+    names = register(n)
+    return m, tuple(names[p] for p in positions), DensityMatrix(names, rho / rho.trace(), check=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(measured_states())
+def test_measure_matches_building_every_outcome(case):
+    m, targets, rho = case
+    built = []
+    conjugations = qcore._conjugations
+
+    def counted(ops, targets, rho):
+        for post in conjugations(ops, targets, rho):
+            built.append(post)
+            yield post
+
+    qcore._conjugations = counted
+    try:
+        got = measure(m, targets, rho)
+    finally:
+        qcore._conjugations = conjugations
+    want = measure_all_outcomes(m, targets, rho)
+    # no post-state is built for an outcome that is then dropped
+    assert len(built) == len(got)
+    assert [outcome for outcome, _, _ in got] == [outcome for outcome, _, _ in want]
+    for (_, p, post), (_, p_want, post_want) in zip(got, want):
+        assert abs(p - p_want) <= qcore.TOL_PROB
+        assert post.close_to(post_want)
+        assert post.key() == post_want.key()
+
+
 class TestApplySuperop:
     def test_hadamard_on_ket0(self):
         rho = pure_state(KET0, ("q",))
