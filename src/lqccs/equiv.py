@@ -83,7 +83,6 @@ CONSTRAINED = "constrained"
 class SearchBounds:
     context_size: int = 14
     depth: int = 6
-    gate_set: tuple = ("I", "H", "X")
     fresh_channels: int = 4
     choice_cap: int = 100_000
     ancillas: int = 1
@@ -95,8 +94,8 @@ class Stats:
     contexts_tried: int = 0
     states_visited: int = 0
     wall_ms: int = 0
-    # per memoized function (`apply_superop`, `measure`, `step_genuine`,
-    # `estep_genuine`): results the verdict's memo returned, and computed
+    # per memoized function (`apply_superop`, `measure`, `step_genuine`):
+    # results the verdict's memo returned, and computed
     memo_hits: Counter = field(default_factory=Counter)
     memo_misses: Counter = field(default_factory=Counter)
 
@@ -163,14 +162,10 @@ def _lifted_moves(dist: Distribution, mode: str, sig, cap: int) -> list:
     return lift_estep(dist, sig, cap)
 
 
-def _moves_at(dist: Distribution, index, mode: str, sig, cap: int) -> list:
-    return at_index(_lifted_moves(dist, mode, sig, cap), index)
-
-
-def _apply_frame(dist: Distribution, frame, mode: str, sig) -> Distribution:
+def _apply_frame(dist: Distribution, frame, mode: str) -> Distribution:
     if mode == SATURATED:
-        return apply_process_context(dist, frame, sig)
-    return apply_context(dist, frame, sig)
+        return apply_process_context(dist, frame)
+    return apply_context(dist, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +213,7 @@ def is_deterministic(dist: Distribution, bounds: SearchBounds = SearchBounds(), 
     procs = [c.proc for c, _ in dist.items() if not c.is_bot]
     if all(syntactically_deterministic(p) for p in procs):
         return "yes"
-    probe_frames = _determinism_probes(dist, bounds)
+    probe_frames = _determinism_probes(dist)
     for frame in [None] + probe_frames:
         try:
             d = apply_context(dist, frame) if frame is not None else dist
@@ -244,7 +239,7 @@ def is_deterministic(dist: Distribution, bounds: SearchBounds = SearchBounds(), 
     return "inconclusive"
 
 
-def _determinism_probes(dist: Distribution, bounds: SearchBounds) -> list:
+def _determinism_probes(dist: Distribution) -> list:
     """Reception sums that expose process-side choices as distinct barbs."""
     chans = set()
     for c, _ in dist.items():
@@ -430,23 +425,16 @@ def config_refines(cs: Configuration, cb: Configuration) -> bool:
 
 def dist_refines(ds: Distribution, db: Distribution) -> bool:
     """Coupling feasibility: mass of ds routed to refined targets in db."""
-    return _coupling_exists(ds, db, config_refines)
-
-
-def _coupling_exists(d1: Distribution, d2: Distribution, admissible) -> bool:
-    from scipy.optimize import linprog
-
-    e1 = list(d1.items())
-    e2 = list(d2.items())
+    e1 = list(ds.items())
+    e2 = list(db.items())
     edges = [
         (i, j)
         for i, (c1, _) in enumerate(e1)
         for j, (c2, _) in enumerate(e2)
-        if admissible(c1, c2)
+        if config_refines(c1, c2)
     ]
     if not edges:
         return False
-    nvar = len(edges)
     a_eq = []
     b_eq = []
     for i, (_, p) in enumerate(e1):
@@ -457,11 +445,19 @@ def _coupling_exists(d1: Distribution, d2: Distribution, admissible) -> bool:
         row = [1.0 if ej == j else 0.0 for _, ej in edges]
         a_eq.append(row)
         b_eq.append(p)
+    return _feasible(a_eq, b_eq)
+
+
+def _feasible(a_eq, b_eq) -> bool:
+    """Whether some x >= 0 solves a_eq x = b_eq: a linear program with
+    zero cost."""
+    from scipy.optimize import linprog
+
     res = linprog(
-        c=[0.0] * nvar,
+        c=[0.0] * len(a_eq[0]),
         A_eq=a_eq,
         b_eq=b_eq,
-        bounds=[(0.0, None)] * nvar,
+        bounds=(0.0, None),
         method="highs",
     )
     return bool(res.success)
@@ -555,7 +551,7 @@ class MeasurementWitness:
     p_right: float
 
 
-def partial_trace_necessary(dl: Distribution, dr: Distribution, sig=None):
+def partial_trace_necessary(dl: Distribution, dr: Distribution):
     """Necessary condition on point configurations: the reduced states on
     qubits outside the processes must agree; on failure, returns the
     distinguishing measurement (over the environment qubits) that refutes
@@ -608,7 +604,7 @@ def replay_measurement_witness(
     )
     got = []
     for d in (dl, dr):
-        ctx = apply_context(d, frame, use_sig)
+        ctx = apply_context(d, frame)
         succ = moves_at(ctx, "", use_sig)
         if len(succ) != 1:
             return False
@@ -882,9 +878,7 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
         for a in free_qubits[:1]:
             q = QubitLit(a)
             pieces.append(Send(c, (q,)))
-            for g in bounds.gate_set:
-                if g == "I":
-                    continue
+            for g in ("H", "X"):
                 pieces.append(ApplyOp(g, (q,), Send(c, (q,))))
     for c in c_recv_chans:
         for v in (NatLit(0), NatLit(1)):
@@ -1097,8 +1091,8 @@ def _search(dl, dr, mode, bounds, sig, stats):
             if frame is not None:
                 stats.contexts_tried += 1
                 try:
-                    fa = _apply_frame(a, frame, mode, sig)
-                    fb = _apply_frame(b, frame, mode, sig)
+                    fa = _apply_frame(a, frame, mode)
+                    fb = _apply_frame(b, frame, mode)
                 except TypingError:
                     continue
             else:
@@ -1149,13 +1143,13 @@ def replay_witness(dl, dr, witness, mode, bounds, sig=None) -> bool:
     a, b = dl, dr
     if witness.context is not None:
         try:
-            a = _apply_frame(a, witness.context, mode, sig)
-            b = _apply_frame(b, witness.context, mode, sig)
+            a = _apply_frame(a, witness.context, mode)
+            b = _apply_frame(b, witness.context, mode)
         except TypingError:
             return False
     mine, theirs = (a, b) if witness.side == "left" else (b, a)
-    my_moves = _moves_at(mine, witness.index, mode, sig, bounds.choice_cap)
-    their_moves = _moves_at(theirs, witness.index, mode, sig, bounds.choice_cap)
+    my_moves = at_index(_lifted_moves(mine, mode, sig, bounds.choice_cap), witness.index)
+    their_moves = at_index(_lifted_moves(theirs, mode, sig, bounds.choice_cap), witness.index)
     if witness.move.key() not in {m.key() for m in my_moves}:
         return False
     stored = dict(witness.refutations)
@@ -1232,14 +1226,11 @@ def _pair_in_relation(pair, pairs, upto_cv: bool) -> bool:
 
 def _in_convex_hull(a: Distribution, b: Distribution, pairs) -> bool:
     """Feasibility of weights p_i with sum p_i (x_i, y_i) = (a, b)."""
-    from scipy.optimize import linprog
-
     base = list(pairs) + [(Distribution.point(BOT), Distribution.point(BOT))]
     configs_a = sorted({c.key() for d, _ in base for c, _ in d.items()}
                        | {c.key() for c, _ in a.items()})
     configs_b = sorted({c.key() for _, d in base for c, _ in d.items()}
                        | {c.key() for c, _ in b.items()})
-    nvar = len(base)
     a_eq = []
     b_eq = []
     for ck in configs_a:
@@ -1248,16 +1239,9 @@ def _in_convex_hull(a: Distribution, b: Distribution, pairs) -> bool:
     for ck in configs_b:
         a_eq.append([sum(p for c, p in y.items() if c.key() == ck) for _, y in base])
         b_eq.append(sum(p for c, p in b.items() if c.key() == ck))
-    a_eq.append([1.0] * nvar)
+    a_eq.append([1.0] * len(base))
     b_eq.append(1.0)
-    res = linprog(
-        c=[0.0] * nvar,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0.0, None)] * nvar,
-        method="highs",
-    )
-    return bool(res.success)
+    return _feasible(a_eq, b_eq)
 
 
 # ---------------------------------------------------------------------------
@@ -1269,13 +1253,13 @@ def _genuine(moves) -> list:
     return [(i, d) for i, d in moves if not (i == DIAMOND and d.bot_mass() >= 1.0 - TOL_PROB)]
 
 
-def advance_unique(dist: Distribution, sig=None, max_steps: int = 64, cap: int = 100_000):
-    """Follow the chain of unique genuine lifted moves until the
-    distribution branches or goes quiescent. Returns the list of
+def advance_unique(dist: Distribution, sig=None):
+    """Follow the chain of unique genuine lifted moves, at most 64, until
+    the distribution branches or goes quiescent. Returns the list of
     distributions visited, including the start."""
     trace = [dist]
-    for _ in range(max_steps):
-        moves = _genuine(lift_estep(dist, sig, cap))
+    for _ in range(64):
+        moves = _genuine(lift_estep(dist, sig))
         if len(moves) != 1:
             break
         dist = moves[0][1]

@@ -1,12 +1,12 @@
 """One memo per verdict.
 
 While a verdict is computed (`equiv.distinguish`, `equiv.certify`), the
-backend results (`qcore.apply_superop`, `qcore.measure`) and the moves of
-each configuration (`semantics.step_genuine`, `osem.estep_genuine`) are
-computed once and then returned from the memo. The memo opens with the
-verdict and closes when it returns or raises; a verdict computed inside
-another joins the memo that is open. Outside a verdict nothing is stored
-and every call computes afresh.
+backend results (`qcore.apply_superop`, `qcore.measure`) and the process
+moves of each configuration (`semantics.step_genuine`) are computed once
+and then returned from the memo. The memo opens with the verdict and
+closes when it returns or raises. Every scope opens a memo of its own,
+also inside another, so no entry outlives the verdict that stored it.
+Outside a verdict nothing is stored and every call computes afresh.
 
 Keys are exact on objects and rounded on states: an operator or a
 signature is keyed by its identity and a state by `DensityMatrix.key()`,
@@ -36,27 +36,21 @@ class _Table:
 
 @contextmanager
 def scope(stats):
-    """Open a memo for the calls made inside the block, or join the one
-    that is open. On exit, add the block's hits and misses to the Counters
-    `stats.memo_hits` and `stats.memo_misses`, by the name of the public
-    function that was called (`apply_superop`, `measure`, `step_genuine`,
-    `estep_genuine`); the memo closes when the block that opened it exits,
-    also by an exception."""
-    table = _open.get()
-    token = None
-    if table is None:
-        table = _Table()
-        token = _open.set(table)
-    hits, misses = table.hits.copy(), table.misses.copy()
+    """Open a memo of its own for the calls made inside the block, and
+    close it on exit, also by an exception; the memo open before the
+    block, if any, is open again after it. On exit, add the block's hits
+    and misses to the Counters `stats.memo_hits` and `stats.memo_misses`,
+    by the name of the public function that was called (`apply_superop`,
+    `measure`, `step_genuine`)."""
+    table = _Table()
+    token = _open.set(table)
     try:
         yield
     finally:
-        for total, before, out in ((table.hits, hits, stats.memo_hits),
-                                   (table.misses, misses, stats.memo_misses)):
-            for compute, n in (total - before).items():
+        _open.reset(token)
+        for counts, out in ((table.hits, stats.memo_hits), (table.misses, stats.memo_misses)):
+            for compute, n in counts.items():
                 out[compute.__name__.lstrip("_")] += n
-        if token is not None:
-            _open.reset(token)
 
 
 def is_open() -> bool:

@@ -11,30 +11,24 @@ deadlock point.
 from __future__ import annotations
 
 from .errors import TypingError
-from .memo import recall
-from .ops import resolve_measurement, resolve_operator
-from .qcore import apply_superop, measure
-from .rewrite import normalize, normalize_observer, substitute_many
+from .rewrite import normalize, normalize_observer
 from .semantics import (
     BOT,
     DEFAULT_CHOICE_CAP,
     Configuration,
     Distribution,
-    _qubit_args,
     _rebuild,
     at_index,
     communications,
     exec_view,
+    fire,
     lift,
-    memo_key,
     move_key,
     step_genuine,
     unique,
 )
 from .syntax import (
     NIL,
-    ApplyOp,
-    Measure,
     Par,
     Recv,
     Send,
@@ -56,23 +50,19 @@ def estep(config: Configuration, sig=None) -> list:
         return [(DIAMOND, Distribution.point(BOT))]
     moves = estep_genuine(config, sig)
     if not any(idx == DIAMOND for idx, _ in moves):
-        return [*moves, (DIAMOND, Distribution.point(BOT))]
-    return list(moves)
+        moves.append((DIAMOND, Distribution.point(BOT)))
+    return moves
 
 
 def estep_genuine(config: Configuration, sig=None) -> list:
-    """Moves derivable by the actual rules (no deadlock augmentation).
-    Within a verdict the list is shared through the memo: do not mutate it."""
-    return recall(_estep_genuine, memo_key, config, sig)
-
-
-def _estep_genuine(config: Configuration, sig) -> list:
+    """Moves derivable by the actual rules (no deadlock augmentation): the
+    process moves of `step_genuine` under the diamond, then the
+    observer's."""
     if config.is_bot:
         return []
     moves = [(DIAMOND, d) for d in step_genuine(config, sig)]
     obs = normalize_observer(config.obs)
-    proc = normalize(config.proc)
-    moves.extend(_observer_moves(config.rho, proc, obs, sig))
+    moves.extend(_observer_moves(config.rho, normalize(config.proc), obs, sig))
     return unique(moves, move_key)
 
 
@@ -89,22 +79,12 @@ def _observer_moves(rho, proc, obs, sig) -> list:
             )
         return out
     # leaf position: fires with the empty index
+    branches = fire(obs, rho, sig)
+    if branches is not None:
+        return [("", Distribution(
+            [(Configuration(r, proc, normalize_observer(cont)), p) for p, r, cont in branches]))]
     moves = []
-    if isinstance(obs, ApplyOp):
-        targets = _qubit_args(obs.args)
-        op = resolve_operator(obs.op, len(targets), sig)
-        moves.append(
-            ("", Distribution.point(Configuration(apply_superop(op, targets, rho), proc, obs.cont)))
-        )
-    elif isinstance(obs, Measure):
-        targets = _qubit_args(obs.args)
-        m = resolve_measurement(obs.op, len(targets), sig)
-        branches = []
-        for outcome, p, post in measure(m, targets, rho):
-            cont = normalize_observer(substitute_many(obs.cont, [(obs.var, outcome)]))
-            branches.append((Configuration(post, proc, cont), p))
-        moves.append(("", Distribution(branches)))
-    elif isinstance(obs, Send):
+    if isinstance(obs, Send):
         comps, restricted = exec_view(proc)
         for _, j, cont in communications([(-1, obs)], list(enumerate(comps)), restricted):
             rest = [c for k, c in enumerate(comps) if k != j]
@@ -135,7 +115,7 @@ def moves_at(dist: Distribution, index: str, sig=None, cap: int = DEFAULT_CHOICE
     return at_index(lift_estep(dist, sig, cap), index)
 
 
-def apply_context(dist: Distribution, frame, sig=None) -> Distribution:
+def apply_context(dist: Distribution, frame) -> Distribution:
     """Compose an observer frame (on the right) with every element's
     observer; the frame fills the hole of a configuration whose observer
     is inert. Frame qubits must be free in every element."""
@@ -146,7 +126,7 @@ def apply_context(dist: Distribution, frame, sig=None) -> Distribution:
         c.rho, c.proc, frame if c.obs == NIL else Par(c.obs, frame)))
 
 
-def apply_process_context(dist: Distribution, frame, sig=None) -> Distribution:
+def apply_process_context(dist: Distribution, frame) -> Distribution:
     """Parallel process context for the plain semantics."""
     frame = normalize(frame)
     return _attach(dist, frame, lambda c: Configuration(

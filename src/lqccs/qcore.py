@@ -141,9 +141,9 @@ class DensityMatrix:
     def __repr__(self):
         return f"DensityMatrix({self.register.names}, tr={self.trace():.6f})"
 
-    def close_to(self, other, atol=TOL_MAT) -> bool:
+    def close_to(self, other) -> bool:
         return self.register == other.register and np.allclose(
-            self.mat, other.mat, atol=atol
+            self.mat, other.mat, atol=TOL_MAT
         )
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":

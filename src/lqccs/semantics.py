@@ -14,6 +14,7 @@ import itertools
 from .errors import ChoiceExplosion, EvalError
 from .memo import recall
 from .ops import resolve_measurement, resolve_operator
+from .parser import pretty
 from .qcore import TOL_PROB, DensityMatrix, apply_superop, measure
 from .rewrite import normalize, normalize_observer, substitute_many
 from .syntax import (
@@ -37,20 +38,25 @@ DEFAULT_CHOICE_CAP = 100_000
 
 
 class Configuration:
-    """Either BOT or a triple (state, process, observer)."""
+    """Either BOT or a triple (state, process, observer).
 
-    __slots__ = ("rho", "proc", "obs", "_eqkey", "_hash", "_sortkey")
+    A configuration's one identity is `key()`: the state's key and the
+    printed process and observer. Equality and hashing read it, and it
+    sorts supports. This rests on `pretty` being injective on terms: a
+    printed term parses back to the same term."""
+
+    __slots__ = ("rho", "proc", "obs", "_key", "_hash")
 
     def __init__(self, rho, proc, obs=NIL):
         self.rho = rho
         self.proc = proc
         self.obs = obs
         if rho is None:
-            self._eqkey = ("bot",)
+            self._key = ("bot", (), b"", "", "")
         else:
-            self._eqkey = (rho.key(), proc, obs)
-        self._hash = hash(self._eqkey)
-        self._sortkey = None
+            names, data = rho.key()
+            self._key = ("cfg", names, data, pretty(proc), pretty(obs))
+        self._hash = hash(self._key)
 
     @property
     def is_bot(self) -> bool:
@@ -58,18 +64,10 @@ class Configuration:
 
     def key(self):
         """Hashable, totally ordered fingerprint (used to sort supports)."""
-        if self._sortkey is None:
-            if self.rho is None:
-                self._sortkey = ("bot", (), b"", "", "")
-            else:
-                from .parser import pretty
-
-                names, data = self.rho.key()
-                self._sortkey = ("cfg", names, data, pretty(self.proc), pretty(self.obs))
-        return self._sortkey
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Configuration) and self._eqkey == other._eqkey
+        return isinstance(other, Configuration) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -77,8 +75,6 @@ class Configuration:
     def __repr__(self):
         if self.is_bot:
             return "<bot>"
-        from .parser import pretty
-
         reg = ",".join(str(q) for q in self.rho.register.names)
         s = f"<[{reg}], {pretty(self.proc)}"
         if self.obs != NIL:
@@ -102,7 +98,7 @@ class Distribution:
 
     __slots__ = ("support", "_key")
 
-    def __init__(self, pairs, renormalize: bool = False):
+    def __init__(self, pairs):
         acc: dict = {}
         total = 0.0
         for cfg, p in pairs:
@@ -110,9 +106,6 @@ class Distribution:
                 continue
             acc[cfg] = acc.get(cfg, 0.0) + p
             total += p
-        if renormalize and acc and abs(total - 1.0) > TOL_PROB:
-            acc = {c: p / total for c, p in acc.items()}
-            total = 1.0
         if not acc:
             raise ValueError("empty distribution")
         if abs(total - 1.0) > 1e-6:
@@ -261,13 +254,7 @@ def step_genuine(config: Configuration, sig=None) -> list:
 def _step_genuine(config: Configuration, sig) -> list:
     if config.is_bot:
         return []
-    moves = _proc_moves(config.rho, normalize(config.proc), sig)
-    obs = config.obs
-    if obs == NIL:
-        return moves
-    # one fixed observer added to every element neither merges nor splits
-    # moves, so they need no second dedupe
-    return [dist.map(lambda c: c if c.is_bot else c.with_observer(obs)) for dist in moves]
+    return _proc_moves(config.rho, normalize(config.proc), config.obs, sig)
 
 
 def unique(items, key=Distribution.key) -> list:
@@ -311,57 +298,53 @@ def communications(senders, receivers, blocked=frozenset()):
                     yield i, j, substitute_many(gr.cont, list(zip(gr.vars, vals)))
 
 
-def _proc_moves(rho: DensityMatrix, proc, sig) -> list:
+def fire(guard, rho: DensityMatrix, sig) -> list | None:
+    """The prefix rules: the (probability, state, continuation) branches
+    of a tau, gate, measurement or random-bit guard, or None for any other
+    guard. They fire the same way in a process and in an observer."""
+    if isinstance(guard, Tau):
+        return [(1.0, rho, guard.cont)]
+    if isinstance(guard, ApplyOp):
+        targets = _qubit_args(guard.args)
+        op = resolve_operator(guard.op, len(targets), sig)
+        return [(1.0, apply_superop(op, targets, rho), guard.cont)]
+    if isinstance(guard, Measure):
+        targets = _qubit_args(guard.args)
+        m = resolve_measurement(guard.op, len(targets), sig)
+        return [(p, post, substitute_many(guard.cont, [(guard.var, outcome)]))
+                for outcome, p, post in measure(m, targets, rho)]
+    if isinstance(guard, RandBit):
+        return [(0.5, rho, substitute_many(guard.cont, [(guard.var, bit)])) for bit in (0, 1)]
+    return None
+
+
+def _proc_moves(rho: DensityMatrix, proc, obs, sig) -> list:
+    """Moves of the process; every successor keeps the observer `obs`."""
     comps, restricted = exec_view(proc)
     moves = []
 
-    def succ(new_rho, new_comps):
-        return Distribution.point(Configuration(new_rho, _rebuild(new_comps, restricted)))
+    def succ(branches, rest):
+        return Distribution([
+            (Configuration(r, _rebuild(rest + [cont], restricted), obs), p)
+            for p, r, cont in branches
+        ])
 
     for i, comp in enumerate(comps):
         others = comps[:i] + comps[i + 1 :]
         if isinstance(comp, Restrict):
             # opaque blob: steps internally, composed back by the Par rule
-            for dist in _proc_moves(rho, comp, sig):
-                moves.append(
-                    Distribution(
-                        [
-                            (Configuration(c.rho, _rebuild(others + [c.proc], restricted)), p)
-                            for c, p in dist.items()
-                        ]
-                    )
-                )
+            for dist in _proc_moves(rho, comp, obs, sig):
+                moves.append(succ([(p, c.rho, c.proc) for c, p in dist.items()], others))
             continue
         for g in sum_guards(comp):
-            if isinstance(g, Tau):
-                moves.append(succ(rho, others + [g.cont]))
-            elif isinstance(g, ApplyOp):
-                targets = _qubit_args(g.args)
-                op = resolve_operator(g.op, len(targets), sig)
-                moves.append(succ(apply_superop(op, targets, rho), others + [g.cont]))
-            elif isinstance(g, Measure):
-                targets = _qubit_args(g.args)
-                m = resolve_measurement(g.op, len(targets), sig)
-                branches = []
-                for outcome, p, post in measure(m, targets, rho):
-                    cont = substitute_many(g.cont, [(g.var, outcome)])
-                    branches.append(
-                        (Configuration(post, _rebuild(others + [cont], restricted)), p)
-                    )
-                moves.append(Distribution(branches))
-            elif isinstance(g, RandBit):
-                branches = []
-                for bit in (0, 1):
-                    cont = substitute_many(g.cont, [(g.var, bit)])
-                    branches.append(
-                        (Configuration(rho, _rebuild(others + [cont], restricted)), 0.5)
-                    )
-                moves.append(Distribution(branches))
+            branches = fire(g, rho, sig)
+            if branches is not None:
+                moves.append(succ(branches, others))
     # communication between two distinct components
     live = list(enumerate(comps))
     for i, j, cont in communications(live, live):
         rest = [c for k, c in enumerate(comps) if k not in (i, j)]
-        moves.append(succ(rho, rest + [cont]))
+        moves.append(succ([(1.0, rho, cont)], rest))
     return unique(moves)
 
 
@@ -444,11 +427,11 @@ def dist_barbs(dist: Distribution) -> dict:
     return out
 
 
-def barb_mismatch(b1: dict, b2: dict, tol: float = TOL_PROB):
+def barb_mismatch(b1: dict, b2: dict):
     """First differing channel, or None."""
     for k in sorted(set(b1) | set(b2)):
         p1, p2 = b1.get(k, 0.0), b2.get(k, 0.0)
-        if abs(p1 - p2) > tol:
+        if abs(p1 - p2) > TOL_PROB:
             return (k, p1, p2)
     return None
 

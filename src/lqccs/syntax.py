@@ -303,16 +303,16 @@ def map_term(term: Term, on_child, on_expr) -> Term:
     raise TypeError(f"not a term: {term!r}")
 
 
-def check_process_sorts(term: Term, where: str = "process"):
+def check_process_sorts(term: Term):
     """Reject terms outside the two-level grammar (sums of non-guards)."""
     if isinstance(term, Sum):
         for g in (term.left, term.right):
             if not is_guard(g):
                 raise SortError(f"sum alternative {g!r} is not a guarded term")
-            check_process_sorts(g, where)
+            check_process_sorts(g)
         return
     for child in children(term):
-        check_process_sorts(child, where)
+        check_process_sorts(child)
 
 
 def observer_violation(term: Term) -> Optional[str]:

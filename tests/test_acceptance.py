@@ -182,7 +182,7 @@ def test_criterion_5c_partial_trace_refutations():
         sigma = random_density(rng, ("q", "e"))
         dl = Distribution.point(make_config(rho, disc))
         dr = Distribution.point(make_config(sigma, disc))
-        verdict, wit = partial_trace_necessary(dl, dr, sig)
+        verdict, wit = partial_trace_necessary(dl, dr)
         if verdict != "refuted":
             continue
         assert replay_measurement_witness(dl, dr, wit, sig)

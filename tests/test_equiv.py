@@ -300,7 +300,6 @@ class TestPartialTraceNecessary:
         verdict, wit = partial_trace_necessary(
             Distribution.point(make_config(st, P("disc(q)"))),
             Distribution.point(make_config(st, P("disc(q)"))),
-            SIG,
         )
         assert verdict == "consistent"
 
@@ -309,7 +308,7 @@ class TestPartialTraceNecessary:
         r = pure(qcore.kron(qcore.KET0, qcore.KET1), "q", "o1")
         dl = Distribution.point(make_config(l, P("disc(q)")))
         dr = Distribution.point(make_config(r, P("disc(q)")))
-        verdict, wit = partial_trace_necessary(dl, dr, SIG)
+        verdict, wit = partial_trace_necessary(dl, dr)
         assert verdict == "refuted"
         assert replay_measurement_witness(dl, dr, wit, SIG)
 
@@ -473,9 +472,7 @@ class TestDistinguishAndWitnesses:
         target = point(pure(qcore.KET0, "q"), "c!q")
         for half in (qcore.KETP, qcore.KETM):
             cand = point(pure(half, "q"), "c!q")
-            verdict, wit = partial_trace_necessary(
-                _with_env(cand), _with_env(target), SIG
-            )
+            verdict, wit = partial_trace_necessary(_with_env(cand), _with_env(target))
             assert verdict == "refuted"
 
 

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a module of the
-package imports must be used in that module, and every function or class
-a module defines must be named somewhere else in the repository."""
+package imports must be used in that module, every function or class a
+module defines must be named somewhere else in the repository, and every
+parameter of a function must be read by its body."""
 
 import ast
 import re
@@ -63,3 +64,32 @@ def test_no_unused_definitions():
 def test_unused_definition_is_reported():
     src = "def kept():\n    pass\n\n\ndef dead():\n    return kept()\n\n\nclass Alive:\n    pass\n"
     assert unused_definitions({"m.py": src}, ["Alive()\n"]) == [("m.py", "dead")]
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) for each parameter of a named function
+    that its body never reads; `self` is exempt, and so are lambdas."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out.extend((node.lineno, node.name, p.arg) for p in params
+                   if p.arg != "self" and p.arg not in read)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_is_reported():
+    src = (
+        "class C:\n    def m(self, a, b):\n        return a\n\n\n"
+        "def f(x, *rest, key=None, **extra):\n    g = lambda unused: x\n    return g, extra\n"
+    )
+    assert unread_parameters(src) == [(2, "m", "b"), (6, "f", "key"), (6, "f", "rest")]

@@ -10,7 +10,7 @@ from lqccs.equiv import SATURATED, SearchBounds, Stats, certify, distinguish
 from lqccs.errors import ChoiceExplosion
 from lqccs.ops import resolve_operator
 from lqccs.osem import DIAMOND, estep, estep_genuine
-from lqccs.parser import parse_program
+from lqccs.parser import parse_process, parse_program
 from lqccs.semantics import BOT, Distribution, make_config, step, step_genuine
 
 # a phase before a measurement in the basis it commutes with: never
@@ -87,19 +87,26 @@ class TestScope:
         h = resolve_operator("H", 1)
         assert qcore.apply_superop(h, ("q",), rho) is not qcore.apply_superop(h, ("q",), rho)
 
-    def test_a_nested_scope_joins_the_open_memo(self):
+    def test_a_nested_scope_opens_its_own_memo(self):
         rho = qcore.pure_state(qcore.KET0, ("q",))
-        h = resolve_operator("H", 1)
+        h, x = resolve_operator("H", 1), resolve_operator("X", 1)
         outer, inner = Stats(), Stats()
         with memo.scope(outer):
             first = qcore.apply_superop(h, ("q",), rho)
             with memo.scope(inner):
-                assert qcore.apply_superop(h, ("q",), rho) is first
+                # the outer entry is not visible, and the inner one is kept
+                # only until the inner scope exits
+                assert qcore.apply_superop(h, ("q",), rho) is not first
+                flipped = qcore.apply_superop(x, ("q",), rho)
+                assert qcore.apply_superop(x, ("q",), rho) is flipped
             assert memo.is_open()
+            assert qcore.apply_superop(h, ("q",), rho) is first
+            assert qcore.apply_superop(x, ("q",), rho) is not flipped
         assert not memo.is_open()
-        assert inner.memo_hits == {"apply_superop": 1} and not inner.memo_misses
+        assert inner.memo_hits == {"apply_superop": 1}
+        assert inner.memo_misses == {"apply_superop": 2}
         assert outer.memo_hits == {"apply_superop": 1}
-        assert outer.memo_misses == {"apply_superop": 1}
+        assert outer.memo_misses == {"apply_superop": 2}
 
 
 class TestReplayIndependence:
@@ -131,26 +138,34 @@ class TestKeys:
     @pytest.mark.parametrize("mode", ("constrained", "saturated"))
     def test_register_order_does_not_change_a_verdict(self, mode):
         # each state, and the same state on the register (q2, q1) with its
-        # matrix permuted to match, all run in one memo: a key without the
-        # register names would hand one order's results to the other
-        runs = []
+        # matrix permuted to match, give the same verdict
+        got = {}
         for spec in self.STATES:
             dl, dr, sig = pair(FLIP_SRC, spec)
-            runs.append((spec, (dl, dr), (_swapped(dl), _swapped(dr)), sig))
-        got = {}
-        with memo.scope(Stats()):
-            for spec, plain, swapped, sig in runs:
-                got[spec] = [summary(distinguish(*d, mode, SearchBounds(), sig))
-                             for d in (plain, swapped)]
+            got[spec] = [summary(distinguish(*d, mode, SearchBounds(), sig))
+                         for d in ((dl, dr), (_swapped(dl), _swapped(dr)))]
         for spec, (plain, swapped) in got.items():
             assert plain == swapped, spec
         # q1 = |0> is flipped visibly, q1 = |+> is not
         assert [got[spec][0][0] == "distinguished" for spec in self.STATES] == [
             True, True, False, False]
 
+    def test_backend_key_holds_the_register(self):
+        # a symmetric state and its copy on the register (q2, q1) have the
+        # same entries; in one memo, X on q1 of each must still be computed
+        # for its own register order
+        x = resolve_operator("X", 1)
+        for spec in ("ket0,ket0", "ketplus,ketplus", "ket0,ketplus"):
+            dl, _, _ = pair(FLIP_SRC, spec)
+            states = [c.rho for d in (dl, _swapped(dl)) for c, _ in d.items()]
+            fresh = [qcore.apply_superop(x, ("q1",), rho) for rho in states]
+            with memo.scope(Stats()):
+                shared = [qcore.apply_superop(x, ("q1",), rho) for rho in states]
+            assert [r.key() for r in shared] == [r.key() for r in fresh], spec
+
     def test_each_signature_uses_its_own_operator(self):
-        # the name `U` is X under one signature and I under the other; run
-        # in one memo, only the signature tells their moves apart
+        # the name `U` is X under one signature and I under the other; in
+        # one memo, only the signature tells their moves apart
         src = (
             "channel c : qubit;\nchannel d : qubit;\nqubit a0;\n"
             "process L = c?x.U(x).d!x;\nprocess R = c?x.X(x).d!x;\n"
@@ -160,15 +175,23 @@ class TestKeys:
         for name, gate in (("X", qcore.X), ("I", qcore.I2)):
             sigs[name] = sig.copy()
             sigs[name].operators = {"U": qcore.Superoperator.unitary(gate)}
-        alone = {name: summary(distinguish(dl, dr, SATURATED, SearchBounds(), s))
-                 for name, s in sigs.items()}
-        assert alone["X"][0] != "distinguished"
-        assert alone["I"][0] == "distinguished"
+        verdicts = {name: summary(distinguish(dl, dr, SATURATED, SearchBounds(), s))
+                    for name, s in sigs.items()}
+        assert verdicts["X"][0] != "distinguished"
+        assert verdicts["I"][0] == "distinguished"
+        # the moves of U itself, on the qubit the game would send
+        (start, _), = dl.items()
+        cfg = make_config(start.rho, parse_process("U(a0).d!a0", sig))
+
+        def moves(s):
+            return [d.key() for d in step_genuine(cfg, s)]
+
+        fresh = {name: moves(s) for name, s in sigs.items()}
+        assert fresh["X"] != fresh["I"]
         for order in (("X", "I"), ("I", "X")):
             with memo.scope(Stats()):
-                shared = {name: summary(distinguish(dl, dr, SATURATED, SearchBounds(), sigs[name]))
-                          for name in order}
-            assert shared == alone
+                shared = {name: moves(sigs[name]) for name in order}
+            assert shared == fresh
 
 
 def _swapped(dist):
@@ -190,16 +213,18 @@ def _swapped(dist):
 class TestSharedMoves:
     def test_estep_does_not_grow_the_stored_moves(self):
         # a stuck configuration: its only enhanced move is the deadlock
-        # diamond that `estep` adds to the (stored) genuine moves
+        # diamond that `estep` adds to the genuine moves, whose process
+        # part is the stored list of `step_genuine`
         sig, defs = parse_program("channel c : qubit;\nqubit q;\nprocess L = c!q;\n")
         cfg = make_config(build_state("", sig.qubits), defs["L"])
         with memo.scope(Stats()):
             first = estep(cfg, sig)
             second = estep(cfg, sig)
             genuine = estep_genuine(cfg, sig)
+            stored = step_genuine(cfg, sig)
         assert [idx for idx, _ in first] == [DIAMOND]
         assert [idx for idx, _ in second] == [DIAMOND]
-        assert genuine == []
+        assert genuine == [] and stored == []
 
     def test_step_hands_out_its_own_list(self):
         sig, defs = parse_program("channel c : qubit;\nqubit q;\nprocess L = tau.c!q;\n")
