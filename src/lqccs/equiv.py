@@ -7,8 +7,8 @@ the two semantics.
 
 Soundness contract: every Distinguished verdict carries a strategy tree
 that is replayed from scratch before it is returned; certificates are
-emitted only for the constrained semantics (plus literal distribution
-equality); everything else is inconclusive at the given bounds.
+equality in both modes and the density quotient in constrained mode only
+(`_certify`); everything else is inconclusive at the given bounds.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .semantics import (
     barb_mismatch,
     dist_barbs,
     lift_step,
+    open_guards,
     proc_barbs,
     step_genuine,
 )
@@ -223,18 +224,10 @@ def is_deterministic(dist: Distribution, bounds: SearchBounds = SearchBounds(), 
             moves = lift_estep(d, sig, bounds.choice_cap)
         except ChoiceExplosion:
             continue
-        by_index: dict = {}
-        for idx, succ in moves:
-            by_index.setdefault(idx, []).append(succ)
-        for idx, succs in by_index.items():
-            if len(succs) < 2:
-                continue
-            for a, b in itertools.combinations(succs, 2):
-                if a == b:
-                    continue
-                if barb_mismatch(dist_barbs(a), dist_barbs(b)) is not None:
-                    return "no"
-                if not isinstance(density_quotient_equiv(a, b, bounds, sig), CertifiedBisimilar):
+        for idx in dict.fromkeys(i for i, _ in moves):
+            for a, b in itertools.combinations(at_index(moves, idx), 2):
+                if barb_mismatch(dist_barbs(a), dist_barbs(b)) is not None \
+                        or _certificate(a, b, CONSTRAINED, bounds, sig) is None:
                     return "no"
     return "inconclusive"
 
@@ -272,10 +265,11 @@ def density_quotient_equiv(
     observer) into identical masses with identical aggregate density
     operators and deterministic processes. Sufficient only: failure is
     inconclusive, never a refutation."""
-    gl = _quotient_groups(dl)
-    gr = _quotient_groups(dr)
-    if gl is None or gr is None:
+    ql = _quotient_groups(dl)
+    qr = _quotient_groups(dr)
+    if ql is None or qr is None:
         return InconclusiveAtBounds(bounds, "support elements on different registers")
+    (register, gl), (_, gr) = ql, qr
     if set(gl) != set(gr):
         return InconclusiveAtBounds(bounds, "support groups differ")
     for key in gl:
@@ -289,9 +283,8 @@ def density_quotient_equiv(
             return InconclusiveAtBounds(bounds, "aggregate states differ")
         proc = key[0]
         if not syntactically_deterministic(proc):
-            det = is_deterministic(Distribution.point(
-                Configuration(_group_state(gl, key), proc, key[1])), bounds, sig)
-            if det != "yes":
+            group = Configuration(DensityMatrix(register, aggl / ml, check=False), proc, key[1])
+            if is_deterministic(Distribution.point(group), bounds, sig) != "yes":
                 return InconclusiveAtBounds(bounds, f"process not deterministic: {pretty(proc)}")
     cert = ("density-quotient", tuple(sorted(
         (pretty(k[0]) if k != "bot" else "bot") for k in gl)))
@@ -299,6 +292,7 @@ def density_quotient_equiv(
 
 
 def _quotient_groups(dist: Distribution):
+    """(register, {(process, observer) or "bot": (mass, aggregate)})."""
     groups: dict = {}
     register = None
     for c, p in dist.items():
@@ -313,14 +307,7 @@ def _quotient_groups(dist: Distribution):
         key = (c.proc, c.obs)
         m, agg = groups.get(key, (0.0, np.zeros_like(c.rho.mat)))
         groups[key] = (m + p, agg + p * c.rho.mat)
-    return groups
-
-
-def _group_state(groups, key) -> DensityMatrix:
-    mass, agg = groups[key]
-    reg_dim = agg.shape[0]
-    n = reg_dim.bit_length() - 1
-    return DensityMatrix(tuple(f"g{i}" for i in range(n)), agg / mass, check=False)
+    return register, groups
 
 
 # ---------------------------------------------------------------------------
@@ -966,27 +953,22 @@ def distinguish(
     sig=None,
 ):
     """Bounded two-player game. Distinguished verdicts are replayed before
-    being returned; in constrained mode, the density-quotient certificate
-    (after advancing forced silent prefixes) may certify bisimilarity;
-    anything else is inconclusive. The verdict is computed under one memo
-    (`memo.scope`); the replay runs after it is closed, so a witness is
-    re-derived by fresh computation."""
+    being returned; a certificate after forced silent steps (`_certify`:
+    equality, or the density quotient in constrained mode only) may
+    certify bisimilarity; anything else is inconclusive. The verdict is
+    computed under one memo (`memo.scope`); the replay runs after it is
+    closed, so a witness is re-derived by fresh computation."""
     t0 = time.monotonic()
     stats = Stats()
     with memo.scope(stats):
         bm = barb_mismatch(dist_barbs(dl), dist_barbs(dr))
         if bm is not None:
-            w = BarbLeaf(*bm)
             stats.wall_ms = int((time.monotonic() - t0) * 1000)
-            return Distinguished(w, stats)
-        if mode == CONSTRAINED:
-            cert = _certify(dl, dr, bounds, sig)
-            if cert is not None:
-                stats.wall_ms = int((time.monotonic() - t0) * 1000)
-                return CertifiedBisimilar(cert, stats)
-        elif dl.key() == dr.key():
+            return Distinguished(BarbLeaf(*bm), stats)
+        cert = _certify(dl, dr, mode, bounds, sig)
+        if cert is not None:
             stats.wall_ms = int((time.monotonic() - t0) * 1000)
-            return CertifiedBisimilar(("equal-distributions", None), stats)
+            return CertifiedBisimilar(cert, stats)
         reg_names = _all_names(dl) | _all_names(dr)
         pl = pad_ancillas(dl, bounds.ancillas, reg_names)
         pr = pad_ancillas(dr, bounds.ancillas, reg_names)
@@ -1014,46 +996,70 @@ def certify(
     bounds: SearchBounds = SearchBounds(),
     sig=None,
 ):
-    """Certificate-only entry point: distribution equality or the density
-    quotient, after advancing both sides through forced silent prefixes."""
+    """Certificate-only entry point, constrained semantics: equality or
+    the density quotient, after forced silent steps that stop at barbs,
+    receptions and free qubits (`_certify`)."""
     t0 = time.monotonic()
     stats = Stats()
     with memo.scope(stats):
-        cert = _certify(dl, dr, bounds, sig)
+        cert = _certify(dl, dr, CONSTRAINED, bounds, sig)
     stats.wall_ms = int((time.monotonic() - t0) * 1000)
     if cert is not None:
         return CertifiedBisimilar(cert, stats)
     return InconclusiveAtBounds(bounds, "no certificate applies", stats)
 
 
-def _certify(dl: Distribution, dr: Distribution, bounds, sig):
-    """Equality or density-quotient certificate, advancing through forced
-    silent steps (single diamond move, no barbs, no free qubits)."""
-    cur_l, cur_r = dl, dr
-    for _ in range(bounds.depth + 8):
-        if cur_l.key() == cur_r.key():
-            return ("equal-distributions", None)
-        q = density_quotient_equiv(cur_l, cur_r, bounds, sig)
+def _certificate(dl: Distribution, dr: Distribution, mode: str, bounds, sig):
+    """The certificate that ends the game at (dl, dr) in `mode`, or None:
+    equality in both modes, the density quotient in constrained mode only
+    (QCF's dishonest-Bob prefixes are a density-quotient pair that
+    saturated contexts tell apart)."""
+    if dl.key() == dr.key():
+        return ("equal-distributions", None)
+    if mode == CONSTRAINED:
+        q = density_quotient_equiv(dl, dr, bounds, sig)
         if isinstance(q, CertifiedBisimilar):
             return q.certificate
-        nl = _forced_successor(cur_l, sig, bounds)
-        nr = _forced_successor(cur_r, sig, bounds)
-        if nl is None or nr is None:
-            return None
-        cur_l, cur_r = nl, nr
     return None
 
 
-def _forced_successor(dist: Distribution, sig, bounds):
-    """The unique diamond successor, when the configuration cannot
-    interact with any context: no barbs, no free qubits, one move."""
-    if dist_barbs(dist):
+def _certify(dl: Distribution, dr: Distribution, mode: str, bounds, sig):
+    """`_certificate` tried at each pair of a forced run, on which both
+    sides take their forced steps (`_forced_successor`) in lockstep.
+
+    Soundness. A side steps only when closed to contexts: no barb, no
+    reception on an unrestricted channel, every register qubit owned, one
+    genuine move, the diamond, with no deadlock mass. No context can
+    communicate with it or touch its qubits, so context moves commute with
+    the forced step and reach pairs of the same shape: with the certified
+    pair, closed under contexts, these form a bisimulation.
+    - Constrained: a lifted move fires one index in all elements, and an
+      observer has at most one move per index (no tau, no random bit, and
+      its receptions need a barb), so both sides move alike. Equality and
+      the density quotient are closed under observers.
+    - Saturated: a lifted move picks a move per element, so a parallel
+      context can fire beside the forced step in some elements only
+      (`tau.f!0` beside one outcome of `M01(q |> x).tau.disc(q)`, against
+      `tau.M01(q |> x).disc(q)`), and so the run steps only from point
+      distributions. Only equality is closed under parallel contexts."""
+    pair = (dl, dr)
+    for _ in range(bounds.depth + 8):
+        cert = _certificate(*pair, mode, bounds, sig)
+        if cert is not None:
+            return cert
+        pair = tuple(_forced_successor(d, mode, sig, bounds) for d in pair)
+        if None in pair:
+            return None
+    return None
+
+
+def _forced_successor(dist: Distribution, mode: str, sig, bounds):
+    """The forced step of a side closed to contexts (see `_certify`), or
+    None. The deadlock point counts as a barb."""
+    if dist_barbs(dist) or _free_qubits(dist, dist) or (mode == SATURATED and len(dist) > 1):
         return None
-    for c, _ in dist.items():
-        if c.is_bot:
-            return None
-        if set(c.rho.register.names) - (qubit_atoms(c.proc) | qubit_atoms(c.obs)):
-            return None
+    if any(isinstance(g, Recv) for c, _ in dist.items() for g in open_guards(c.proc)):
+        return None
     try:
         moves = lift_estep(dist, sig, bounds.choice_cap)
     except ChoiceExplosion:
@@ -1081,10 +1087,8 @@ def _search(dl, dr, mode, bounds, sig, stats):
         if key in memo:
             return memo[key]
         memo[key] = None
-        if mode == CONSTRAINED and not at_root:
-            q = density_quotient_equiv(a, b, bounds, sig)
-            if isinstance(q, CertifiedBisimilar):
-                return None
+        if not at_root and _certificate(a, b, mode, bounds, sig) is not None:
+            return None
         result = None
         frame_options = [None] + contexts if at_root else [None]
         for frame in frame_options:

@@ -62,41 +62,36 @@ def estep_genuine(config: Configuration, sig=None) -> list:
         return []
     moves = [(DIAMOND, d) for d in step_genuine(config, sig)]
     obs = normalize_observer(config.obs)
-    moves.extend(_observer_moves(config.rho, normalize(config.proc), obs, sig))
+    moves.extend(_observer_moves(config.rho, normalize(config.proc), obs, sig, lambda o: o))
     return unique(moves, move_key)
 
 
-def _observer_moves(rho, proc, obs, sig) -> list:
+def _observer_moves(rho, proc, obs, sig, place) -> list:
+    """Moves of the observer position `obs`; `place` puts its new observer
+    back into the enclosing parallel tree, so each successor is built once."""
     if isinstance(obs, Par):
-        out = []
-        for idx, dist in _observer_moves(rho, proc, obs.left, sig):
-            out.append(
-                (L + idx, dist.map(lambda c: c if c.is_bot else c.with_observer(Par(c.obs, obs.right))))
-            )
-        for idx, dist in _observer_moves(rho, proc, obs.right, sig):
-            out.append(
-                (R + idx, dist.map(lambda c: c if c.is_bot else c.with_observer(Par(obs.left, c.obs))))
-            )
-        return out
+        left = _observer_moves(rho, proc, obs.left, sig, lambda o: place(Par(o, obs.right)))
+        right = _observer_moves(rho, proc, obs.right, sig, lambda o: place(Par(obs.left, o)))
+        return [(L + idx, d) for idx, d in left] + [(R + idx, d) for idx, d in right]
     # leaf position: fires with the empty index
     branches = fire(obs, rho, sig)
     if branches is not None:
         return [("", Distribution(
-            [(Configuration(r, proc, normalize_observer(cont)), p) for p, r, cont in branches]))]
+            [(Configuration(r, proc, place(normalize_observer(cont))), p) for p, r, cont in branches]))]
     moves = []
     if isinstance(obs, Send):
         comps, restricted = exec_view(proc)
         for _, j, cont in communications([(-1, obs)], list(enumerate(comps)), restricted):
             rest = [c for k, c in enumerate(comps) if k != j]
             new_proc = _rebuild(rest + [cont], restricted)
-            moves.append(("", Distribution.point(Configuration(rho, new_proc, NIL))))
+            moves.append(("", Distribution.point(Configuration(rho, new_proc, place(NIL)))))
     elif isinstance(obs, (Recv, Sum)):
         comps, restricted = exec_view(proc)
         for g in sum_guards(obs):
             if not isinstance(g, Recv):
                 continue
             for i, _, cont in communications(enumerate(comps), [(-1, g)], restricted):
-                new_obs = normalize_observer(cont)
+                new_obs = place(normalize_observer(cont))
                 new_proc = _rebuild([c for k, c in enumerate(comps) if k != i], restricted)
                 moves.append(("", Distribution.point(Configuration(rho, new_proc, new_obs))))
     return moves

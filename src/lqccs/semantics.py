@@ -81,9 +81,6 @@ class Configuration:
             s += f" | {pretty(self.obs)}"
         return s + ">"
 
-    def with_observer(self, obs) -> "Configuration":
-        return Configuration(self.rho, self.proc, obs)
-
 
 BOT = Configuration(None, None, None)
 
@@ -386,18 +383,20 @@ def lift_step(dist: Distribution, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> li
 # --- barbs -------------------------------------------------------------------
 
 
+def open_guards(proc):
+    """The top-level send and reception guards on channels no restriction
+    hides: the guards a context can communicate with."""
+    comps, restricted = exec_view(normalize(proc))
+    for comp in comps:
+        guards = open_guards(comp) if isinstance(comp, Restrict) else sum_guards(comp)
+        for g in guards:
+            if isinstance(g, (Send, Recv)) and g.chan not in restricted:
+                yield g
+
+
 def proc_barbs(proc) -> frozenset:
     """Channels on which the process is ready to send (not restricted)."""
-    comps, restricted = exec_view(normalize(proc))
-    barbs = set()
-    for comp in comps:
-        if isinstance(comp, Restrict):
-            barbs |= proc_barbs(comp)
-        else:
-            for g in sum_guards(comp):
-                if isinstance(g, Send):
-                    barbs.add(g.chan)
-    return frozenset(barbs - restricted)
+    return frozenset(g.chan for g in open_guards(proc) if isinstance(g, Send))
 
 
 def config_barbs(config: Configuration) -> frozenset:

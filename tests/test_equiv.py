@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genterms import TermGen, make_signature, random_config, random_density
 from lqccs import qcore
@@ -11,6 +13,7 @@ from lqccs.equiv import (
     InconclusiveAtBounds,
     SearchBounds,
     advance_unique,
+    certify,
     check_candidate,
     check_nondet_vs_ite,
     config_partial_trace,
@@ -27,12 +30,12 @@ from lqccs.equiv import (
     replay_witness,
     superop_closure_pair,
 )
-from lqccs.errors import ShapeError, TargetError
+from lqccs.errors import ShapeError
 from lqccs.ops import resolve_operator
 from lqccs.parser import parse_process
 from lqccs.rewrite import normalize
 from lqccs.semantics import BOT, Distribution, dist_barbs, make_config, mixture
-from lqccs.syntax import NatLit, Nil, Par, QubitLit, Send, Sum
+from lqccs.syntax import NAT, NatLit, Nil, Par, QubitLit, Recv, Send, Sum, Tau
 
 SIG = make_signature(("q", "q1", "q2", "o1"))
 
@@ -94,13 +97,6 @@ class TestDensityQuotient:
             mixed_r = mixture(dr1, dr2, p)
             assert isinstance(density_quotient_equiv(mixed_l, mixed_r), CertifiedBisimilar)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=TargetError,
-        reason="_group_state rebuilds the group's state on invented register names "
-        "g0, g1, ..., so checking a process that acts on a real qubit for "
-        "determinism asks the state for a qubit it does not have",
-    )
     def test_group_state_keeps_the_register(self):
         d = Distribution.point(make_config(qcore.pure_state(qcore.KET0, ("q",)),
                                            parse_process("M01(q |> x).(k!x || d!x)")))
@@ -615,3 +611,104 @@ class TestCheckCandidate:
         assert isinstance(with_cv, CertifiedBisimilar)
         without = check_candidate(rel, CONSTRAINED, SearchBounds(), upto_cv=False, sig=SIG)
         assert isinstance(without, InconclusiveAtBounds)
+
+
+def _pair(src, left, right, state=""):
+    from lqccs.cli import build_state
+    from lqccs.parser import parse_program
+
+    sig, defs = parse_program(src)
+    rho = build_state(state, sig.qubits)
+    return (Distribution.point(make_config(rho, defs[left])),
+            Distribution.point(make_config(rho, defs[right])), sig)
+
+
+class TestOneCertificatePath:
+    """`distinguish` (both modes), `certify` and the inner nodes of the
+    search ask `_certificate` which certificate ends the game, after a
+    forced run that stops wherever a context can act."""
+
+    def test_reception_stops_the_forced_run(self):
+        # tau is the only move until a context sends on c, and c!0 tells
+        # the two continuations apart
+        dl, dr, sig = _pair(
+            "channel c : nat;\nchannel d : nat;\nqubit q;\n"
+            "process L = tau.disc(q) + c?x.(d!x || disc(q));\n"
+            "process R = tau.disc(q) + c?x.disc(q);\n", "L", "R")
+        assert isinstance(certify(dl, dr, SearchBounds(), sig), InconclusiveAtBounds)
+        bounds = SearchBounds(ancillas=0)
+        for mode in (SATURATED, CONSTRAINED):
+            v = distinguish(dl, dr, mode, bounds, sig)
+            assert isinstance(v, Distinguished), mode
+            assert replay_witness(dl, dr, v.witness, mode, bounds, sig)
+
+    def test_forced_gates_reach_equal_distributions(self):
+        dl, dr, sig = _pair(
+            "qubit q;\nprocess L = X(q).X(q).disc(q);\nprocess R = I(q).I(q).disc(q);\n",
+            "L", "R")
+        for mode in (SATURATED, CONSTRAINED):
+            v = distinguish(dl, dr, mode, SearchBounds(), sig)
+            assert isinstance(v, CertifiedBisimilar), mode
+            assert v.certificate == ("equal-distributions", None)
+
+    def test_saturated_run_steps_only_from_points(self):
+        # after the left side measures, a parallel tau.f!0 can fire beside
+        # one outcome's tau only; the right side, still a point, cannot
+        # match that, while an observer has no tau to try it with
+        dl, dr, sig = _pair(
+            "channel f : nat;\nqubit q;\n"
+            "process L = M01(q |> x).tau.disc(q);\n"
+            "process R = tau.M01(q |> x).disc(q);\n", "L", "R", "ketplus")
+        bounds = SearchBounds(ancillas=0, hint_contexts=(parse_process("tau.f!0", sig),))
+        v = distinguish(dl, dr, SATURATED, bounds, sig)
+        assert isinstance(v, Distinguished)
+        assert replay_witness(dl, dr, v.witness, SATURATED, bounds, sig)
+        v = distinguish(dl, dr, CONSTRAINED, SearchBounds(), sig)
+        assert isinstance(v, CertifiedBisimilar)
+        assert v.certificate == ("equal-distributions", None)
+
+    def test_saturated_search_does_not_expand_equal_pairs(self, monkeypatch):
+        from lqccs import equiv
+
+        # both sides reach <|0>, tau.disc(q)> in one step
+        src = ("qubit q;\nprocess L = I(q).tau.disc(q);\nprocess R = tau.tau.disc(q);\n"
+               "process S = tau.disc(q);\n")
+        dl, dr, sig = _pair(src, "L", "R")
+        common, _, _ = _pair(src, "S", "S")
+        expanded = []
+        lifted = equiv._lifted_moves
+
+        def record(dist, mode, sig, cap):
+            expanded.append(dist)
+            return lifted(dist, mode, sig, cap)
+
+        monkeypatch.setattr(equiv, "_lifted_moves", record)
+        bounds = SearchBounds(depth=3, ancillas=0)
+        assert equiv._search(dl, dr, SATURATED, bounds, sig, equiv.Stats()) is None
+        assert dl in expanded and dr in expanded
+        assert common not in expanded
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_certified_reception_pairs_have_no_witness(seed):
+    # tau.disc(q1) + G1 against tau.disc(q1) + G2, where G1 and G2 are
+    # receptions on k that own q1: whenever certify certifies, the search
+    # on the padded pair must find no witness
+    from lqccs.equiv import Stats, _search, pad_ancillas
+
+    gen = TermGen(seed)
+    owned = frozenset({"q1"})
+
+    def side():
+        var = gen.fresh("x")
+        guard = Recv("k", (var,), gen.process(owned, {var: NAT}, 2))
+        return Sum(Tau(Nil((QubitLit("q1"),))), guard)
+
+    rho = random_density(np.random.default_rng(seed), ("q1",))
+    dl, dr = (Distribution.point(make_config(rho, side())) for _ in range(2))
+    if not isinstance(certify(dl, dr, SearchBounds(), gen.sig), CertifiedBisimilar):
+        return
+    bounds = SearchBounds(context_size=6, depth=3, ancillas=1)
+    pl, pr = (pad_ancillas(d, bounds.ancillas, {"q1"}) for d in (dl, dr))
+    assert _search(pl, pr, CONSTRAINED, bounds, gen.sig, Stats()) is None

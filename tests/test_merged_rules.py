@@ -88,16 +88,16 @@ def reference_proc_moves(rho, proc, sig) -> list:
 def reference_step_genuine(config, sig) -> list:
     """Process moves built without the observer, then given it."""
     moves = reference_proc_moves(config.rho, normalize(config.proc), sig)
-    return [dist.map(lambda c: c.with_observer(config.obs)) for dist in moves]
+    return [dist.map(lambda c: Configuration(c.rho, c.proc, config.obs)) for dist in moves]
 
 
 def reference_observer_moves(rho, proc, obs, sig) -> list:
     if isinstance(obs, Par):
         out = []
         for idx, dist in reference_observer_moves(rho, proc, obs.left, sig):
-            out.append((L + idx, dist.map(lambda c: c.with_observer(Par(c.obs, obs.right)))))
+            out.append((L + idx, dist.map(lambda c: Configuration(c.rho, c.proc, Par(c.obs, obs.right)))))
         for idx, dist in reference_observer_moves(rho, proc, obs.right, sig):
-            out.append((R + idx, dist.map(lambda c: c.with_observer(Par(obs.left, c.obs)))))
+            out.append((R + idx, dist.map(lambda c: Configuration(c.rho, c.proc, Par(obs.left, c.obs)))))
         return out
     moves = []
     if isinstance(obs, ApplyOp):
