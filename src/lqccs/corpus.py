@@ -27,7 +27,7 @@ from .equiv import (
 )
 from .osem import apply_context, lift_estep, moves_at
 from .parser import parse_process, parse_program
-from .qcore import TOL_PROB
+from .qcore import TOL_MAT, TOL_PROB
 from .semantics import Distribution, barb_mismatch, dist_barbs, make_config
 from .syntax import Send, Signature, par_components
 
@@ -313,7 +313,7 @@ def build_superdense() -> CorpusEntry:
         if end_b is None or end_r is None:
             return False, "decode prefixes are not 5 forced steps"
         (rob_cfg, _), = end_r.items()
-        if not np.allclose(rob_cfg.rho.mat, np.eye(4) / 4, atol=1e-9):
+        if not np.allclose(rob_cfg.rho.mat, np.eye(4) / 4, atol=TOL_MAT):
             return False, "Rob's decoded state is not the maximally mixed pair"
         frame = parse_process(_SUPERDENSE_CTX, sig)
         bob_maps = _reachable_barbmaps(apply_context(end_b, frame), sig, 3)

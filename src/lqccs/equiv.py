@@ -34,7 +34,7 @@ from .osem import (
     moves_at,
 )
 from .parser import pretty
-from .qcore import TOL_PROB, DensityMatrix, partial_trace
+from .qcore import TOL_MASS, TOL_PROB, TOL_STATE, DensityMatrix, partial_trace
 from .rewrite import normalize, normalize_observer
 from .semantics import (
     BOT,
@@ -279,7 +279,7 @@ def density_quotient_equiv(
             return InconclusiveAtBounds(bounds, f"group mass differs for {key}")
         if key == "bot":
             continue
-        if aggl.shape != aggr.shape or not np.allclose(aggl, aggr, atol=1e-8):
+        if aggl.shape != aggr.shape or not np.allclose(aggl, aggr, atol=TOL_STATE):
             return InconclusiveAtBounds(bounds, "aggregate states differ")
         proc = key[0]
         if not syntactically_deterministic(proc):
@@ -558,7 +558,7 @@ def partial_trace_necessary(dl: Distribution, dr: Distribution):
     red_l = partial_trace(cl.rho, tuple(sorted(owned_l)))
     red_r = partial_trace(cr.rho, tuple(sorted(owned_r)))
     diff = red_l.mat - red_r.mat
-    if np.max(np.abs(diff)) <= 1e-8:
+    if np.max(np.abs(diff)) <= TOL_STATE:
         return ("consistent", None)
     eigvals, eigvecs = np.linalg.eigh(diff)
     k = int(np.argmax(np.abs(eigvals)))
@@ -597,8 +597,8 @@ def replay_measurement_witness(
             return False
         got.append(dist_barbs(succ[0]).get(witness.flag, 0.0))
     return (
-        abs(got[0] - witness.p_left) <= 1e-6
-        and abs(got[1] - witness.p_right) <= 1e-6
+        abs(got[0] - witness.p_left) <= TOL_MASS
+        and abs(got[1] - witness.p_right) <= TOL_MASS
         and abs(got[0] - got[1]) > TOL_PROB
     )
 

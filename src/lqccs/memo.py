@@ -8,9 +8,13 @@ closes when it returns or raises. Every scope opens a memo of its own,
 also inside another, so no entry outlives the verdict that stored it.
 Outside a verdict nothing is stored and every call computes afresh.
 
-Keys are exact on objects and rounded on states: an operator or a
-signature is keyed by its identity and a state by `DensityMatrix.key()`,
-its register names and entries rounded to `HASH_DECIMALS`. A hit may
+Keys are exact on objects and rounded on states, and a state's rounded
+key is built only when a memo or a comparison asks for one. An operator
+or a signature is keyed by its identity, a backend call's state by
+`DensityMatrix.key()` (the register names and entries rounded to
+`HASH_DECIMALS`), and a configuration by itself: its hash reads only
+register, process and observer, and its rounded key is built only when
+two entries agree on those (`semantics.Configuration`). A hit may
 therefore return the results computed for a state that differs from the
 caller's below that rounding.
 """

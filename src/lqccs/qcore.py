@@ -19,6 +19,14 @@ from .memo import recall
 
 TOL_MAT = 1e-9
 TOL_PROB = 1e-9
+# slack when checking caller-supplied matrices: Hermitian, PSD, trace at
+# most one, Kraus and measurement completeness
+TOL_CHECK = 1e-7
+# slack on a distribution's total mass and on a replayed witness's
+# flag probabilities
+TOL_MASS = 1e-6
+# entrywise distance below which two reduced or aggregate states agree
+TOL_STATE = 1e-8
 
 # granularity used when hashing states: coarser than TOL_MAT so that
 # states equal up to tolerance do not split across hash buckets
@@ -28,6 +36,7 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def _as_array(mat) -> np.ndarray:
+    """Caller data as a complex array, checked to be finite."""
     a = np.asarray(mat, dtype=complex)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN or Inf")
@@ -88,7 +97,9 @@ class DensityMatrix:
     """Positive semidefinite operator over a named qubit register.
 
     Trace may be below one for intermediate (partial) states; states used
-    in configurations are normalized.
+    in configurations are normalized. `check=True` validates caller data,
+    finiteness included; `check=False` is for results computed from
+    states and operators that were already checked, and scans nothing.
     """
 
     __slots__ = ("register", "mat", "_key")
@@ -96,20 +107,20 @@ class DensityMatrix:
     def __init__(self, register, mat, check: bool = True):
         if not isinstance(register, QubitRegister):
             register = QubitRegister(register)
-        mat = _as_array(mat)
+        mat = _as_array(mat) if check else np.asarray(mat, dtype=complex)
         dim = 1 << len(register)
         if mat.shape != (dim, dim):
             raise RegisterError(
                 f"matrix shape {mat.shape} does not fit register of {len(register)} qubits"
             )
         if check:
-            if np.max(np.abs(mat - mat.conj().T)) > 1e-7:
+            if np.max(np.abs(mat - mat.conj().T)) > TOL_CHECK:
                 raise ValueError("density matrix is not Hermitian")
             eigs = np.linalg.eigvalsh(mat)
-            if eigs.min() < -1e-7:
+            if eigs.min() < -TOL_CHECK:
                 raise ValueError(f"density matrix is not PSD (min eigenvalue {eigs.min()})")
             tr = mat.trace().real
-            if tr < -TOL_MAT or tr > 1.0 + 1e-7:
+            if tr < -TOL_MAT or tr > 1.0 + TOL_CHECK:
                 raise ValueError(f"density matrix trace {tr} outside [0, 1]")
         mat.setflags(write=False)
         self.register = register
@@ -182,11 +193,11 @@ class Superoperator:
         if check:
             acc = sum(k.conj().T @ k for k in kraus)
             if trace_preserving:
-                if np.max(np.abs(acc - np.eye(dim))) > 1e-7:
+                if np.max(np.abs(acc - np.eye(dim))) > TOL_CHECK:
                     raise ValueError("Kraus operators do not sum to identity")
             else:
                 eigs = np.linalg.eigvalsh(np.eye(dim) - acc)
-                if eigs.min() < -1e-7:
+                if eigs.min() < -TOL_CHECK:
                     raise ValueError("Kraus sum exceeds identity")
         self.arity = n
         self.kraus = kraus
@@ -231,7 +242,7 @@ class Measurement:
         n = dim.bit_length() - 1
         if check:
             acc = sum(m.conj().T @ m for m in operators)
-            if np.max(np.abs(acc - np.eye(dim))) > 1e-7:
+            if np.max(np.abs(acc - np.eye(dim))) > TOL_CHECK:
                 raise ValueError("measurement does not satisfy the completeness equation")
         self.arity = n
         self.operators = operators

@@ -15,7 +15,7 @@ from .errors import ChoiceExplosion, EvalError
 from .memo import recall
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
-from .qcore import TOL_PROB, DensityMatrix, apply_superop, measure
+from .qcore import TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
 from .rewrite import normalize, normalize_observer, substitute_many
 from .syntax import (
     NIL,
@@ -27,6 +27,7 @@ from .syntax import (
     Restrict,
     Send,
     Tau,
+    cached,
     free_channels,
     par_all,
     par_components,
@@ -40,10 +41,17 @@ DEFAULT_CHOICE_CAP = 100_000
 class Configuration:
     """Either BOT or a triple (state, process, observer).
 
-    A configuration's one identity is `key()`: the state's key and the
-    printed process and observer. Equality and hashing read it, and it
-    sorts supports. This rests on `pretty` being injective on terms: a
-    printed term parses back to the same term."""
+    Identity is exact on discrete structure and rounded on the state.
+    The hash reads only the register names, the process and the observer:
+    terms are interned, so it costs a few tuple hashes and never touches
+    the 2^n x 2^n matrix. Two configurations are equal when they are one
+    object, or when they share register, process and observer and their
+    `key()`s agree. `key()` is the state's rounded key with the printed
+    process and observer; it is built on first use, which is only when
+    two configurations collide on their discrete structure or when a
+    support is sorted. It rests on `pretty` being injective on terms: a
+    printed term parses back to the same term, so equal keys mean the
+    same interned process and observer, and so equal hashes."""
 
     __slots__ = ("rho", "proc", "obs", "_key", "_hash")
 
@@ -51,12 +59,8 @@ class Configuration:
         self.rho = rho
         self.proc = proc
         self.obs = obs
-        if rho is None:
-            self._key = ("bot", (), b"", "", "")
-        else:
-            names, data = rho.key()
-            self._key = ("cfg", names, data, pretty(proc), pretty(obs))
-        self._hash = hash(self._key)
+        self._key = None
+        self._hash = hash((None if rho is None else rho.register.names, proc, obs))
 
     @property
     def is_bot(self) -> bool:
@@ -64,10 +68,21 @@ class Configuration:
 
     def key(self):
         """Hashable, totally ordered fingerprint (used to sort supports)."""
+        if self._key is None:
+            if self.rho is None:
+                self._key = ("bot", (), b"", "", "")
+            else:
+                names, data = self.rho.key()
+                self._key = ("cfg", names, data, pretty(self.proc), pretty(self.obs))
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Configuration) and self._key == other._key
+        if self is other:
+            return True
+        if (not isinstance(other, Configuration) or self._hash != other._hash
+                or self.proc is not other.proc or self.obs is not other.obs):
+            return False
+        return self.key() == other.key()
 
     def __hash__(self):
         return self._hash
@@ -105,7 +120,7 @@ class Distribution:
             total += p
         if not acc:
             raise ValueError("empty distribution")
-        if abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > TOL_MASS:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self.support = acc
         self._key = None
@@ -255,7 +270,10 @@ def _step_genuine(config: Configuration, sig) -> list:
 
 
 def unique(items, key=Distribution.key) -> list:
-    """First occurrence of each item, in order, compared by `key`."""
+    """First occurrence of each item, in order, compared by `key`; a list
+    of fewer than two items is returned without computing any key."""
+    if len(items) < 2:
+        return list(items)
     seen = {}
     for item in items:
         seen.setdefault(key(item), item)
@@ -383,15 +401,17 @@ def lift_step(dist: Distribution, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> li
 # --- barbs -------------------------------------------------------------------
 
 
-def open_guards(proc):
+@cached("_open_guards")
+def open_guards(proc) -> tuple:
     """The top-level send and reception guards on channels no restriction
     hides: the guards a context can communicate with."""
     comps, restricted = exec_view(normalize(proc))
-    for comp in comps:
-        guards = open_guards(comp) if isinstance(comp, Restrict) else sum_guards(comp)
-        for g in guards:
-            if isinstance(g, (Send, Recv)) and g.chan not in restricted:
-                yield g
+    return tuple(
+        g
+        for comp in comps
+        for g in (open_guards(comp) if isinstance(comp, Restrict) else sum_guards(comp))
+        if isinstance(g, (Send, Recv)) and g.chan not in restricted
+    )
 
 
 def proc_barbs(proc) -> frozenset:

@@ -94,7 +94,8 @@ class _Node(metaclass=_Interned):
     tuple's, as for a frozen dataclass, so set and dict order under a given
     PYTHONHASHSEED does not change. `cached` fills the other slots."""
 
-    __slots__ = ("_hash", "_free_channels", "_qubit_atoms", "_size", "_pretty", "__weakref__")
+    __slots__ = ("_hash", "_free_channels", "_qubit_atoms", "_open_guards", "_size", "_pretty",
+                 "__weakref__")
 
     def __hash__(self):
         return self._hash

@@ -444,3 +444,27 @@ class TestBuiltins:
             Superoperator([H, H])
         with pytest.raises(ValueError):
             Measurement([projector(KET0), projector(KETP)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("build", [
+    lambda m: DensityMatrix(("q",), m),
+    lambda m: Superoperator([m], check=False),
+    lambda m: Superoperator([m], trace_preserving=False),
+    lambda m: Superoperator.probabilistic([(1.0, m)]),
+    lambda m: Superoperator.constant(m),
+    lambda m: Measurement([m, I2], check=False),
+    lambda m: pure_state(m[:, :1], ("q",)),
+    lambda m: projector(m[:, :1]),
+    lambda m: kron(m, I2),
+    lambda m: kron_all([I2, m]),
+], ids=["state", "superop", "subnormal-superop", "probabilistic", "constant",
+        "measurement", "pure-state", "projector", "kron", "kron-all"])
+def test_non_finite_caller_data_is_refused(build, bad):
+    """Finiteness is checked where caller data enters: checked states,
+    operators and vectors. Results computed from checked operands
+    (`check=False` states) are not scanned again."""
+    m = projector(KET0).copy()
+    m[0, 0] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        build(m)
