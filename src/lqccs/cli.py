@@ -28,7 +28,7 @@ from .syntax import NIL
 from .typecheck import typecheck
 
 
-def build_state(spec: str, qubits, ancillas: int = 0):
+def build_state(spec: str, qubits):
     """Comma-separated state tokens consumed left to right over the
     declared register, e.g. `ket0,phi+` for three qubits."""
     by_token = dict(ops.STATES.values())
@@ -46,9 +46,7 @@ def build_state(spec: str, qubits, ancillas: int = 0):
         used += 1
     if used != len(qubits):
         raise ValueError(f"state covers {used} qubits, register has {len(qubits)}")
-    names = tuple(qubits) + tuple(f"anc{i}" for i in range(ancillas))
-    vecs.extend([qcore.KET0] * ancillas)
-    return qcore.pure_state(qcore.kron_all(vecs) if len(vecs) > 1 else vecs[0], names)
+    return qcore.pure_state(qcore.kron_all(vecs) if len(vecs) > 1 else vecs[0], tuple(qubits))
 
 
 def _load(path: str):
@@ -118,7 +116,7 @@ def _verdict_json(v, bounds: SearchBounds):
     return out
 
 
-def _tree_json(dist, sig, depth, mode, emit_state, step_no=0, cap=100_000):
+def _tree_json(dist, sig, depth, mode, emit_state, step_no=0):
     node = _dist_json(dist, emit_state)
     node["step"] = step_no
     node["barbs"] = {k: round(v, 12) for k, v in sorted(dist_barbs(dist).items())}
@@ -126,13 +124,13 @@ def _tree_json(dist, sig, depth, mode, emit_state, step_no=0, cap=100_000):
         return node
     moves = []
     if mode == "enhanced":
-        nexts = lift_estep(dist, sig, cap)
+        nexts = lift_estep(dist, sig)
     else:
-        nexts = [(None, d) for d in lift_step(dist, sig, cap)]
+        nexts = [(None, d) for d in lift_step(dist, sig)]
     for idx, succ in nexts:
         moves.append({
             "index": idx,
-            "next": _tree_json(succ, sig, depth - 1, mode, emit_state, step_no + 1, cap),
+            "next": _tree_json(succ, sig, depth - 1, mode, emit_state, step_no + 1),
         })
     node["moves"] = moves
     return node

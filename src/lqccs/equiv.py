@@ -38,6 +38,7 @@ from .qcore import TOL_MASS, TOL_PROB, TOL_STATE, DensityMatrix, partial_trace
 from .rewrite import normalize, normalize_observer
 from .semantics import (
     BOT,
+    DEFAULT_CHOICE_CAP,
     Configuration,
     Distribution,
     at_index,
@@ -85,7 +86,7 @@ class SearchBounds:
     context_size: int = 14
     depth: int = 6
     fresh_channels: int = 4
-    choice_cap: int = 100_000
+    choice_cap: int = DEFAULT_CHOICE_CAP
     ancillas: int = 1
     hint_contexts: tuple = ()
 
@@ -95,8 +96,8 @@ class Stats:
     contexts_tried: int = 0
     states_visited: int = 0
     wall_ms: int = 0
-    # per memoized function (`apply_superop`, `measure`, `step_genuine`):
-    # results the verdict's memo returned, and computed
+    # per memoized backend function (`apply_superop`, `measure`): results
+    # the verdict's memo returned, and computed
     memo_hits: Counter = field(default_factory=Counter)
     memo_misses: Counter = field(default_factory=Counter)
 

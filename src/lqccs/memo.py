@@ -1,22 +1,20 @@
 """One memo per verdict.
 
 While a verdict is computed (`equiv.distinguish`, `equiv.certify`), the
-backend results (`qcore.apply_superop`, `qcore.measure`) and the process
-moves of each configuration (`semantics.step_genuine`) are computed once
-and then returned from the memo. The memo opens with the verdict and
-closes when it returns or raises. Every scope opens a memo of its own,
-also inside another, so no entry outlives the verdict that stored it.
-Outside a verdict nothing is stored and every call computes afresh.
+backend results (`qcore.apply_superop`, `qcore.measure`) are computed
+once and then returned from the memo; these two are the only memoized
+functions, and the moves of a configuration are computed afresh on each
+call. The memo opens with the verdict and closes when it returns or
+raises. Every scope opens a memo of its own, also inside another, so no
+entry outlives the verdict that stored it. Outside a verdict nothing is
+stored and every call computes afresh.
 
-Keys are exact on objects and rounded on states, and a state's rounded
-key is built only when a memo or a comparison asks for one. An operator
-or a signature is keyed by its identity, a backend call's state by
-`DensityMatrix.key()` (the register names and entries rounded to
-`HASH_DECIMALS`), and a configuration by itself: its hash reads only
-register, process and observer, and its rounded key is built only when
-two entries agree on those (`semantics.Configuration`). A hit may
-therefore return the results computed for a state that differs from the
-caller's below that rounding.
+A backend call is keyed by its operator's identity, its targets and its
+state's `DensityMatrix.key()`: the register names and the entries
+rounded to `HASH_DECIMALS`. The key is built only while a memo is open,
+so a call outside a verdict never rounds its state. A hit may return the
+result computed for a state that differs from the caller's below that
+rounding.
 """
 
 from __future__ import annotations
@@ -44,8 +42,8 @@ def scope(stats):
     close it on exit, also by an exception; the memo open before the
     block, if any, is open again after it. On exit, add the block's hits
     and misses to the Counters `stats.memo_hits` and `stats.memo_misses`,
-    by the name of the public function that was called (`apply_superop`,
-    `measure`, `step_genuine`)."""
+    by the name of the public function that was called (`apply_superop`
+    or `measure`)."""
     table = _Table()
     token = _open.set(table)
     try:

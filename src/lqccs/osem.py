@@ -57,7 +57,8 @@ def estep(config: Configuration, sig=None) -> list:
 def estep_genuine(config: Configuration, sig=None) -> list:
     """Moves derivable by the actual rules (no deadlock augmentation): the
     process moves of `step_genuine` under the diamond, then the
-    observer's."""
+    observer's, computed afresh on each call like `step_genuine`'s. The
+    list is the caller's own."""
     if config.is_bot:
         return []
     moves = [(DIAMOND, d) for d in step_genuine(config, sig)]

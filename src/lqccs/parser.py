@@ -7,7 +7,10 @@ branches parse maximally, so `(if e then P else Q) || R` needs the parens.
 
 Program files are a sequence of declarations followed by process
 definitions; earlier definitions may be referenced by name in later ones
-(plain macro expansion, no recursion):
+(plain macro expansion, no recursion, so a binder around a reference
+captures the referenced definition's free names). Declared qubit names
+become qubit atoms after the whole program is read, wherever no binder
+holds them:
 
     channel c : qubit;
     channel m : nat * nat;
@@ -161,7 +164,7 @@ class _Parser:
                 self.next()
                 name = self.ident()
                 self.expect("=")
-                term = self.parse_par(sig, defs)
+                term = self.parse_par(defs)
                 self.expect(";")
                 defs[name] = term
             else:
@@ -184,32 +187,32 @@ class _Parser:
 
     # -- terms
 
-    def parse_par(self, sig, defs):
-        left = self.parse_restr(sig, defs)
+    def parse_par(self, defs):
+        left = self.parse_restr(defs)
         while self.at("||"):
             self.next()
-            left = Par(left, self.parse_restr(sig, defs))
+            left = Par(left, self.parse_restr(defs))
         return left
 
-    def parse_restr(self, sig, defs):
-        term = self.parse_sum(sig, defs)
+    def parse_restr(self, defs):
+        term = self.parse_sum(defs)
         while self.at("\\"):
             self.next()
             term = Restrict(term, self.ident())
         return term
 
-    def parse_sum(self, sig, defs):
-        left = self.parse_prefix(sig, defs)
+    def parse_sum(self, defs):
+        left = self.parse_prefix(defs)
         while self.at("+"):
             self.next()
-            left = Sum(left, self.parse_prefix(sig, defs))
+            left = Sum(left, self.parse_prefix(defs))
         return left
 
-    def parse_prefix(self, sig, defs):
+    def parse_prefix(self, defs):
         tok = self.peek()
         if tok.text == "(":
             self.next()
-            inner = self.parse_par(sig, defs)
+            inner = self.parse_par(defs)
             self.expect(")")
             return inner
         if tok.text == "nil":
@@ -218,66 +221,66 @@ class _Parser:
         if tok.text == "disc":
             self.next()
             self.expect("(")
-            args = self.expr_list(sig, close=")")
+            args = self.expr_list(close=")")
             self.expect(")")
             return Nil(tuple(args))
         if tok.text == "tau":
             self.next()
             self.expect(".")
-            return Tau(self.parse_prefix(sig, defs))
+            return Tau(self.parse_prefix(defs))
         if tok.text == "randbit":
             self.next()
             self.expect("(")
             var = self.ident()
             self.expect(")")
             self.expect(".")
-            return RandBit(var, self.parse_prefix(sig, defs))
+            return RandBit(var, self.parse_prefix(defs))
         if tok.text == "if":
             self.next()
-            cond = self.parse_expr(sig)
+            cond = self.parse_expr()
             self.expect("then")
-            then = self.parse_par(sig, defs)
+            then = self.parse_par(defs)
             self.expect("else")
-            els = self.parse_par(sig, defs)
+            els = self.parse_par(defs)
             return Ite(cond, then, els)
         if tok.kind == "name" and tok.text not in KEYWORDS:
             name = self.next().text
             follow = self.peek()
             if follow.text == "!":
                 self.next()
-                payload = self.send_payload(sig)
+                payload = self.send_payload()
                 return Send(name, payload)
             if follow.text == "?":
                 self.next()
                 vars_ = self.recv_pattern()
                 self.expect(".")
-                return Recv(name, vars_, self.parse_prefix(sig, defs))
+                return Recv(name, vars_, self.parse_prefix(defs))
             if follow.text == "(":
                 self.next()
-                args = self.expr_list(sig, close=None)
+                args = self.expr_list(close=None)
                 if self.at("|>"):
                     self.next()
                     var = self.ident()
                     self.expect(")")
                     self.expect(".")
-                    return Measure(name, tuple(args), var, self.parse_prefix(sig, defs))
+                    return Measure(name, tuple(args), var, self.parse_prefix(defs))
                 self.expect(")")
                 self.expect(".")
-                return ApplyOp(name, tuple(args), self.parse_prefix(sig, defs))
+                return ApplyOp(name, tuple(args), self.parse_prefix(defs))
             if name in defs:
                 return defs[name]
             raise ParseError(f"undefined process name {name!r}", tok.line, tok.col)
         self.fail(f"expected a process term, found {tok.text or 'end of input'!r}")
 
-    def send_payload(self, sig) -> tuple:
+    def send_payload(self) -> tuple:
         # unparenthesized payloads are atoms, so `c!q + d!q` is a process
         # sum; compound payload expressions need parens: c!(x + 1)
         if self.at("("):
             self.next()
-            payload = self.expr_list(sig, close=")")
+            payload = self.expr_list(close=")")
             self.expect(")")
             return tuple(payload)
-        return (self.parse_atom(sig),)
+        return (self.parse_atom(),)
 
     def recv_pattern(self) -> tuple:
         if self.at("("):
@@ -290,64 +293,64 @@ class _Parser:
             return tuple(names)
         return (self.ident(),)
 
-    def expr_list(self, sig, close):
+    def expr_list(self, close):
         args = []
         if close is not None and self.at(close):
             return args
-        args.append(self.parse_expr(sig))
+        args.append(self.parse_expr())
         while self.at(","):
             self.next()
-            args.append(self.parse_expr(sig))
+            args.append(self.parse_expr())
         return args
 
     # -- expressions
 
-    def parse_expr(self, sig):
-        return self.parse_or(sig)
+    def parse_expr(self):
+        return self.parse_or()
 
-    def parse_or(self, sig):
-        left = self.parse_and(sig)
+    def parse_or(self):
+        left = self.parse_and()
         while self.at("or"):
             self.next()
-            left = BinOp("or", left, self.parse_and(sig))
+            left = BinOp("or", left, self.parse_and())
         return left
 
-    def parse_and(self, sig):
-        left = self.parse_cmp(sig)
+    def parse_and(self):
+        left = self.parse_cmp()
         while self.at("and"):
             self.next()
-            left = BinOp("and", left, self.parse_cmp(sig))
+            left = BinOp("and", left, self.parse_cmp())
         return left
 
-    def parse_cmp(self, sig):
-        left = self.parse_add(sig)
+    def parse_cmp(self):
+        left = self.parse_add()
         if self.peek().text in ("=", "<="):
             op = self.next().text
-            return BinOp(op, left, self.parse_add(sig))
+            return BinOp(op, left, self.parse_add())
         return left
 
-    def parse_add(self, sig):
-        left = self.parse_mul(sig)
+    def parse_add(self):
+        left = self.parse_mul()
         while self.peek().text in ("+", "-"):
             op = self.next().text
-            left = BinOp(op, left, self.parse_mul(sig))
+            left = BinOp(op, left, self.parse_mul())
         return left
 
-    def parse_mul(self, sig):
-        left = self.parse_atom(sig)
+    def parse_mul(self):
+        left = self.parse_atom()
         while self.at("*"):
             self.next()
-            left = BinOp("*", left, self.parse_atom(sig))
+            left = BinOp("*", left, self.parse_atom())
         return left
 
-    def parse_atom(self, sig):
+    def parse_atom(self):
         tok = self.peek()
         if tok.text == "not":
             self.next()
-            return Not(self.parse_atom(sig))
+            return Not(self.parse_atom())
         if tok.text == "(":
             self.next()
-            e = self.parse_expr(sig)
+            e = self.parse_expr()
             self.expect(")")
             return e
         if tok.text == "true":
@@ -361,8 +364,6 @@ class _Parser:
             return NatLit(int(tok.text))
         if tok.kind == "name" and tok.text not in KEYWORDS:
             self.next()
-            if sig is not None and tok.text in sig.qubits:
-                return QubitLit(tok.text)
             return Var(tok.text)
         self.fail(f"expected an expression, found {tok.text!r}")
 
@@ -391,7 +392,7 @@ def parse_process(text: str, sig: Signature | None = None):
     discard argument positions are classified as qubit atoms.
     """
     p = _Parser(text)
-    term = p.parse_par(sig, {})
+    term = p.parse_par({})
     tok = p.peek()
     if tok.text != "":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)

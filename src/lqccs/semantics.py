@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 
 from .errors import ChoiceExplosion, EvalError
-from .memo import recall
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
@@ -246,24 +245,14 @@ def _qubit_args(args):
 def step(config: Configuration, sig=None) -> list:
     """All distributions reachable in one reduction; stuck configurations
     (and BOT itself) step to the point distribution on BOT."""
-    if config.is_bot:
-        return [Distribution.point(BOT)]
-    return list(step_genuine(config, sig)) or [Distribution.point(BOT)]
-
-
-def memo_key(config: Configuration, sig):
-    """Memo key of a configuration's moves: the signature by identity
-    (it is unhashable), the configuration by its state key and terms."""
-    return (config, id(sig))
+    return step_genuine(config, sig) or [Distribution.point(BOT)]
 
 
 def step_genuine(config: Configuration, sig=None) -> list:
-    """Reductions derivable by the actual rules (no deadlock augmentation).
-    Within a verdict the list is shared through the memo: do not mutate it."""
-    return recall(_step_genuine, memo_key, config, sig)
-
-
-def _step_genuine(config: Configuration, sig) -> list:
+    """Reductions derivable by the actual rules (no deadlock augmentation),
+    computed afresh on each call; within a verdict only the backend calls
+    of the prefix rules are memoized (`lqccs.memo`). The list is the
+    caller's own."""
     if config.is_bot:
         return []
     return _proc_moves(config.rho, normalize(config.proc), config.obs, sig)

@@ -165,7 +165,7 @@ class TestKeys:
 
     def test_each_signature_uses_its_own_operator(self):
         # the name `U` is X under one signature and I under the other; in
-        # one memo, only the signature tells their moves apart
+        # one memo, each signature's operator is a backend key of its own
         src = (
             "channel c : qubit;\nchannel d : qubit;\nqubit a0;\n"
             "process L = c?x.U(x).d!x;\nprocess R = c?x.X(x).d!x;\n"
@@ -211,10 +211,12 @@ def _swapped(dist):
 
 
 class TestSharedMoves:
+    """Move lists are computed afresh on each call, also within a
+    verdict: a caller that grows the list it got changes no later call."""
+
     def test_estep_does_not_grow_the_stored_moves(self):
         # a stuck configuration: its only enhanced move is the deadlock
-        # diamond that `estep` adds to the genuine moves, whose process
-        # part is the stored list of `step_genuine`
+        # diamond that `estep` adds to the genuine moves
         sig, defs = parse_program("channel c : qubit;\nqubit q;\nprocess L = c!q;\n")
         cfg = make_config(build_state("", sig.qubits), defs["L"])
         with memo.scope(Stats()):
@@ -233,6 +235,16 @@ class TestSharedMoves:
             moves = step(cfg, sig)
             moves.append(Distribution.point(BOT))
             assert len(step(cfg, sig)) == len(step_genuine(cfg, sig)) == 1
+
+
+@pytest.mark.parametrize("mode", ("constrained", "saturated"))
+def test_only_backend_results_are_memoized(mode):
+    # the moves of a configuration are never stored: the memo counts
+    # only the two backend functions, and both run in the phase pair
+    dl, dr, sig = pair(PHASE_SRC)
+    v = distinguish(dl, dr, mode, SearchBounds(), sig)
+    assert set(v.stats.memo_misses) == {"apply_superop", "measure"}
+    assert set(v.stats.memo_hits) <= {"apply_superop", "measure"}
 
 
 def test_the_phase_pair_computes_each_backend_result_once():

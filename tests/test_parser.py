@@ -17,6 +17,7 @@ from lqccs.syntax import (
     Send,
     Sum,
     Tau,
+    Var,
 )
 
 
@@ -83,6 +84,18 @@ def test_process_references_expand():
         """
     )
     assert defs["Q"] == Tau(defs["P"])
+
+
+@pytest.mark.parametrize("qubits_first", (True, False))
+def test_a_bound_name_stays_bound_whatever_the_declaration_order(qubits_first):
+    # q1 is a declared qubit and also the variable of the reception: the
+    # process sends the received qubit, and the declared q2
+    decl = "qubit q1, q2;\n"
+    proc = "process P = c!q2 || c?q1.d!q1;\n"
+    src = "channel c : qubit;\nchannel d : qubit;\n" + (decl + proc if qubits_first else proc + decl)
+    _, defs = parse_program(src)
+    assert defs["P"] == Par(
+        Send("c", (QubitLit("q2"),)), Recv("c", ("q1",), Send("d", (Var("q1"),))))
 
 
 def test_recursion_is_rejected():
