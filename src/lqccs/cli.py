@@ -105,7 +105,7 @@ def _verdict_json(v, bounds: SearchBounds):
             "ancillas": bounds.ancillas,
             "fresh_channels": bounds.fresh_channels,
         },
-        "stats": v.stats.to_json() if hasattr(v, "stats") else None,
+        "stats": v.stats.to_json(),
     }
     if isinstance(v, Distinguished):
         out["witness"] = _witness_json(v.witness)

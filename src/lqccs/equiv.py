@@ -28,7 +28,6 @@ from .osem import (
     R,
     apply_context,
     apply_process_context,
-    estep as estep_augmented,
     estep_genuine,
     lift_estep,
     moves_at,
@@ -43,7 +42,9 @@ from .semantics import (
     Distribution,
     at_index,
     barb_mismatch,
+    config_barbs,
     dist_barbs,
+    exec_view,
     lift_step,
     open_guards,
     proc_barbs,
@@ -68,6 +69,7 @@ from .syntax import (
     cached,
     children,
     free_channels,
+    is_guard,
     map_term,
     observer_violation,
     par_all,
@@ -178,8 +180,6 @@ def syntactically_deterministic(proc) -> bool:
     """Sufficient syntactic condition: no real sums, at most one live
     parallel component, choices only via conditionals or measurement
     outcomes."""
-    from .semantics import exec_view
-
     proc = normalize(proc)
     comps, _ = exec_view(proc)
     live = [c for c in comps if not isinstance(c, Nil)]
@@ -340,8 +340,6 @@ def _refines_upto_raw(ps, pb, memo) -> bool:
         # the inert process refines any ownerless alternative: K == K + 0
         # is a legal congruence step only when the sum types under the
         # empty qubit context
-        from .syntax import is_guard
-
         return is_guard(pb) and not qubit_atoms(pb)
     if isinstance(ps, Par) or isinstance(pb, Par):
         cs = [c for c in par_components(ps) if c != NIL]
@@ -456,12 +454,10 @@ def check_nondet_vs_ite(
     d_big: Distribution,
     bounds: SearchBounds = SearchBounds(),
     sig=None,
-    depth: int | None = None,
 ):
-    """Instance check: every indexed move of the refinement is matched by
-    a same-index move of the refined distribution landing on a refined
-    target. Returns (ok, failure description or None)."""
-    depth = bounds.depth if depth is None else depth
+    """Instance check, to `bounds.depth` moves: every indexed move of the
+    refinement is matched by a same-index move of the refined distribution
+    landing on a refined target. Returns (ok, failure description or None)."""
     if not dist_refines(d_small, d_big):
         return False, "precondition failed: no refinement coupling"
 
@@ -482,7 +478,7 @@ def check_nondet_vs_ite(
                 return ok, why
         return True, None
 
-    return go(d_small, d_big, depth)
+    return go(d_small, d_big, bounds.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +493,6 @@ def config_partial_trace(dist: Distribution, qubits) -> Distribution:
         return dist
 
     def strip(c: Configuration) -> Configuration:
-        if c.is_bot:
-            return c
         comps = par_components(normalize(c.proc))
         discards = [x for x in comps if isinstance(x, Nil)]
         chosen = None
@@ -609,8 +603,6 @@ def superop_closure_pair(dl: Distribution, dr: Distribution, op: qcore.Superoper
     property of certified pairs)."""
 
     def app(c: Configuration) -> Configuration:
-        if c.is_bot:
-            return c
         return Configuration(qcore.apply_superop(op, targets, c.rho), c.proc, c.obs)
 
     return dl.map(app), dr.map(app)
@@ -653,25 +645,19 @@ def ptag_obs(obs, k: str = "", pi=None):
     raise TypeError(f"not an observer: {obs!r}")
 
 
-def ptag(config: Configuration, k: str = "", pi=None) -> Configuration:
+def ptag(config: Configuration, pi=None) -> Configuration:
     """Fold the (tagged) observer into the process component."""
-    if config.is_bot:
-        return BOT
     if pi == DIAMOND:
         pi = None
-    tagged = ptag_obs(normalize_observer(config.obs), k, pi)
+    tagged = ptag_obs(normalize_observer(config.obs), "", pi)
     return Configuration(config.rho, normalize(Par(config.proc, tagged)), NIL)
 
 
-def ptag_dist(dist: Distribution, k: str = "", pi=None) -> Distribution:
-    return dist.map(lambda c: ptag(c, k, pi))
+def ptag_dist(dist: Distribution, pi=None) -> Distribution:
+    return dist.map(lambda c: ptag(c, pi))
 
 
 def _tags_of(config: Configuration) -> frozenset:
-    if config.is_bot:
-        return frozenset()
-    from .semantics import config_barbs
-
     return frozenset(p for p in (tag_path(b) for b in config_barbs(config)) if p is not None)
 
 
@@ -687,10 +673,6 @@ def classify_tagged_move(src_tags: frozenset, dist: Distribution):
         if all(lam not in t and (src_tags - {lam}) <= t for t in elem_tags):
             kinds.add(lam)
     return kinds
-
-
-def _dist_matches(tagged: Distribution, expected: Distribution) -> bool:
-    return tagged.key() == expected.key()
 
 
 def crossvalidate_semantics(config: Configuration, depth: int = 2, sig=None):
@@ -709,11 +691,8 @@ def crossvalidate_semantics(config: Configuration, depth: int = 2, sig=None):
         # every enhanced move corresponds to a tagged standard move
         for idx, succ in enhanced:
             kind = DIAMOND if idx == DIAMOND else _to_tag_key(idx)
-            expected = ptag_dist(succ, "", None if idx == DIAMOND else idx)
-            found = any(
-                kind in kinds and _dist_matches(dist, expected)
-                for dist, kinds in classified
-            )
+            expected = ptag_dist(succ, idx)
+            found = any(kind in kinds and dist == expected for dist, kinds in classified)
             if not found:
                 mismatches.append((cfg, "enhanced move missing on tagged side", idx))
         # every tagged standard move corresponds to an enhanced move
@@ -721,14 +700,14 @@ def crossvalidate_semantics(config: Configuration, depth: int = 2, sig=None):
             for kind in kinds:
                 if kind == DIAMOND:
                     ok = any(
-                        idx == DIAMOND and _dist_matches(dist, ptag_dist(succ))
+                        idx == DIAMOND and dist == ptag_dist(succ)
                         for idx, succ in enhanced
                     )
                 else:
                     ok = any(
                         idx != DIAMOND
                         and _to_tag_key(idx) == kind
-                        and _dist_matches(dist, ptag_dist(succ, "", idx))
+                        and dist == ptag_dist(succ, idx)
                         for idx, succ in enhanced
                     )
                 if not ok:
@@ -939,8 +918,6 @@ def pad_ancillas(dist: Distribution, n: int, taken) -> Distribution:
     anc = qcore.pure_state(qcore.kron_all([qcore.KET0] * n) if n > 1 else qcore.KET0, names)
 
     def pad(c: Configuration) -> Configuration:
-        if c.is_bot:
-            return c
         return Configuration(c.rho.tensor(anc), c.proc, c.obs)
 
     return dist.map(pad)
@@ -1077,14 +1054,15 @@ def _search(dl, dr, mode, bounds, sig, stats):
     contexts = candidate_frames(dl, dr, mode, bounds, sig)
     memo: dict = {}
 
-    def attack(a: Distribution, b: Distribution, depth: int, at_root: bool):
+    def attack(a: Distribution, b: Distribution, depth: int):
         stats.states_visited += 1
         bm = barb_mismatch(dist_barbs(a), dist_barbs(b))
         if bm is not None:
             return BarbLeaf(*bm)
         if depth == 0:
             return None
-        key = (a.key(), b.key(), depth, at_root)
+        at_root = depth == bounds.depth
+        key = (a.key(), b.key(), depth)
         if key in memo:
             return memo[key]
         memo[key] = None
@@ -1121,9 +1099,9 @@ def _search(dl, dr, mode, bounds, sig, stats):
                     beaten = True
                     for resp in theirs:
                         if side == "left":
-                            sub = attack(mv, resp, depth - 1, False)
+                            sub = attack(mv, resp, depth - 1)
                         else:
-                            sub = attack(resp, mv, depth - 1, False)
+                            sub = attack(resp, mv, depth - 1)
                         if sub is None:
                             beaten = False
                             break
@@ -1132,7 +1110,7 @@ def _search(dl, dr, mode, bounds, sig, stats):
                         return AttackStep(side, frame, idx, mv, tuple(refutations))
         return None
 
-    return attack(dl, dr, bounds.depth, True)
+    return attack(dl, dr, bounds.depth)
 
 
 def replay_witness(dl, dr, witness, mode, bounds, sig=None) -> bool:
@@ -1280,8 +1258,8 @@ def advance_scheduled(dist: Distribution, sig=None, max_steps: int = 64):
     trace = [dist]
     for _ in range(max_steps):
         elems = list(dist.items())
-        per = [estep_augmented(c, sig) for c, _ in elems]
-        indices = sorted({i for mv in per for i, _ in _genuine(mv)})
+        per = [estep_genuine(c, sig) for c, _ in elems]
+        indices = sorted({i for mv in per for i, _ in mv})
         if not indices:
             break
         idx = indices[0]

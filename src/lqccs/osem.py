@@ -105,10 +105,10 @@ def lift_estep(dist: Distribution, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> l
     return lift(dist, lambda c: estep(c, sig), cap)
 
 
-def moves_at(dist: Distribution, index: str, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> list:
+def moves_at(dist: Distribution, index: str, sig=None) -> list:
     """Successors of the lifted relation at one index; the deadlock point
     when no element enables it."""
-    return at_index(lift_estep(dist, sig, cap), index)
+    return at_index(lift_estep(dist, sig), index)
 
 
 def apply_context(dist: Distribution, frame) -> Distribution:
@@ -136,8 +136,6 @@ def _attach(dist: Distribution, frame, compose) -> Distribution:
     frame_qubits = qubit_atoms(frame)
 
     def attach(c: Configuration) -> Configuration:
-        if c.is_bot:
-            return c
         owned = qubit_atoms(c.proc) | qubit_atoms(c.obs)
         if frame_qubits & owned:
             raise TypingError(

@@ -5,12 +5,12 @@ sum `+`, prefixes. Prefix continuations are single prefixed terms;
 parenthesize to continue with a parallel or conditional body. Conditional
 branches parse maximally, so `(if e then P else Q) || R` needs the parens.
 
-Program files are a sequence of declarations followed by process
-definitions; earlier definitions may be referenced by name in later ones
-(plain macro expansion, no recursion, so a binder around a reference
-captures the referenced definition's free names). Declared qubit names
-become qubit atoms after the whole program is read, wherever no binder
-holds them:
+Program files are a sequence of declarations and process definitions;
+earlier definitions may be referenced by name in later ones (plain macro
+expansion, no recursion). Declarations are read first, so a definition's
+free declared qubits become qubit atoms before a later binder around a
+reference could capture them; its other free names, `var` names too, can
+still be captured:
 
     channel c : qubit;
     channel m : nat * nat;
@@ -107,8 +107,8 @@ class _Parser:
 
     # -- token helpers
 
-    def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[min(self.i, len(self.tokens) - 1)]
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
@@ -133,7 +133,7 @@ class _Parser:
 
     def parse_program(self):
         sig = Signature()
-        defs = {}
+        bodies = []  # (name, position of the body's first token)
         while not self.at(""):
             tok = self.peek()
             if tok.text == "channel":
@@ -164,11 +164,18 @@ class _Parser:
                 self.next()
                 name = self.ident()
                 self.expect("=")
-                term = self.parse_par(defs)
-                self.expect(";")
-                defs[name] = term
+                bodies.append((name, self.i))
+                while not self.at(";") and not self.at(""):
+                    self.next()
+                self.next()
             else:
                 self.fail(f"expected a declaration, found {tok.text!r}")
+        defs = {}
+        for name, start in bodies:
+            self.i = start
+            defs[name] = _classify_free_names(self.parse_par(defs), sig)
+            check_process_sorts(defs[name])
+            self.expect(";")
         if not defs:
             self.fail("program has no process definitions")
         return sig, defs
@@ -378,11 +385,7 @@ def _classify_free_names(term, sig: Signature):
 
 def parse_program(text: str):
     """Parse a full program file: (Signature, {name: term})."""
-    sig, defs = _Parser(text).parse_program()
-    defs = {name: _classify_free_names(t, sig) for name, t in defs.items()}
-    for t in defs.values():
-        check_process_sorts(t)
-    return sig, defs
+    return _Parser(text).parse_program()
 
 
 def parse_process(text: str, sig: Signature | None = None):

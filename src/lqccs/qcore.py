@@ -178,7 +178,7 @@ class DensityMatrix:
 class Superoperator:
     """Completely positive map given by its Kraus decomposition."""
 
-    __slots__ = ("arity", "kraus", "trace_preserving")
+    __slots__ = ("arity", "kraus")
 
     def __init__(self, kraus, trace_preserving: bool = True, check: bool = True):
         kraus = [_as_array(k) for k in kraus]
@@ -201,7 +201,6 @@ class Superoperator:
                     raise ValueError("Kraus sum exceeds identity")
         self.arity = n
         self.kraus = kraus
-        self.trace_preserving = trace_preserving
 
     @staticmethod
     def unitary(u) -> "Superoperator":

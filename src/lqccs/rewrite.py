@@ -252,12 +252,8 @@ def _normalize_restrict(body, chan):
     return par_all(comps)
 
 
-def congruent(p, q, env=None) -> bool:
+def congruent(p, q) -> bool:
     """Structural congruence via canonical forms."""
-    if env:
-        for var, value in env.items():
-            p = substitute(p, var, value)
-            q = substitute(q, var, value)
     return normalize(p) == normalize(q)
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ChoiceExplosion, EvalError
+from .errors import ChoiceExplosion, EvalError, TypingError
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
-from .rewrite import normalize, normalize_observer, substitute_many
+from .rewrite import eval_expr, normalize, normalize_observer, substitute_many, value_to_expr
 from .syntax import (
     NIL,
     ApplyOp,
@@ -32,6 +32,7 @@ from .syntax import (
     par_components,
     sum_guards,
 )
+from .typecheck import typecheck
 
 BOT_BARB = "⊥"
 DEFAULT_CHOICE_CAP = 100_000
@@ -153,8 +154,8 @@ class Distribution:
         return f"{{{parts}}}"
 
     def map(self, f) -> "Distribution":
-        """Push each configuration through f (BOT maps to BOT)."""
-        return Distribution([(f(c), p) for c, p in self.support.items()])
+        """Push each configuration through f; BOT stays BOT, unseen by f."""
+        return Distribution([(c if c.is_bot else f(c), p) for c, p in self.support.items()])
 
     def bot_mass(self) -> float:
         return self.support.get(BOT, 0.0)
@@ -184,7 +185,12 @@ def exec_view(proc):
     """Flatten a normalized process into parallel components under one
     top restriction set. Restricted blobs merge when scope extension over
     the siblings is legal (no free-channel capture); otherwise they stay
-    opaque components that only step internally."""
+    opaque components that only step internally.
+
+    Restricted channels are never renamed apart: a blob whose restricted
+    channel is also free beside it never communicates, so the open e?y.d!y
+    of `(d?w.nil || e?y.d!y) \\ d || d!5 || e!3` never takes e!3, and the
+    term is told apart from its alpha-variant (README, scope notes)."""
     comps = par_components(proc)
     out = []
     restricted: set = set()
@@ -221,8 +227,6 @@ def _payload_values(payload):
         if isinstance(e, QubitLit):
             vals.append(e)
         else:
-            from .rewrite import eval_expr, value_to_expr
-
             try:
                 vals.append(value_to_expr(eval_expr(e)))
             except EvalError:
@@ -449,20 +453,14 @@ def barb_mismatch(b1: dict, b2: dict):
 
 def config_typing(config: Configuration, sig):
     """(register names, owned qubits) of a well-typed configuration."""
-    from .typecheck import typecheck
-
     if config.is_bot:
         return None
     sp = typecheck(sig, config.proc)
     sr = typecheck(sig, config.obs) if config.obs != NIL else frozenset()
     if sp & sr:
-        from .errors import TypingError
-
         raise TypingError(f"process and observer share qubits {sorted(sp & sr)}")
     reg = frozenset(config.rho.register.names)
     if not (sp | sr) <= reg:
-        from .errors import TypingError
-
         raise TypingError(f"owned qubits {sorted((sp | sr) - reg)} missing from the state")
     return (frozenset(config.rho.register.names), sp | sr)
 

@@ -429,6 +429,3 @@ class Signature:
             dict(self.operators),
             dict(self.measurements),
         )
-
-    def channel_type(self, chan: str):
-        return self.channels.get(chan)

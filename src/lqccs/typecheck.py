@@ -120,7 +120,7 @@ def _check(term, env, sig, order) -> frozenset:
             )
         return inner
     if isinstance(term, Recv):
-        ct = sig.channel_type(term.chan)
+        ct = sig.channels.get(term.chan)
         if ct is None:
             raise ChannelTypeError(f"undeclared channel {term.chan!r}")
         if len(ct) != len(term.vars):
@@ -143,7 +143,7 @@ def _check(term, env, sig, order) -> frozenset:
                 )
         return inner - frozenset(qvars)
     if isinstance(term, Send):
-        ct = sig.channel_type(term.chan)
+        ct = sig.channels.get(term.chan)
         if ct is None:
             raise ChannelTypeError(f"undeclared channel {term.chan!r}")
         if len(ct) != len(term.payload):

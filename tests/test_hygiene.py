@@ -1,11 +1,12 @@
 """Source hygiene checks that need no linter: every name a module of the
 package imports must be used in that module, every function or class a
-module defines must be named somewhere else in the repository, and every
-parameter of a function must be read by its body."""
+module defines must be named somewhere else in the repository, every
+parameter of a function must be read by its body, and every defaulted
+parameter must be passed by some call."""
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,72 @@ def test_unread_parameter_is_reported():
         "def f(x, *rest, key=None, **extra):\n    g = lambda unused: x\n    return g, extra\n"
     )
     assert unread_parameters(src) == [(2, "m", "b"), (6, "f", "key"), (6, "f", "rest")]
+
+
+def unpassed_defaults(modules: dict, others: list) -> list:
+    """(module, "function.parameter") for each defaulted parameter of a
+    function of `modules` (file name -> source) that no call in `modules` or
+    `others` passes, by position or by keyword.
+
+    Calls are matched by the name they call: `f(...)` and `x.f(...)` both
+    reach every function named `f`, and `C(...)` reaches `C.__init__`.
+    Functions that share a name pool their calls, so a collision can only
+    let an unpassed default through, never report a passed one. A method's
+    positions start after `self` or `cls`; a call with `*args` passes every
+    position from the star on, and one with `**kwargs` every parameter."""
+    passed = defaultdict(set)  # called name -> positions, keywords, "*" marks
+    for source in list(modules.values()) + others:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            got = passed[getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    got.add(("*", i))
+                    break
+                got.add(i)
+            got.update(kw.arg or "**" for kw in node.keywords)
+    out = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        classes = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            if id(node) in classes and not static:
+                positional = positional[1:]
+            callee = classes[id(node)] if node.name == "__init__" else node.name
+            got = passed[callee]
+            stars = [i for i in got if isinstance(i, tuple)]
+            defaulted = list(enumerate(positional))[len(positional) - len(a.defaults):]
+            defaulted += [(None, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            out.extend(
+                (module, f"{node.name}.{p.arg}")
+                for i, p in defaulted
+                if "**" not in got and p.arg not in got and i not in got
+                and not (i is not None and any(j <= i for _, j in stars))
+            )
+    return sorted(out)
+
+
+def test_every_default_is_passed_somewhere():
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text() for d in ("tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unpassed_defaults(modules, others) == []
+
+
+def test_unpassed_default_is_reported():
+    src = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n\n\n"
+        "def g(a, b=1, c=2):\n    pass\n\n\n"
+        "def h(a=0, b=1):\n    pass\n\n\n"
+        "class C:\n"
+        "    def __init__(self, x, y=0):\n        pass\n\n"
+        "    def m(self, u=0, v=1):\n        pass\n"
+    )
+    calls = "f(0, 1)\nf(0, d=4)\ng(0, *rest)\nh(**opts)\nC(1, 2)\nC(1).m(5)\n"
+    assert unpassed_defaults({"m.py": src}, [calls]) == [("m.py", "f.c"), ("m.py", "m.v")]

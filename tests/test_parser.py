@@ -98,6 +98,17 @@ def test_a_bound_name_stays_bound_whatever_the_declaration_order(qubits_first):
         Send("c", (QubitLit("q2"),)), Recv("c", ("q1",), Send("d", (Var("q1"),))))
 
 
+@pytest.mark.parametrize("qubits_first", (True, False))
+def test_a_referenced_definition_keeps_its_declared_qubits(qubits_first):
+    # A sends the declared q; B's binder of the same name, around the
+    # reference, must not capture it
+    decl = "qubit q;\n"
+    procs = "process A = c!q;\nprocess B = d?q.A;\n"
+    src = "channel c : qubit;\nchannel d : qubit;\n" + (decl + procs if qubits_first else procs + decl)
+    _, defs = parse_program(src)
+    assert defs["B"] == Recv("d", ("q",), Send("c", (QubitLit("q"),)))
+
+
 def test_recursion_is_rejected():
     with pytest.raises(ParseError):
         parse_program("channel a : nat; process P = tau.P;")

@@ -138,6 +138,18 @@ class TestLift:
         )
         assert lift_step(d) == [Distribution.point(BOT)]
 
+    def test_map_leaves_bot_without_calling_f(self):
+        d = mixture(Distribution.point(cfg(k0("q"), "k!0 || disc(q)")), Distribution.point(BOT), 0.5)
+
+        def f(c):
+            if c.is_bot:
+                raise AssertionError("f called on BOT")
+            return make_config(c.rho, P("l!0 || disc(q)"))
+
+        out = d.map(f)
+        assert abs(out.bot_mass() - 0.5) < 1e-9
+        assert dist_barbs(out) == {"l": 0.5, BOT_BARB: 0.5}
+
     def test_choice_cap(self):
         two = "tau.(k!0 || disc(q)) + tau.(k!1 || disc(q))"
         d = mixture(
