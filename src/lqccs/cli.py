@@ -54,6 +54,15 @@ def _load(path: str):
         return parse_program(fh.read())
 
 
+def _initial(args):
+    """The signature of the program in `args.file` and a function from a
+    process name to the point distribution on that process, in the state
+    `args.state` over the declared register."""
+    sig, defs = _load(args.file)
+    state = build_state(args.state, sig.qubits)
+    return sig, lambda name: Distribution.point(make_config(state, _pick(defs, name)))
+
+
 def _pick(defs: dict, name):
     if name is None:
         return list(defs.values())[-1]
@@ -219,11 +228,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "run":
-        sig, defs = _load(args.file)
-        term = _pick(defs, args.process)
-        state = build_state(args.state, sig.qubits)
-        d = Distribution.point(make_config(state, term))
-        tree = _tree_json(d, sig, args.depth, args.mode, args.emit_state)
+        sig, point = _initial(args)
+        tree = _tree_json(point(args.process), sig, args.depth, args.mode, args.emit_state)
         if args.json:
             print(json.dumps(tree, indent=2))
         else:
@@ -231,44 +237,30 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "barbs":
-        sig, defs = _load(args.file)
-        term = _pick(defs, args.process)
-        state = build_state(args.state, sig.qubits)
-        d = Distribution.point(make_config(state, term))
-        print(json.dumps(dist_barbs(d), indent=2, sort_keys=True))
+        _, point = _initial(args)
+        print(json.dumps(dist_barbs(point(args.process)), indent=2, sort_keys=True))
         return 0
 
     if args.cmd == "distinguish":
-        sig, defs = _load(args.file)
-        state = build_state(args.state, sig.qubits)
-        dl = Distribution.point(make_config(state, _pick(defs, args.left)))
-        dr = Distribution.point(make_config(state, _pick(defs, args.right)))
+        sig, point = _initial(args)
         bounds = SearchBounds(
             context_size=args.ctx_size, depth=args.depth, ancillas=args.ancillas
         )
-        v = distinguish(dl, dr, args.mode, bounds, sig)
+        v = distinguish(point(args.left), point(args.right), args.mode, bounds, sig)
         print(json.dumps(_verdict_json(v, bounds), indent=2))
         return 0
 
     if args.cmd == "certify":
-        sig, defs = _load(args.file)
-        state = build_state(args.state, sig.qubits)
-        dl = Distribution.point(make_config(state, _pick(defs, args.left)))
-        dr = Distribution.point(make_config(state, _pick(defs, args.right)))
+        sig, point = _initial(args)
         bounds = SearchBounds()
-        v = certify(dl, dr, bounds, sig)
+        v = certify(point(args.left), point(args.right), bounds, sig)
         print(json.dumps(_verdict_json(v, bounds), indent=2))
         return 0 if isinstance(v, CertifiedBisimilar) else 1
 
     if args.cmd == "check-candidate":
-        sig, defs = _load(args.file)
-        state = build_state(args.state, sig.qubits)
-        pairs = []
-        for spec in args.pair:
-            lname, _, rname = spec.partition(":")
-            dl = Distribution.point(make_config(state, _pick(defs, lname)))
-            dr = Distribution.point(make_config(state, _pick(defs, rname)))
-            pairs.append((dl, dr))
+        sig, point = _initial(args)
+        names = (spec.partition(":") for spec in args.pair)
+        pairs = [(point(lname), point(rname)) for lname, _, rname in names]
         bounds = SearchBounds()
         v = check_candidate(pairs, args.mode, bounds, args.upto_cv, sig)
         print(json.dumps(_verdict_json(v, bounds), indent=2))

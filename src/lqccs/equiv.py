@@ -575,15 +575,8 @@ def replay_measurement_witness(
     use_sig = (sig.copy() if sig is not None else Signature())
     use_sig.measurements = dict(use_sig.measurements)
     use_sig.measurements["Mwitness"] = witness.measurement
-    frame = Measure(
-        "Mwitness",
-        tuple(QubitLit(q) for q in witness.targets),
-        "y",
-        Par(
-            Ite(BinOp("=", Var("y"), NatLit(0)), Send(witness.flag, (NatLit(0),)), Nil()),
-            Nil(tuple(QubitLit(q) for q in witness.targets)),
-        ),
-    )
+    targets = tuple(QubitLit(q) for q in witness.targets)
+    frame = _measure_flag_body("Mwitness", targets, 0, witness.flag, None)
     got = []
     for d in (dl, dr):
         ctx = apply_context(d, frame)
@@ -780,15 +773,15 @@ def _channel_usage(dists, sig):
     return sends, recvs
 
 
-def _measure_flag_body(meas: str, target, outcome: int, flag_a: str, flag_b):
-    """M(x |> y).((if y = outcome then a!0 else b!0/nil) || disc x)"""
+def _measure_flag_body(meas: str, targets: tuple, outcome: int, flag_a: str, flag_b):
+    """M(targets |> y).((if y = outcome then a!0 else b!0/nil) || disc targets)"""
     els = Send(flag_b, (NatLit(0),)) if flag_b else Nil()
     return Measure(
         meas,
-        (target,),
+        targets,
         "y",
         Par(Ite(BinOp("=", Var("y"), NatLit(outcome)), Send(flag_a, (NatLit(0),)), els),
-            Nil((target,))),
+            Nil(targets)),
     )
 
 
@@ -814,10 +807,10 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
         pieces.append(Recv(c, ("x",), Nil((x,))))
         pieces.append(Recv(c, ("x",), ApplyOp("I", (x,), Nil((x,)))))
         for meas in ("M01", "Mpm"):
-            pieces.append(Recv(c, ("x",), _measure_flag_body(meas, x, 0, flags[0], flags[1])))
+            pieces.append(Recv(c, ("x",), _measure_flag_body(meas, (x,), 0, flags[0], flags[1])))
             for outcome in (0, 1):
                 pieces.append(
-                    Recv(c, ("x",), _measure_flag_body(meas, x, outcome, flags[0], None))
+                    Recv(c, ("x",), _measure_flag_body(meas, (x,), outcome, flags[0], None))
                 )
         # two receptions on the same channel, then a joint measurement
         x2, y2 = Var("x"), Var("y")
@@ -867,8 +860,8 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
             x = Var("x")
             if len(flags) >= 4:
                 body = Sum(
-                    _measure_flag_body("M01", x, 0, flags[0], flags[1]),
-                    _measure_flag_body("Mpm", x, 0, flags[2], flags[3]),
+                    _measure_flag_body("M01", (x,), 0, flags[0], flags[1]),
+                    _measure_flag_body("Mpm", (x,), 0, flags[2], flags[3]),
                 )
                 frames.append(Recv(c, ("x",), body))
     # parallel pairs; components must not share ancilla qubits

@@ -209,6 +209,36 @@ def normalize(t):
     return map_term(t, lambda c, bound: normalize(c), _norm_expr)
 
 
+def extend_scopes(comps, chans):
+    """Scope extension, `(P \\ c) || Q ≡ (P || Q) \\ c` when c is not free
+    in Q, over the parallel components `comps` of a term restricted on
+    `chans`. Each restricted component is replaced, in place, by the
+    components under its chain of restrictions, whose channels join
+    `chans`; the components spliced in are examined next. A component
+    whose chain channels meet `chans` or a free channel of another
+    component stays opaque, since restricted channels are never renamed
+    apart (README, scope notes). This is the one place that decides
+    whether a restriction's scope may extend; it builds no term."""
+    comps = list(comps)
+    chans = frozenset(chans)
+    i = 0
+    while i < len(comps):
+        body = comps[i]
+        if not isinstance(body, Restrict):
+            i += 1
+            continue
+        chain = set()
+        while isinstance(body, Restrict):
+            chain.add(body.chan)
+            body = body.body
+        if chain & chans or any(chain & free_channels(x) for j, x in enumerate(comps) if j != i):
+            i += 1
+        else:
+            comps[i:i + 1] = par_components(body)
+            chans |= chain
+    return comps, chans
+
+
 def _normalize_restrict(body, chan):
     """body is already normalized; compute the canonical form of the whole
     restriction chain rooted here. Component-level restrictions whose
@@ -216,30 +246,10 @@ def _normalize_restrict(body, chan):
     every channel is pushed back inward in a fixed order, so congruent
     nestings canonicalize alike."""
     chans = {chan}
-    core = body
-    while isinstance(core, Restrict):
-        chans.add(core.chan)
-        core = core.body
-    comps = par_components(core)
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(comps):
-            if not isinstance(c, Restrict):
-                continue
-            inner_chans = set()
-            cc = c
-            while isinstance(cc, Restrict):
-                inner_chans.add(cc.chan)
-                cc = cc.body
-            siblings = [x for j, x in enumerate(comps) if j != i]
-            sibling_fc = frozenset().union(*map(free_channels, siblings)) if siblings else frozenset()
-            if inner_chans & sibling_fc or inner_chans & chans:
-                continue  # extension would capture or shadow: keep opaque
-            comps = siblings + par_components(cc)
-            chans |= inner_chans
-            changed = True
-            break
+    while isinstance(body, Restrict):
+        chans.add(body.chan)
+        body = body.body
+    comps, chans = extend_scopes(par_components(body), chans)
     for c in sorted(chans):
         rest, using = [], []
         for x in comps:

@@ -15,7 +15,8 @@ from .errors import ChoiceExplosion, EvalError, TypingError
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
-from .rewrite import eval_expr, normalize, normalize_observer, substitute_many, value_to_expr
+from .rewrite import (eval_expr, extend_scopes, normalize, normalize_observer, substitute_many,
+                      value_to_expr)
 from .syntax import (
     NIL,
     ApplyOp,
@@ -27,7 +28,6 @@ from .syntax import (
     Send,
     Tau,
     cached,
-    free_channels,
     par_all,
     par_components,
     sum_guards,
@@ -182,36 +182,13 @@ def mixture(d1: Distribution, d2: Distribution, p: float) -> Distribution:
 
 
 def exec_view(proc):
-    """Flatten a normalized process into parallel components under one
-    top restriction set. Restricted blobs merge when scope extension over
-    the siblings is legal (no free-channel capture); otherwise they stay
-    opaque components that only step internally.
-
-    Restricted channels are never renamed apart: a blob whose restricted
-    channel is also free beside it never communicates, so the open e?y.d!y
+    """The parallel components of a normalized process and the channels
+    restricted over all of them: `rewrite.extend_scopes` on its top-level
+    components. A restricted component whose scope may not extend stays
+    an opaque component that only steps internally, so the open e?y.d!y
     of `(d?w.nil || e?y.d!y) \\ d || d!5 || e!3` never takes e!3, and the
     term is told apart from its alpha-variant (README, scope notes)."""
-    comps = par_components(proc)
-    out = []
-    restricted: set = set()
-    for i, comp in enumerate(comps):
-        if isinstance(comp, Restrict):
-            chain = set()
-            inner = comp
-            while isinstance(inner, Restrict):
-                chain.add(inner.chan)
-                inner = inner.body
-            inner_comps, inner_restr = exec_view(inner)
-            all_restr = chain | set(inner_restr)
-            sibling_fc = frozenset().union(*map(free_channels, comps[:i] + comps[i + 1:]))
-            if all_restr & sibling_fc or all_restr & restricted:
-                out.append(comp)
-            else:
-                out.extend(inner_comps)
-                restricted |= all_restr
-        else:
-            out.append(comp)
-    return out, frozenset(restricted)
+    return extend_scopes(par_components(proc), ())
 
 
 def _rebuild(comps, restricted) -> object:

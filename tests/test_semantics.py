@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genterms import TermGen, make_signature, random_density
 from lqccs import qcore
 from lqccs.errors import ChoiceExplosion
 from lqccs.parser import parse_process
+from lqccs.parser import pretty
 from lqccs.rewrite import normalize
+from lqccs.syntax import Par, Recv, Restrict, free_channels
 from lqccs.semantics import (
     BOT,
     BOT_BARB,
     Configuration,
     Distribution,
     dist_barbs,
+    exec_view,
     lift_step,
     make_config,
     mixture,
@@ -191,14 +196,50 @@ class TestBarbs:
 
 
 def test_restriction_masks_barbs_on_generated_terms():
-    from lqccs.syntax import Restrict
-
     for seed in range(60):
         gen = TermGen(seed, SIG)
         proc = gen.process(frozenset({"q1"}), {}, 3)
         base = proc_barbs(proc)
         for chan in ("c", "k"):
             assert proc_barbs(Restrict(proc, chan)) == base - {chan}
+
+
+class TestExecView:
+    def test_scope_extends_past_a_clashing_inner_blob(self):
+        # the outer `\ c` may extend over k?x.k!2, the inner `\ k` may not
+        sig = make_signature()
+        proc = normalize(parse_process(
+            "(k?x.k!2 || c!q1 || M01(q2 |> m).(k!0 || c!q2) \\ k) \\ c", sig))
+        assert pretty(proc) == "(M01(q2 |> m).(c!q2 || k!0) \\ k || c!q1) \\ c || k?x.k!2"
+        comps, restricted = exec_view(proc)
+        assert restricted == {"c"}
+        assert sorted(map(pretty, comps)) == ["M01(q2 |> m).(c!q2 || k!0) \\ k", "c!q1", "k?x.k!2"]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=1_000_000))
+    def test_no_extendable_blob_is_left_opaque(self, seed):
+        # sixteen terms (p || q \ ch1) \ ch2 || r over generated p, q and r,
+        # some behind a reception on k: a blob exec_view keeps opaque has a
+        # chain channel that is restricted already or free in another component
+        gen = TermGen(seed)
+        rng = gen.rng
+
+        def part():
+            owned = frozenset(rng.choice(((), ("q1",), ("q2",), ("o1",))))
+            t = gen.process(owned, {}, rng.randrange(3))
+            return Recv("k", ("x",), t) if rng.random() < 0.5 else t
+
+        for _ in range(16):
+            p, q, r = part(), part(), part()
+            proc = Par(Restrict(Par(p, Restrict(q, rng.choice("ck"))), rng.choice("ck")), r)
+            comps, restricted = exec_view(normalize(proc))
+            for i, comp in enumerate(comps):
+                chain = set()
+                while isinstance(comp, Restrict):
+                    chain.add(comp.chan)
+                    comp = comp.body
+                others = [free_channels(x) for j, x in enumerate(comps) if j != i]
+                assert not chain or chain & restricted.union(*others), pretty(proc)
 
 
 class TestTypingPreservation:
