@@ -13,6 +13,7 @@ equality in both modes and the density quotient in constrained mode only
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import Counter
@@ -319,82 +320,59 @@ def refines_upto(p_small, p_big) -> bool:
     """Refinement modulo structural congruence (canonical forms rearrange
     sums and parallels and drop inert units, so the plain syntactic
     relation is matched through multiset alignments and guard subsets).
-    Sound for deciding the lifted relation on canonicalized terms."""
-    return _refines_upto(normalize(p_small), normalize(p_big), {})
+    Sound for deciding the lifted relation on canonicalized terms.
 
+    The recursion needs no cycle guard: every call is on a pair whose
+    combined size is strictly smaller, since one side shrinks to a proper
+    sub-term (or to nil) while the other side does not grow."""
 
-def _refines_upto(ps, pb, memo) -> bool:
-    key = (ps, pb)
-    if key in memo:
-        return memo[key]
-    memo[key] = False  # cycle guard; sizes strictly decrease anyway
-    result = _refines_upto_raw(ps, pb, memo)
-    memo[key] = result
-    return result
-
-
-def _refines_upto_raw(ps, pb, memo) -> bool:
-    if ps == pb:
-        return True
-    if ps == NIL:
-        # the inert process refines any ownerless alternative: K == K + 0
-        # is a legal congruence step only when the sum types under the
-        # empty qubit context
-        return is_guard(pb) and not qubit_atoms(pb)
-    if isinstance(ps, Par) or isinstance(pb, Par):
-        cs = [c for c in par_components(ps) if c != NIL]
-        cb = [c for c in par_components(pb) if c != NIL]
-        if len(cs) > len(cb):
-            return False
-        # injective matching; leftover components must collapse to nil
-        return _match_components(cs, cb, memo)
-    big_guards = sum_guards(pb) if isinstance(pb, Sum) else None
-    if isinstance(ps, Ite) and (big_guards is not None or not isinstance(pb, Ite)):
-        guards = big_guards if big_guards is not None else [pb]
-        for mask in range(1 << len(guards)):
-            part1 = [g for i, g in enumerate(guards) if mask >> i & 1]
-            part2 = [g for i, g in enumerate(guards) if not mask >> i & 1]
-            if (not part1 or not part2) and qubit_atoms(pb):
-                continue  # an empty side stands for an ill-typed 0-branch
-            left = normalize(sum_all(part1)) if part1 else NIL
-            right = normalize(sum_all(part2)) if part2 else NIL
-            if _refines_upto(ps.then, left, memo) and _refines_upto(ps.els, right, memo):
-                return True
-        return False
-    if big_guards is not None:
-        small_guards = sum_guards(ps) if isinstance(ps, Sum) else [ps]
-        if len(small_guards) > len(big_guards):
-            return False
-        return _match_guards(small_guards, big_guards, memo)
-    # same constructor and same non-term fields: refine the sub-terms pairwise
-    if _label(ps) != _label(pb):
-        return False
-    return all(_refines_upto(s, b, memo) for s, b in zip(children(ps), children(pb)))
-
-
-def _label(t):
-    """The node with its sub-terms blanked out."""
-    return map_term(t, lambda c, bound: None, lambda e: e)
-
-
-def _match_components(cs, cb, memo) -> bool:
-    if not cs:
-        return all(_refines_upto(NIL, b, memo) for b in cb)
-    head, rest = cs[0], cs[1:]
-    for j, b in enumerate(cb):
-        if _refines_upto(head, b, memo) and _match_components(rest, cb[:j] + cb[j + 1 :], memo):
+    @functools.cache
+    def rec(ps, pb) -> bool:
+        if ps == pb:
             return True
-    return False
+        if ps == NIL:
+            # the inert process refines any ownerless alternative: K == K + 0
+            # is a legal congruence step only when the sum types under the
+            # empty qubit context
+            return is_guard(pb) and not qubit_atoms(pb)
+        if isinstance(ps, Par) or isinstance(pb, Par):
+            # leftover components must collapse to nil
+            return match([c for c in par_components(ps) if c != NIL],
+                         [c for c in par_components(pb) if c != NIL], lambda b: rec(NIL, b))
+        big_guards = sum_guards(pb) if isinstance(pb, Sum) else None
+        if isinstance(ps, Ite) and (big_guards is not None or not isinstance(pb, Ite)):
+            guards = big_guards if big_guards is not None else [pb]
+            for mask in range(1 << len(guards)):
+                part1 = [g for i, g in enumerate(guards) if mask >> i & 1]
+                part2 = [g for i, g in enumerate(guards) if not mask >> i & 1]
+                if (not part1 or not part2) and qubit_atoms(pb):
+                    continue  # an empty side stands for an ill-typed 0-branch
+                left = normalize(sum_all(part1)) if part1 else NIL
+                right = normalize(sum_all(part2)) if part2 else NIL
+                if rec(ps.then, left) and rec(ps.els, right):
+                    return True
+            return False
+        if big_guards is not None:
+            # leftover alternatives are dropped by collapsing
+            return match(sum_guards(ps) if isinstance(ps, Sum) else [ps], big_guards,
+                         lambda b: True)
+        # same constructor and same non-term fields: refine the sub-terms pairwise
+        kids = iter(children(pb))
+        return (type(ps) is type(pb)
+                and map_term(ps, lambda c, bound: next(kids), lambda e: e) is pb
+                and all(rec(s, b) for s, b in zip(children(ps), children(pb))))
 
+    def match(small, big, leftover) -> bool:
+        """Whether each of `small` refines its own member of `big`, with
+        `leftover` true of every member of `big` left over."""
+        if len(small) > len(big):
+            return False
+        if not small:
+            return all(map(leftover, big))
+        return any(rec(small[0], b) and match(small[1:], big[:j] + big[j + 1 :], leftover)
+                   for j, b in enumerate(big))
 
-def _match_guards(small, big, memo) -> bool:
-    if not small:
-        return True  # leftover alternatives are dropped by collapsing
-    head, rest = small[0], small[1:]
-    for j, b in enumerate(big):
-        if _refines_upto(head, b, memo) and _match_guards(rest, big[:j] + big[j + 1 :], memo):
-            return True
-    return False
+    return rec(normalize(p_small), normalize(p_big))
 
 
 def config_refines(cs: Configuration, cb: Configuration) -> bool:
@@ -421,16 +399,10 @@ def dist_refines(ds: Distribution, db: Distribution) -> bool:
     ]
     if not edges:
         return False
-    a_eq = []
-    b_eq = []
-    for i, (_, p) in enumerate(e1):
-        row = [1.0 if ei == i else 0.0 for ei, _ in edges]
-        a_eq.append(row)
-        b_eq.append(p)
-    for j, (_, p) in enumerate(e2):
-        row = [1.0 if ej == j else 0.0 for _, ej in edges]
-        a_eq.append(row)
-        b_eq.append(p)
+    # one equation per element of either side: its mass is the flow on its edges
+    a_eq = [[1.0 if edge[side] == k else 0.0 for edge in edges]
+            for side, elems in enumerate((e1, e2)) for k in range(len(elems))]
+    b_eq = [p for elems in (e1, e2) for _, p in elems]
     return _feasible(a_eq, b_eq)
 
 
@@ -486,39 +458,25 @@ def check_nondet_vs_ite(
 
 
 def config_partial_trace(dist: Distribution, qubits) -> Distribution:
-    """Remove a discard component owning exactly `qubits` from every
-    element and trace those qubits out of the state."""
+    """Remove the discards owning `qubits` from every element and trace
+    those qubits out of the state. Linear typing gives parallel components
+    disjoint qubits, so these are the `Nil` components owning only qubits
+    among `qubits`; ShapeError if they do not own each exactly once (as
+    when an ill-typed element's discards overlap)."""
     qset = frozenset(qubits)
     if not qset:
         return dist
 
+    def traced(x) -> bool:
+        return isinstance(x, Nil) and bool(qubit_atoms(x)) and qubit_atoms(x) <= qset
+
     def strip(c: Configuration) -> Configuration:
         comps = par_components(normalize(c.proc))
-        discards = [x for x in comps if isinstance(x, Nil)]
-        chosen = None
-        for k in range(1, len(discards) + 1):
-            for combo in itertools.combinations(discards, k):
-                names: set = set()
-                ok = True
-                for d in combo:
-                    dn = {e.name for e in d.discards if isinstance(e, QubitLit)}
-                    if dn & names:
-                        ok = False
-                        break
-                    names |= dn
-                if ok and names == qset:
-                    chosen = list(combo)
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
+        if sorted(q for x in comps if traced(x) for q in qubit_atoms(x)) != sorted(qset):
             raise ShapeError(
                 f"element {pretty(c.proc)} does not discard exactly {sorted(qset)}"
             )
-        remaining = list(comps)
-        for d in chosen:
-            remaining.remove(d)
-        new_proc = normalize(par_all(remaining) if remaining else NIL)
+        new_proc = normalize(par_all([x for x in comps if not traced(x)]))
         return Configuration(partial_trace(c.rho, sorted(qset)), new_proc, c.obs)
 
     return dist.map(strip)

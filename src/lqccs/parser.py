@@ -104,6 +104,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
+        self.defs = {}  # process definitions read so far, by name
 
     # -- token helpers
 
@@ -140,12 +141,8 @@ class _Parser:
                 self.next()
                 name = self.ident()
                 self.expect(":")
-                types = [self.base_type()]
-                while self.at("*"):
-                    self.next()
-                    types.append(self.base_type())
+                sig.channels[name] = self.separated(self.base_type, "*")
                 self.expect(";")
-                sig.channels[name] = tuple(types)
             elif tok.text == "var":
                 self.next()
                 name = self.ident()
@@ -154,12 +151,8 @@ class _Parser:
                 self.expect(";")
             elif tok.text == "qubit":
                 self.next()
-                names = [self.ident()]
-                while self.at(","):
-                    self.next()
-                    names.append(self.ident())
+                sig.qubits = sig.qubits + self.separated(self.ident, ",")
                 self.expect(";")
-                sig.qubits = sig.qubits + tuple(names)
             elif tok.text == "process":
                 self.next()
                 name = self.ident()
@@ -170,15 +163,14 @@ class _Parser:
                 self.next()
             else:
                 self.fail(f"expected a declaration, found {tok.text!r}")
-        defs = {}
         for name, start in bodies:
             self.i = start
-            defs[name] = _classify_free_names(self.parse_par(defs), sig)
-            check_process_sorts(defs[name])
+            self.defs[name] = _classify_free_names(self.parse_par(), sig)
+            check_process_sorts(self.defs[name])
             self.expect(";")
-        if not defs:
+        if not self.defs:
             self.fail("program has no process definitions")
-        return sig, defs
+        return sig, self.defs
 
     def ident(self) -> str:
         tok = self.next()
@@ -192,34 +184,42 @@ class _Parser:
             raise ParseError(f"expected a type, found {tok.text!r}", tok.line, tok.col)
         return tok.text
 
-    # -- terms
-
-    def parse_par(self, defs):
-        left = self.parse_restr(defs)
-        while self.at("||"):
+    def separated(self, item, sep: str) -> tuple:
+        """item (sep item)*"""
+        items = [item()]
+        while self.at(sep):
             self.next()
-            left = Par(left, self.parse_restr(defs))
+            items.append(item())
+        return tuple(items)
+
+    def left_assoc(self, operand, ops: tuple, build):
+        """operand (op operand)*, folded to the left by build(op, left, right)"""
+        left = operand()
+        while self.peek().text in ops:
+            op = self.next().text
+            left = build(op, left, operand())
         return left
 
-    def parse_restr(self, defs):
-        term = self.parse_sum(defs)
+    # -- terms
+
+    def parse_par(self):
+        return self.left_assoc(self.parse_restr, ("||",), lambda _, left, right: Par(left, right))
+
+    def parse_restr(self):
+        term = self.parse_sum()
         while self.at("\\"):
             self.next()
             term = Restrict(term, self.ident())
         return term
 
-    def parse_sum(self, defs):
-        left = self.parse_prefix(defs)
-        while self.at("+"):
-            self.next()
-            left = Sum(left, self.parse_prefix(defs))
-        return left
+    def parse_sum(self):
+        return self.left_assoc(self.parse_prefix, ("+",), lambda _, left, right: Sum(left, right))
 
-    def parse_prefix(self, defs):
+    def parse_prefix(self):
         tok = self.peek()
         if tok.text == "(":
             self.next()
-            inner = self.parse_par(defs)
+            inner = self.parse_par()
             self.expect(")")
             return inner
         if tok.text == "nil":
@@ -227,28 +227,25 @@ class _Parser:
             return Nil()
         if tok.text == "disc":
             self.next()
-            self.expect("(")
-            args = self.expr_list(close=")")
-            self.expect(")")
-            return Nil(tuple(args))
+            return Nil(self.expr_list())
         if tok.text == "tau":
             self.next()
             self.expect(".")
-            return Tau(self.parse_prefix(defs))
+            return Tau(self.parse_prefix())
         if tok.text == "randbit":
             self.next()
             self.expect("(")
             var = self.ident()
             self.expect(")")
             self.expect(".")
-            return RandBit(var, self.parse_prefix(defs))
+            return RandBit(var, self.parse_prefix())
         if tok.text == "if":
             self.next()
             cond = self.parse_expr()
             self.expect("then")
-            then = self.parse_par(defs)
+            then = self.parse_par()
             self.expect("else")
-            els = self.parse_par(defs)
+            els = self.parse_par()
             return Ite(cond, then, els)
         if tok.kind == "name" and tok.text not in KEYWORDS:
             name = self.next().text
@@ -261,21 +258,21 @@ class _Parser:
                 self.next()
                 vars_ = self.recv_pattern()
                 self.expect(".")
-                return Recv(name, vars_, self.parse_prefix(defs))
+                return Recv(name, vars_, self.parse_prefix())
             if follow.text == "(":
                 self.next()
-                args = self.expr_list(close=None)
+                args = self.separated(self.parse_expr, ",")
                 if self.at("|>"):
                     self.next()
                     var = self.ident()
                     self.expect(")")
                     self.expect(".")
-                    return Measure(name, tuple(args), var, self.parse_prefix(defs))
+                    return Measure(name, args, var, self.parse_prefix())
                 self.expect(")")
                 self.expect(".")
-                return ApplyOp(name, tuple(args), self.parse_prefix(defs))
-            if name in defs:
-                return defs[name]
+                return ApplyOp(name, args, self.parse_prefix())
+            if name in self.defs:
+                return self.defs[name]
             raise ParseError(f"undefined process name {name!r}", tok.line, tok.col)
         self.fail(f"expected a process term, found {tok.text or 'end of input'!r}")
 
@@ -283,51 +280,31 @@ class _Parser:
         # unparenthesized payloads are atoms, so `c!q + d!q` is a process
         # sum; compound payload expressions need parens: c!(x + 1)
         if self.at("("):
-            self.next()
-            payload = self.expr_list(close=")")
-            self.expect(")")
-            return tuple(payload)
+            return self.expr_list()
         return (self.parse_atom(),)
 
     def recv_pattern(self) -> tuple:
         if self.at("("):
             self.next()
-            names = [self.ident()]
-            while self.at(","):
-                self.next()
-                names.append(self.ident())
+            names = self.separated(self.ident, ",")
             self.expect(")")
-            return tuple(names)
+            return names
         return (self.ident(),)
 
-    def expr_list(self, close):
-        args = []
-        if close is not None and self.at(close):
-            return args
-        args.append(self.parse_expr())
-        while self.at(","):
-            self.next()
-            args.append(self.parse_expr())
+    def expr_list(self) -> tuple:
+        """A parenthesized, possibly empty, expression list."""
+        self.expect("(")
+        args = () if self.at(")") else self.separated(self.parse_expr, ",")
+        self.expect(")")
         return args
 
     # -- expressions
 
     def parse_expr(self):
-        return self.parse_or()
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at("or"):
-            self.next()
-            left = BinOp("or", left, self.parse_and())
-        return left
+        return self.left_assoc(self.parse_and, ("or",), BinOp)
 
     def parse_and(self):
-        left = self.parse_cmp()
-        while self.at("and"):
-            self.next()
-            left = BinOp("and", left, self.parse_cmp())
-        return left
+        return self.left_assoc(self.parse_cmp, ("and",), BinOp)
 
     def parse_cmp(self):
         left = self.parse_add()
@@ -337,18 +314,10 @@ class _Parser:
         return left
 
     def parse_add(self):
-        left = self.parse_mul()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            left = BinOp(op, left, self.parse_mul())
-        return left
+        return self.left_assoc(self.parse_mul, ("+", "-"), BinOp)
 
     def parse_mul(self):
-        left = self.parse_atom()
-        while self.at("*"):
-            self.next()
-            left = BinOp("*", left, self.parse_atom())
-        return left
+        return self.left_assoc(self.parse_atom, ("*",), BinOp)
 
     def parse_atom(self):
         tok = self.peek()
@@ -395,7 +364,7 @@ def parse_process(text: str, sig: Signature | None = None):
     discard argument positions are classified as qubit atoms.
     """
     p = _Parser(text)
-    term = p.parse_par({})
+    term = p.parse_par()
     tok = p.peek()
     if tok.text != "":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)

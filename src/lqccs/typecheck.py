@@ -90,6 +90,17 @@ def typecheck(sig: Signature, term, order: str = "lr") -> frozenset:
     return _check(term, dict(sig.variables), sig, order)
 
 
+def _channel(sig: Signature, chan: str, n: int, what: str) -> tuple:
+    """The payload types of a declared `chan` whose arity is `n`; `what`
+    names the `n` in the arity error."""
+    ct = sig.channels.get(chan)
+    if ct is None:
+        raise ChannelTypeError(f"undeclared channel {chan!r}")
+    if len(ct) != n:
+        raise ChannelTypeError(f"channel {chan!r} carries {len(ct)} values, {what} {n}")
+    return ct
+
+
 def _pair(a, b, order):
     return (a, b) if order == "lr" else (b, a)
 
@@ -111,22 +122,14 @@ def _check(term, env, sig, order) -> frozenset:
     if isinstance(term, Measure):
         used = _qubit_tuple(term.args, env, f"{term.op} arguments")
         resolve_measurement(term.op, len(term.args), sig)
-        env2 = dict(env)
-        env2[term.var] = NAT
-        inner = _check(term.cont, env2, sig, order)
+        inner = _check(term.cont, {**env, term.var: NAT}, sig, order)
         if not used <= inner:
             raise LinearityError(
                 f"{term.op} measures {sorted(used - inner)} not owned by its continuation"
             )
         return inner
     if isinstance(term, Recv):
-        ct = sig.channels.get(term.chan)
-        if ct is None:
-            raise ChannelTypeError(f"undeclared channel {term.chan!r}")
-        if len(ct) != len(term.vars):
-            raise ChannelTypeError(
-                f"channel {term.chan!r} carries {len(ct)} values, pattern binds {len(term.vars)}"
-            )
+        ct = _channel(sig, term.chan, len(term.vars), "pattern binds")
         if len(set(term.vars)) != len(term.vars):
             raise LinearityError(f"duplicate names in reception pattern {term.vars}")
         env2 = dict(env)
@@ -143,13 +146,7 @@ def _check(term, env, sig, order) -> frozenset:
                 )
         return inner - frozenset(qvars)
     if isinstance(term, Send):
-        ct = sig.channels.get(term.chan)
-        if ct is None:
-            raise ChannelTypeError(f"undeclared channel {term.chan!r}")
-        if len(ct) != len(term.payload):
-            raise ChannelTypeError(
-                f"channel {term.chan!r} carries {len(ct)} values, payload has {len(term.payload)}"
-            )
+        ct = _channel(sig, term.chan, len(term.payload), "payload has")
         owned = []
         for e, t in zip(term.payload, ct):
             et = expr_type(e, env, sig)
@@ -192,9 +189,7 @@ def _check(term, env, sig, order) -> frozenset:
             )
         return s1 if order == "lr" else s2
     if isinstance(term, RandBit):
-        env2 = dict(env)
-        env2[term.var] = NAT
-        return _check(term.cont, env2, sig, order)
+        return _check(term.cont, {**env, term.var: NAT}, sig, order)
     raise TypingError(f"not a term: {term!r}")
 
 

@@ -159,6 +159,18 @@ class TestRefinement:
     def test_bot_refines_everything(self):
         assert dist_refines(Distribution.point(BOT), point(pure(qcore.KET0, "q"), "c!q"))
 
+    def test_leftover_component_refines_from_nil(self):
+        assert refines_upto(P("c!q1 || k!0"), P("c!q1 || k!0 || l!true"))
+
+    def test_leftover_component_owning_qubits_is_not_nil(self):
+        assert not refines_upto(P("c!q1"), P("c!q1 || disc(q2)"))
+
+    def test_component_matching_is_injective(self):
+        assert not refines_upto(P("k!0 || k!0"), P("k!0"))
+
+    def test_components_match_across_a_sum(self):
+        assert refines_upto(P("k!0 || c!q1"), P("c!q1 || k!0 + l!true"))
+
     def test_congruence_compatible(self):
         # P' <= P lifts through normalization: the canonical forms are
         # related by the congruence-closed refinement
@@ -282,6 +294,23 @@ class TestDiscardTrace:
         d = point(pure(qcore.KET0, "q"), "c!q")
         with pytest.raises(ShapeError):
             config_partial_trace(d, ("q",))
+
+    def test_traces_every_discard_it_names(self):
+        rho = random_density(np.random.default_rng(0), ("q1", "q2", "o1"))
+        d = Distribution.point(make_config(rho, P("disc(q1) || disc(q2) || c!o1")))
+        ((c, _),) = config_partial_trace(d, ("q1", "q2")).items()
+        assert c.proc == P("c!o1") and c.rho.register.names == ("o1",)
+        assert c.rho.close_to(qcore.partial_trace(rho, ("q1", "q2")))
+        d = Distribution.point(make_config(rho, P("disc(q1) || disc(q2) || disc(o1)")))
+        ((c, _),) = config_partial_trace(d, ("q2", "o1", "q1")).items()
+        assert c.proc == Nil() and c.rho.register.names == ()
+
+    @pytest.mark.parametrize("text", ["disc(q1, o1) || c!q2", "disc(q1) || disc(q2, o1)"])
+    def test_shape_error_when_discards_do_not_own_exactly(self, text):
+        rho = random_density(np.random.default_rng(0), ("q1", "q2", "o1"))
+        d = Distribution.point(make_config(rho, P(text)))
+        with pytest.raises(ShapeError):
+            config_partial_trace(d, ("q1", "q2"))
 
 
 def _diamond_moves(d):

@@ -120,6 +120,19 @@ def test_syntax_error_carries_position():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("parse_fn, text, col, message", [
+    (parse_program, "channel c : qubit * ;", 21, "expected a type, found ';'"),
+    (parse_program, "qubit q0, ;", 11, "expected an identifier, found ';'"),
+    (parse_process, "c?(x, ).nil", 7, "expected an identifier, found ')'"),
+    (parse_process, "c!(1, )", 7, "expected an expression, found ')'"),
+])
+def test_missing_item_after_a_separator(parse_fn, text, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_fn(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert str(exc.value) == f"1:{col}: {message}"
+
+
 def test_observer_sort_errors():
     with pytest.raises(SortError):
         parse_observer("tau.a!1")
