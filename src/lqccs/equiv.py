@@ -710,16 +710,13 @@ def _channel_usage(dists, sig):
     recvs: dict = {}
 
     def walk(t):
-        if isinstance(t, Send):
-            qubit = any(isinstance(e, (QubitLit,)) for e in t.payload)
-            if sig is not None and t.chan in sig.channels:
-                qubit = "qubit" in sig.channels[t.chan]
-            sends[t.chan] = (len(t.payload), qubit)
-        if isinstance(t, Recv):
-            qubit = True
-            if sig is not None and t.chan in sig.channels:
-                qubit = "qubit" in sig.channels[t.chan]
-            recvs[t.chan] = (len(t.vars), qubit)
+        if isinstance(t, (Send, Recv)):
+            declared = sig.channels.get(t.chan) if sig is not None else None
+            if isinstance(t, Send):
+                qubit = any(isinstance(e, QubitLit) for e in t.payload)
+                sends[t.chan] = (len(t.payload), qubit if declared is None else "qubit" in declared)
+            else:
+                recvs[t.chan] = (len(t.vars), declared is None or "qubit" in declared)
         for c in children(t):
             walk(c)
 
@@ -829,18 +826,10 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
                 and not qubit_atoms(a) & qubit_atoms(b):
             frames.append(Par(a, b))
 
-    out = []
-    seen = set()
-    for f in list(bounds.hint_contexts) + sorted(frames, key=_node_count):
-        if _node_count(f) > bounds.context_size:
-            continue
-        if mode == CONSTRAINED and observer_violation(f):
-            continue
-        if f in seen:
-            continue
-        seen.add(f)
-        out.append(f)
-    return out
+    return list(dict.fromkeys(
+        f for f in list(bounds.hint_contexts) + sorted(frames, key=_node_count)
+        if _node_count(f) <= bounds.context_size
+        and not (mode == CONSTRAINED and observer_violation(f))))
 
 
 def _free_qubits(dl: Distribution, dr: Distribution) -> list:
@@ -886,7 +875,7 @@ def distinguish(
     equality, or the density quotient in constrained mode only) may
     certify bisimilarity; anything else is inconclusive. The verdict is
     computed under one memo (`memo.scope`); the replay runs after it is
-    closed, so a witness is re-derived by fresh computation."""
+    closed, so it recomputes the backend but reads the same move schemas."""
     t0 = time.monotonic()
     stats = Stats()
     with memo.scope(stats):

@@ -3,11 +3,12 @@
 While a verdict is computed (`equiv.distinguish`, `equiv.certify`), the
 backend results (`qcore.apply_superop`, `qcore.measure`) are computed
 once and then returned from the memo; these two are the only memoized
-functions, and the moves of a configuration are computed afresh on each
-call. The memo opens with the verdict and closes when it returns or
-raises. Every scope opens a memo of its own, also inside another, so no
-entry outlives the verdict that stored it. Outside a verdict nothing is
-stored and every call computes afresh.
+functions. A term's move schemas (`semantics.schemas`) are symbolic,
+independent of `sig` and kept on the terms across verdicts. The memo
+opens with the verdict and closes when it returns or raises. Every
+scope opens a memo of its own, also inside another, so no entry
+outlives the verdict that stored it. Outside a verdict nothing is
+stored and every backend call computes afresh.
 
 A backend call is keyed by its operator's identity, its targets and its
 state's `DensityMatrix.key()`: the register names and the entries

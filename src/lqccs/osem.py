@@ -10,11 +10,13 @@ deadlock point.
 
 from __future__ import annotations
 
-from .errors import TypingError
+from .errors import LqccsError, TypingError
 from .rewrite import normalize, normalize_observer
 from .semantics import (
     BOT,
     DEFAULT_CHOICE_CAP,
+    ERROR,
+    TAU,
     Configuration,
     Distribution,
     _rebuild,
@@ -22,6 +24,7 @@ from .semantics import (
     communications,
     exec_view,
     fire,
+    instantiate,
     lift,
     move_key,
     step_genuine,
@@ -29,10 +32,9 @@ from .semantics import (
 )
 from .syntax import (
     NIL,
+    Nil,
     Par,
-    Recv,
-    Send,
-    Sum,
+    cached_beside,
     qubit_atoms,
     sum_guards,
 )
@@ -57,45 +59,57 @@ def estep(config: Configuration, sig=None) -> list:
 def estep_genuine(config: Configuration, sig=None) -> list:
     """Moves derivable by the actual rules (no deadlock augmentation): the
     process moves of `step_genuine` under the diamond, then the
-    observer's, computed afresh on each call like `step_genuine`'s. The
-    list is the caller's own."""
+    observer's, its schemas (`observer_schemas`, built once per pair)
+    instantiated on the state. The list is the caller's own."""
     if config.is_bot:
         return []
     moves = [(DIAMOND, d) for d in step_genuine(config, sig)]
-    obs = normalize_observer(config.obs)
-    moves.extend(_observer_moves(config.rho, normalize(config.proc), obs, sig, lambda o: o))
-    return unique(moves, move_key)
+    # observer indices are not the diamond, so only the observer's own moves can repeat
+    return moves + unique([(idx, Distribution(
+        [(Configuration(r, proc, obs), p) for p, r, obs in instantiate(s, config.rho, sig)]))
+        for idx, proc, s in observer_schemas(config.proc, config.obs)], move_key)
 
 
-def _observer_moves(rho, proc, obs, sig, place) -> list:
-    """Moves of the observer position `obs`; `place` puts its new observer
-    back into the enclosing parallel tree, so each successor is built once."""
-    if isinstance(obs, Par):
-        left = _observer_moves(rho, proc, obs.left, sig, lambda o: place(Par(o, obs.right)))
-        right = _observer_moves(rho, proc, obs.right, sig, lambda o: place(Par(obs.left, o)))
-        return [(L + idx, d) for idx, d in left] + [(R + idx, d) for idx, d in right]
-    # leaf position: fires with the empty index
-    branches = fire(obs, rho, sig)
-    if branches is not None:
-        return [("", Distribution(
-            [(Configuration(r, proc, place(normalize_observer(cont))), p) for p, r, cont in branches]))]
-    moves = []
-    if isinstance(obs, Send):
-        comps, restricted = exec_view(proc)
-        for _, j, cont in communications([(-1, obs)], list(enumerate(comps)), restricted):
-            rest = [c for k, c in enumerate(comps) if k != j]
-            new_proc = _rebuild(rest + [cont], restricted)
-            moves.append(("", Distribution.point(Configuration(rho, new_proc, place(NIL)))))
-    elif isinstance(obs, (Recv, Sum)):
-        comps, restricted = exec_view(proc)
-        for g in sum_guards(obs):
-            if not isinstance(g, Recv):
-                continue
-            for i, _, cont in communications(enumerate(comps), [(-1, g)], restricted):
-                new_obs = place(normalize_observer(cont))
-                new_proc = _rebuild([c for k, c in enumerate(comps) if k != i], restricted)
-                moves.append(("", Distribution.point(Configuration(rho, new_proc, new_obs))))
-    return moves
+@cached_beside("_moves_beside")
+def observer_schemas(proc, obs) -> tuple:
+    """(index, successor process, schema) for each move of the observer
+    `obs` beside the process `proc`, both normalized first; the schema's
+    residuals are the successor's observers."""
+    obs = normalize_observer(obs)
+    return tuple(_observer_schemas(normalize(proc), obs, obs, ""))
+
+
+def _observer_schemas(proc, obs, leaf, idx):
+    if isinstance(leaf, Par):
+        yield from _observer_schemas(proc, obs, leaf.left, idx + L)
+        yield from _observer_schemas(proc, obs, leaf.right, idx + R)
+        return
+    try:
+        schema = fire(leaf, ((_place, obs, idx),))
+        if schema is not None:
+            yield idx, proc, schema
+        elif not isinstance(leaf, Nil):
+            comps, restricted = exec_view(proc)
+            live = list(enumerate(comps))
+            for g in sum_guards(leaf):
+                for _, j, cont in communications([(-1, g)], live, restricted):
+                    rest = [c for k, c in live if k != j]
+                    yield idx, _rebuild(rest + [cont], restricted), (TAU, _place(NIL, obs, idx))
+                for i, _, cont in communications(live, [(-1, g)], restricted):
+                    new_obs = _place(cont, obs, idx)
+                    yield idx, _rebuild([c for k, c in live if k != i], restricted), (TAU, new_obs)
+    except LqccsError as exc:
+        yield idx, proc, (ERROR, exc)
+
+
+def _place(new, obs, idx):
+    """The observer frame: `obs` with its position `idx` replaced by `new`,
+    normalized."""
+    if not idx:
+        return normalize_observer(new)
+    if idx[0] == L:
+        return Par(_place(new, obs.left, idx[1:]), obs.right)
+    return Par(obs.left, _place(new, obs.right, idx[1:]))
 
 
 def lift_estep(dist: Distribution, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> list:

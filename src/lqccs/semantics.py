@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ChoiceExplosion, EvalError, TypingError
+from .errors import ChoiceExplosion, EvalError, LqccsError, TypingError
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
@@ -28,6 +28,7 @@ from .syntax import (
     Send,
     Tau,
     cached,
+    cached_beside,
     par_all,
     par_components,
     sum_guards,
@@ -163,11 +164,7 @@ class Distribution:
     @staticmethod
     def convex(parts) -> "Distribution":
         """Mixture sum_i p_i * dist_i."""
-        pairs = []
-        for p, dist in parts:
-            for c, q in dist.items():
-                pairs.append((c, p * q))
-        return Distribution(pairs)
+        return Distribution([(c, p * q) for p, dist in parts for c, q in dist.items()])
 
 
 def mixture(d1: Distribution, d2: Distribution, p: float) -> Distribution:
@@ -192,32 +189,24 @@ def exec_view(proc):
 
 
 def _rebuild(comps, restricted) -> object:
-    term = par_all([c for c in comps if c != NIL]) if comps else NIL
+    term = par_all(c for c in comps if c != NIL)
     for c in sorted(restricted):
         term = Restrict(term, c)
     return normalize(term)
 
 
 def _payload_values(payload):
-    vals = []
-    for e in payload:
-        if isinstance(e, QubitLit):
-            vals.append(e)
-        else:
-            try:
-                vals.append(value_to_expr(eval_expr(e)))
-            except EvalError:
-                return None  # open payload cannot be communicated
-    return vals
+    try:
+        return [e if isinstance(e, QubitLit) else value_to_expr(eval_expr(e)) for e in payload]
+    except EvalError:
+        return None  # open payload cannot be communicated
 
 
-def _qubit_args(args):
-    names = []
+def _qubit_args(args) -> tuple:
     for e in args:
         if not isinstance(e, QubitLit):
             raise EvalError(f"operator argument {e!r} is not a qubit at runtime")
-        names.append(e.name)
-    return names
+    return tuple(e.name for e in args)
 
 
 # --- the reduction relation -------------------------------------------------
@@ -230,13 +219,17 @@ def step(config: Configuration, sig=None) -> list:
 
 
 def step_genuine(config: Configuration, sig=None) -> list:
-    """Reductions derivable by the actual rules (no deadlock augmentation),
-    computed afresh on each call; within a verdict only the backend calls
-    of the prefix rules are memoized (`lqccs.memo`). The list is the
+    """Reductions derivable by the actual rules (no deadlock augmentation):
+    the process's schemas (`schemas`, built once per term) instantiated on
+    the state, each successor keeping the observer. The list is the
     caller's own."""
     if config.is_bot:
         return []
-    return _proc_moves(config.rho, normalize(config.proc), config.obs, sig)
+    rho, obs = config.rho, config.obs
+    return unique([
+        Distribution([(Configuration(r, proc, obs), p) for p, r, proc in instantiate(s, rho, sig)])
+        for s in schemas(config.proc)
+    ])
 
 
 def unique(items, key=Distribution.key) -> list:
@@ -269,68 +262,107 @@ def communications(senders, receivers, blocked=frozenset()):
         for gs in sum_guards(sender):
             if not isinstance(gs, Send) or gs.chan in blocked:
                 continue
-            vals = _payload_values(gs.payload)
-            if vals is None:
-                continue
             for j, receiver in receivers:
                 if i == j or isinstance(receiver, Restrict):
                     continue
                 for gr in sum_guards(receiver):
-                    if not isinstance(gr, Recv) or gr.chan != gs.chan:
+                    if not isinstance(gr, Recv) or gr.chan != gs.chan \
+                            or len(gr.vars) != len(gs.payload):
                         continue
-                    if len(gr.vars) != len(vals):
-                        continue
-                    yield i, j, substitute_many(gr.cont, list(zip(gr.vars, vals)))
+                    vals = _payload_values(gs.payload)
+                    if vals is not None:
+                        yield i, j, substitute_many(gr.cont, list(zip(gr.vars, vals)))
 
 
-def fire(guard, rho: DensityMatrix, sig) -> list | None:
-    """The prefix rules: the (probability, state, continuation) branches
-    of a tau, gate, measurement or random-bit guard, or None for any other
-    guard. They fire the same way in a process and in an observer."""
+# --- move schemas -------------------------------------------------------------
+# A schema is one move of a term without its state, built once per term;
+# `instantiate` adds the numbers. A residual is the term a branch leaves.
+# (TAU, residual) is a tau or a communication; (GATE, name, targets,
+# residual); (RANDBIT, residual 0, residual 1); (MEASURE, name, targets,
+# guard, where, {outcome: residual, built on first use}); (ERROR, exc).
+TAU, GATE, MEASURE, RANDBIT, ERROR = "tau", "gate", "measure", "randbit", "error"
+
+
+def _settle(where, cont):
+    """The residual of a continuation put back, innermost first, into the
+    frames `(compose, *args)` of `where`, as `compose(cont, *args)`."""
+    for compose, *args in where:
+        cont = compose(cont, *args)
+    return cont
+
+
+def _beside(cont, others, restricted):
+    """The process frame: `cont` beside its siblings, under `restricted`."""
+    return _rebuild([*others, cont], restricted)
+
+
+def fire(guard, where) -> tuple | None:
+    """The prefix rules: the schema of a tau, gate, measurement or
+    random-bit guard whose continuation settles at `where`, or None for
+    any other guard; the same in a process and in an observer."""
     if isinstance(guard, Tau):
-        return [(1.0, rho, guard.cont)]
+        return (TAU, _settle(where, guard.cont))
     if isinstance(guard, ApplyOp):
-        targets = _qubit_args(guard.args)
-        op = resolve_operator(guard.op, len(targets), sig)
-        return [(1.0, apply_superop(op, targets, rho), guard.cont)]
+        return (GATE, guard.op, _qubit_args(guard.args), _settle(where, guard.cont))
     if isinstance(guard, Measure):
-        targets = _qubit_args(guard.args)
-        m = resolve_measurement(guard.op, len(targets), sig)
-        return [(p, post, substitute_many(guard.cont, [(guard.var, outcome)]))
-                for outcome, p, post in measure(m, targets, rho)]
+        return (MEASURE, guard.op, _qubit_args(guard.args), guard, where, {})
     if isinstance(guard, RandBit):
-        return [(0.5, rho, substitute_many(guard.cont, [(guard.var, bit)])) for bit in (0, 1)]
+        return (RANDBIT, *(_settle(where, substitute_many(guard.cont, [(guard.var, bit)]))
+                           for bit in (0, 1)))
     return None
 
 
-def _proc_moves(rho: DensityMatrix, proc, obs, sig) -> list:
-    """Moves of the process; every successor keeps the observer `obs`."""
+def instantiate(schema, rho: DensityMatrix, sig) -> list:
+    """The (probability, state, residual) branches of a schema on `rho`:
+    its operator or measurement resolved under `sig`, then the backend
+    call, which a verdict memoizes (`lqccs.memo`)."""
+    kind = schema[0]
+    if kind is TAU:
+        return [(1.0, rho, schema[1])]
+    if kind is GATE:
+        _, name, targets, residual = schema
+        op = resolve_operator(name, len(targets), sig)
+        return [(1.0, apply_superop(op, targets, rho), residual)]
+    if kind is RANDBIT:
+        return [(0.5, rho, schema[1]), (0.5, rho, schema[2])]
+    if kind is MEASURE:
+        _, name, targets, guard, where, residuals = schema
+        out = []
+        for outcome, p, post in measure(resolve_measurement(name, len(targets), sig), targets, rho):
+            if outcome not in residuals:
+                cont = substitute_many(guard.cont, [(guard.var, outcome)])
+                residuals[outcome] = _settle(where, cont)
+            out.append((p, post, residuals[outcome]))
+        return out
+    raise schema[1].with_traceback(None)
+
+
+@cached("_schemas")
+def schemas(proc) -> tuple:
+    """The schemas of a process's normal form, in the order of its moves."""
+    return tuple(_proc_schemas(normalize(proc), ()))
+
+
+def _proc_schemas(proc, outer):
     comps, restricted = exec_view(proc)
-    moves = []
-
-    def succ(branches, rest):
-        return Distribution([
-            (Configuration(r, _rebuild(rest + [cont], restricted), obs), p)
-            for p, r, cont in branches
-        ])
-
-    for i, comp in enumerate(comps):
-        others = comps[:i] + comps[i + 1 :]
-        if isinstance(comp, Restrict):
-            # opaque blob: steps internally, composed back by the Par rule
-            for dist in _proc_moves(rho, comp, obs, sig):
-                moves.append(succ([(p, c.rho, c.proc) for c, p in dist.items()], others))
-            continue
-        for g in sum_guards(comp):
-            branches = fire(g, rho, sig)
-            if branches is not None:
-                moves.append(succ(branches, others))
-    # communication between two distinct components
-    live = list(enumerate(comps))
-    for i, j, cont in communications(live, live):
-        rest = [c for k, c in enumerate(comps) if k not in (i, j)]
-        moves.append(succ([(1.0, rho, cont)], rest))
-    return unique(moves)
+    try:
+        for i, comp in enumerate(comps):
+            where = ((_beside, comps[:i] + comps[i + 1 :], restricted), *outer)
+            if isinstance(comp, Restrict):
+                # opaque blob: steps internally, composed back by the Par rule
+                yield from _proc_schemas(comp, where)
+                continue
+            for g in sum_guards(comp):
+                schema = fire(g, where)
+                if schema is not None:
+                    yield schema
+        # communication between two distinct components
+        live = list(enumerate(comps))
+        for i, j, cont in communications(live, live):
+            rest = [c for k, c in enumerate(comps) if k not in (i, j)]
+            yield (TAU, _settle(((_beside, rest, restricted), *outer), cont))
+    except LqccsError as exc:
+        yield (ERROR, exc)
 
 
 def lift(dist: Distribution, moves_of, cap: int = DEFAULT_CHOICE_CAP) -> list:
@@ -393,13 +425,13 @@ def config_barbs(config: Configuration) -> frozenset:
     """Barbs of a (possibly extended) configuration: process sends plus
     observer parallel components that are sends (full congruence applies
     to the observer here, so its parallel structure is flattened)."""
-    if config.is_bot:
-        return frozenset()
-    barbs = set(proc_barbs(config.proc))
-    if config.obs != NIL:
-        for comp in par_components(normalize(config.obs)):
-            if isinstance(comp, Send):
-                barbs.add(comp.chan)
+    return frozenset() if config.is_bot else _barbs(config.proc, config.obs)
+
+
+@cached_beside("_barbs_beside")
+def _barbs(proc, obs) -> frozenset:
+    barbs = set(proc_barbs(proc))
+    barbs.update(c.chan for c in par_components(normalize(obs)) if isinstance(c, Send))
     return frozenset(barbs)
 
 
@@ -408,10 +440,7 @@ def dist_barbs(dist: Distribution) -> dict:
     the deadlock mass under BOT_BARB."""
     out: dict = {}
     for cfg, p in dist.items():
-        if cfg.is_bot:
-            out[BOT_BARB] = out.get(BOT_BARB, 0.0) + p
-            continue
-        for b in config_barbs(cfg):
+        for b in (BOT_BARB,) if cfg.is_bot else config_barbs(cfg):
             out[b] = out.get(b, 0.0) + p
     return out
 
@@ -445,9 +474,4 @@ def config_typing(config: Configuration, sig):
 def typing_preserved(config: Configuration, dist: Distribution, sig) -> bool:
     """Every element of a successor distribution carries the source typing."""
     src = config_typing(config, sig)
-    for c, _ in dist.items():
-        if c.is_bot:
-            continue
-        if config_typing(c, sig) != src:
-            return False
-    return True
+    return all(c.is_bot or config_typing(c, sig) == src for c, _ in dist.items())

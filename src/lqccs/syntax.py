@@ -92,10 +92,11 @@ class _Interned(type):
 class _Node(metaclass=_Interned):
     """Base of the term nodes: `==` is identity; the hash is the field
     tuple's, as for a frozen dataclass, so set and dict order under a given
-    PYTHONHASHSEED does not change. `cached` fills the other slots."""
+    PYTHONHASHSEED does not change. `cached` and `cached_beside` fill the
+    other slots."""
 
     __slots__ = ("_hash", "_free_channels", "_qubit_atoms", "_open_guards", "_size", "_pretty",
-                 "__weakref__")
+                 "_schemas", "_moves_beside", "_barbs_beside", "__weakref__")
 
     def __hash__(self):
         return self._hash
@@ -116,6 +117,25 @@ def cached(slot: str):
             except AttributeError:
                 object.__setattr__(term, slot, compute(term))
                 return getattr(term, slot)
+
+        return read
+
+    return wrap
+
+
+def cached_beside(slot: str):
+    """Decorator for a function of a process and an observer: its value
+    is computed once per pair and kept in a table in the observer node's
+    `slot`, keyed by the process node."""
+    table_of = cached(slot)(lambda obs: {})
+
+    def wrap(compute):
+        @functools.wraps(compute)
+        def read(proc, obs):
+            table = table_of(obs)
+            if proc not in table:
+                table[proc] = compute(proc, obs)
+            return table[proc]
 
         return read
 
@@ -204,20 +224,11 @@ NIL = Nil()
 
 def par_all(terms) -> Term:
     terms = list(terms)
-    if not terms:
-        return NIL
-    out = terms[0]
-    for t in terms[1:]:
-        out = Par(out, t)
-    return out
+    return functools.reduce(Par, terms) if terms else NIL
 
 
 def sum_all(terms) -> Term:
-    terms = list(terms)
-    out = terms[0]
-    for t in terms[1:]:
-        out = Sum(out, t)
-    return out
+    return functools.reduce(Sum, terms)
 
 
 def par_components(term: Term) -> list:
