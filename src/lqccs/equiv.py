@@ -62,7 +62,6 @@ from .syntax import (
     Par,
     QubitLit,
     Recv,
-    Restrict,
     Send,
     Signature,
     Sum,
@@ -188,10 +187,7 @@ def syntactically_deterministic(proc) -> bool:
         return False
     if not live:
         return True
-    comp = live[0]
-    if isinstance(comp, Restrict):
-        return syntactically_deterministic(comp.body)
-    guards = sum_guards(comp)
+    guards = sum_guards(live[0])
     if len(guards) > 1:
         return False
     # a conditional at the top is left unresolved here, so it counts as a choice
@@ -711,7 +707,7 @@ def _channel_usage(dists, sig):
 
     def walk(t):
         if isinstance(t, (Send, Recv)):
-            declared = sig.channels.get(t.chan) if sig is not None else None
+            declared = sig.channel_type(t.chan) if sig is not None else None
             if isinstance(t, Send):
                 qubit = any(isinstance(e, QubitLit) for e in t.payload)
                 sends[t.chan] = (len(t.payload), qubit if declared is None else "qubit" in declared)

@@ -85,7 +85,7 @@ def _observer_schemas(proc, obs, leaf, idx):
         yield from _observer_schemas(proc, obs, leaf.right, idx + R)
         return
     try:
-        schema = fire(leaf, ((_place, obs, idx),))
+        schema = fire(leaf, lambda cont: _place(cont, obs, idx))
         if schema is not None:
             yield idx, proc, schema
         elif not isinstance(leaf, Nil):

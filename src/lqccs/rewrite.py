@@ -3,9 +3,10 @@
 `normalize` computes the canonical representative of a process term's
 congruence class: closed classical expressions are evaluated, literal
 conditionals resolved, parallel and sum children flattened and sorted in
-a fixed total order, inert components dropped, restrictions pushed inward
-past components that do not use the channel (and dropped when the channel
-is not free at all), and discard tuples sorted. `normalize_observer` does
+a fixed total order, inert components dropped, restrictions renamed
+apart where they clash (`extend_scopes`) and pushed inward past
+components that do not use the channel (and dropped when the channel is
+not free at all), and discard tuples sorted. `normalize_observer` does
 the same for the observer congruence, which keeps the shape of parallel
 composition intact.
 """
@@ -29,11 +30,15 @@ from .syntax import (
     Par,
     QubitLit,
     RandBit,
+    Recv,
     Restrict,
+    Send,
     Sum,
     Tau,
     Var,
+    channels,
     expr_vars,
+    fresh_channel,
     free_channels,
     map_term,
     par_all,
@@ -214,11 +219,13 @@ def extend_scopes(comps, chans):
     in Q, over the parallel components `comps` of a term restricted on
     `chans`. Each restricted component is replaced, in place, by the
     components under its chain of restrictions, whose channels join
-    `chans`; the components spliced in are examined next. A component
-    whose chain channels meet `chans` or a free channel of another
-    component stays opaque, since restricted channels are never renamed
-    apart (README, scope notes). This is the one place that decides
-    whether a restriction's scope may extend; it builds no term."""
+    `chans`; the components spliced in are examined next, so none is left
+    a restriction. A chain channel free in another component is first
+    renamed to a `syntax.fresh_channel` that neither `chans` nor any
+    component names, free or bound, and the body normalized again. One in
+    `chans` but free in no other component keeps its name, as the outer
+    restriction binds nothing else. This is the one place that decides a
+    restriction's scope."""
     comps = list(comps)
     chans = frozenset(chans)
     i = 0
@@ -231,12 +238,28 @@ def extend_scopes(comps, chans):
         while isinstance(body, Restrict):
             chain.add(body.chan)
             body = body.body
-        if chain & chans or any(chain & free_channels(x) for j, x in enumerate(comps) if j != i):
-            i += 1
-        else:
-            comps[i:i + 1] = par_components(body)
-            chans |= chain
+        clash = {c for j, x in enumerate(comps) if j != i for c in chain & free_channels(x)}
+        if clash:
+            taken = chans.union(*map(channels, comps))
+            for c in sorted(clash):
+                fresh = fresh_channel(c, taken)
+                taken |= {fresh}
+                chain = chain - {c} | {fresh}
+                body = _rename_channel(body, c, fresh)
+            body = normalize(body)
+        comps[i:i + 1] = par_components(body)
+        chans |= chain
     return comps, chans
+
+
+def _rename_channel(t, old, new):
+    """t with its free channel `old` renamed to `new`, which t does not name."""
+    if old not in free_channels(t):
+        return t
+    if isinstance(t, Send):
+        return Send(new, t.payload)
+    t = map_term(t, lambda c, bound: _rename_channel(c, old, new), lambda e: e)
+    return Recv(new, t.vars, t.cont) if isinstance(t, Recv) and t.chan == old else t
 
 
 def _normalize_restrict(body, chan):

@@ -50,9 +50,9 @@ class Configuration:
     `key()`s agree. `key()` is the state's rounded key with the printed
     process and observer; it is built on first use, which is only when
     two configurations collide on their discrete structure or when a
-    support is sorted. It rests on `pretty` being injective on terms: a
-    printed term parses back to the same term, so equal keys mean the
-    same interned process and observer, and so equal hashes."""
+    support is sorted. It rests on `pretty` being injective on terms, so
+    equal keys mean the same interned process and observer, and so equal
+    hashes."""
 
     __slots__ = ("rho", "proc", "obs", "_key", "_hash")
 
@@ -181,10 +181,10 @@ def mixture(d1: Distribution, d2: Distribution, p: float) -> Distribution:
 def exec_view(proc):
     """The parallel components of a normalized process and the channels
     restricted over all of them: `rewrite.extend_scopes` on its top-level
-    components. A restricted component whose scope may not extend stays
-    an opaque component that only steps internally, so the open e?y.d!y
-    of `(d?w.nil || e?y.d!y) \\ d || d!5 || e!3` never takes e!3, and the
-    term is told apart from its alpha-variant (README, scope notes)."""
+    components, none of which is a restriction: a restricted channel that
+    clashes with a name beside it is renamed apart, so `(d?w.nil ||
+    e?y.d!y) \\ d || d!5` has the components d#0?w.nil, e?y.d#0!y and d!5
+    under d#0 (README, scope notes)."""
     return extend_scopes(par_components(proc), ())
 
 
@@ -254,16 +254,14 @@ def communications(senders, receivers, blocked=frozenset()):
     receiver j on the same channel, not in `blocked`, with the same
     arity; the continuation is the receiver's, with the payload values
     substituted. Receivers is a list and senders an iterable of
-    (position, term) pairs; restricted blobs and open payloads never
-    communicate."""
+    (position, term) pairs, the components of `exec_view`, none a
+    restriction; open payloads never communicate."""
     for i, sender in senders:
-        if isinstance(sender, Restrict):
-            continue
         for gs in sum_guards(sender):
             if not isinstance(gs, Send) or gs.chan in blocked:
                 continue
             for j, receiver in receivers:
-                if i == j or isinstance(receiver, Restrict):
+                if i == j:
                     continue
                 for gr in sum_guards(receiver):
                     if not isinstance(gr, Recv) or gr.chan != gs.chan \
@@ -279,35 +277,22 @@ def communications(senders, receivers, blocked=frozenset()):
 # `instantiate` adds the numbers. A residual is the term a branch leaves.
 # (TAU, residual) is a tau or a communication; (GATE, name, targets,
 # residual); (RANDBIT, residual 0, residual 1); (MEASURE, name, targets,
-# guard, where, {outcome: residual, built on first use}); (ERROR, exc).
+# guard, settle, {outcome: residual, built on first use}); (ERROR, exc).
 TAU, GATE, MEASURE, RANDBIT, ERROR = "tau", "gate", "measure", "randbit", "error"
 
 
-def _settle(where, cont):
-    """The residual of a continuation put back, innermost first, into the
-    frames `(compose, *args)` of `where`, as `compose(cont, *args)`."""
-    for compose, *args in where:
-        cont = compose(cont, *args)
-    return cont
-
-
-def _beside(cont, others, restricted):
-    """The process frame: `cont` beside its siblings, under `restricted`."""
-    return _rebuild([*others, cont], restricted)
-
-
-def fire(guard, where) -> tuple | None:
+def fire(guard, settle) -> tuple | None:
     """The prefix rules: the schema of a tau, gate, measurement or
-    random-bit guard whose continuation settles at `where`, or None for
-    any other guard; the same in a process and in an observer."""
+    random-bit guard whose continuation becomes the residual `settle(cont)`,
+    or None for any other guard; the same in a process and in an observer."""
     if isinstance(guard, Tau):
-        return (TAU, _settle(where, guard.cont))
+        return (TAU, settle(guard.cont))
     if isinstance(guard, ApplyOp):
-        return (GATE, guard.op, _qubit_args(guard.args), _settle(where, guard.cont))
+        return (GATE, guard.op, _qubit_args(guard.args), settle(guard.cont))
     if isinstance(guard, Measure):
-        return (MEASURE, guard.op, _qubit_args(guard.args), guard, where, {})
+        return (MEASURE, guard.op, _qubit_args(guard.args), guard, settle, {})
     if isinstance(guard, RandBit):
-        return (RANDBIT, *(_settle(where, substitute_many(guard.cont, [(guard.var, bit)]))
+        return (RANDBIT, *(settle(substitute_many(guard.cont, [(guard.var, bit)]))
                            for bit in (0, 1)))
     return None
 
@@ -326,12 +311,11 @@ def instantiate(schema, rho: DensityMatrix, sig) -> list:
     if kind is RANDBIT:
         return [(0.5, rho, schema[1]), (0.5, rho, schema[2])]
     if kind is MEASURE:
-        _, name, targets, guard, where, residuals = schema
+        _, name, targets, guard, settle, residuals = schema
         out = []
         for outcome, p, post in measure(resolve_measurement(name, len(targets), sig), targets, rho):
             if outcome not in residuals:
-                cont = substitute_many(guard.cont, [(guard.var, outcome)])
-                residuals[outcome] = _settle(where, cont)
+                residuals[outcome] = settle(substitute_many(guard.cont, [(guard.var, outcome)]))
             out.append((p, post, residuals[outcome]))
         return out
     raise schema[1].with_traceback(None)
@@ -340,27 +324,28 @@ def instantiate(schema, rho: DensityMatrix, sig) -> list:
 @cached("_schemas")
 def schemas(proc) -> tuple:
     """The schemas of a process's normal form, in the order of its moves."""
-    return tuple(_proc_schemas(normalize(proc), ()))
+    return tuple(_proc_schemas(normalize(proc)))
 
 
-def _proc_schemas(proc, outer):
+def _beside(others, restricted):
+    """The process frame: a continuation put back beside `others`, under `restricted`."""
+    return lambda cont: _rebuild([*others, cont], restricted)
+
+
+def _proc_schemas(proc):
     comps, restricted = exec_view(proc)
     try:
         for i, comp in enumerate(comps):
-            where = ((_beside, comps[:i] + comps[i + 1 :], restricted), *outer)
-            if isinstance(comp, Restrict):
-                # opaque blob: steps internally, composed back by the Par rule
-                yield from _proc_schemas(comp, where)
-                continue
+            settle = _beside(comps[:i] + comps[i + 1 :], restricted)
             for g in sum_guards(comp):
-                schema = fire(g, where)
+                schema = fire(g, settle)
                 if schema is not None:
                     yield schema
         # communication between two distinct components
         live = list(enumerate(comps))
         for i, j, cont in communications(live, live):
             rest = [c for k, c in enumerate(comps) if k not in (i, j)]
-            yield (TAU, _settle(((_beside, rest, restricted), *outer), cont))
+            yield (TAU, _rebuild([*rest, cont], restricted))
     except LqccsError as exc:
         yield (ERROR, exc)
 
@@ -408,12 +393,8 @@ def open_guards(proc) -> tuple:
     """The top-level send and reception guards on channels no restriction
     hides: the guards a context can communicate with."""
     comps, restricted = exec_view(normalize(proc))
-    return tuple(
-        g
-        for comp in comps
-        for g in (open_guards(comp) if isinstance(comp, Restrict) else sum_guards(comp))
-        if isinstance(g, (Send, Recv)) and g.chan not in restricted
-    )
+    return tuple(g for comp in comps for g in sum_guards(comp)
+                 if isinstance(g, (Send, Recv)) and g.chan not in restricted)
 
 
 def proc_barbs(proc) -> frozenset:

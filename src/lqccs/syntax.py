@@ -10,6 +10,7 @@ All nodes are frozen. Term nodes are hash-consed (Filliâtre and Conchon,
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 from weakref import KeyedRef
@@ -376,6 +377,19 @@ def free_channels(term: Term) -> frozenset:
     return _SETS.setdefault(out, out)
 
 
+def channels(term: Term) -> frozenset:
+    """Every channel the term names, free or bound."""
+    own = {term.chan} if isinstance(term, (Send, Recv, Restrict)) else ()
+    return frozenset(own).union(*map(channels, children(term)))
+
+
+def fresh_channel(chan: str, taken) -> str:
+    """`stem#i`, for the stem of `chan` and the least i whose name is not in
+    `taken`. The lexer reads no `#`, so no source channel has this form."""
+    stem = chan.partition("#")[0]
+    return next(name for i in itertools.count() if (name := f"{stem}#{i}") not in taken)
+
+
 def expr_vars(e: Expr) -> frozenset:
     if isinstance(e, Var):
         return frozenset({e.name})
@@ -431,6 +445,10 @@ class Signature:
     qubits: tuple = ()
     operators: dict = field(default_factory=dict)  # name -> Superoperator (fixed arity)
     measurements: dict = field(default_factory=dict)  # name -> Measurement
+
+    def channel_type(self, chan: str):
+        """The declared payload types of `chan`, or None; a `stem#i` has its stem's."""
+        return self.channels.get(chan.partition("#")[0])
 
     def copy(self) -> "Signature":
         return Signature(

@@ -93,7 +93,7 @@ def typecheck(sig: Signature, term, order: str = "lr") -> frozenset:
 def _channel(sig: Signature, chan: str, n: int, what: str) -> tuple:
     """The payload types of a declared `chan` whose arity is `n`; `what`
     names the `n` in the arity error."""
-    ct = sig.channels.get(chan)
+    ct = sig.channel_type(chan)
     if ct is None:
         raise ChannelTypeError(f"undeclared channel {chan!r}")
     if len(ct) != n:

@@ -41,8 +41,8 @@ CHANNELS = {
 }
 
 
-def make_signature(qubits=("q1", "q2", "o1")) -> Signature:
-    return Signature(channels=dict(CHANNELS), qubits=tuple(qubits))
+def make_signature(qubits=("q1", "q2", "o1"), chans=tuple(CHANNELS)) -> Signature:
+    return Signature(channels={c: CHANNELS[c] for c in chans}, qubits=tuple(qubits))
 
 
 class TermGen:
@@ -118,6 +118,21 @@ class TermGen:
             env2[var] = NAT
             return RandBit(var, self.process(owned, env2, depth - 1))
         return Restrict(self.process(owned, env, depth - 1), self.rng.choice(list(self.sig.channels)))
+
+    def restricted_par(self, owned: tuple) -> object:
+        """(p || q \\ ch1) \\ ch2 || r, where p, q and r own the three sets
+        of `owned`, each behind a reception on k half the time, and ch1
+        and ch2 are declared channels: restrictions that often clash with
+        a name beside them."""
+        rng = self.rng
+
+        def part(own):
+            t = self.process(own, {}, rng.randrange(3))
+            return Recv("k", ("x",), t) if rng.random() < 0.5 else t
+
+        p, q, r = map(part, owned)
+        chans = list(self.sig.channels)
+        return Par(Restrict(Par(p, Restrict(q, rng.choice(chans))), rng.choice(chans)), r)
 
     def _qref(self, q: str, env: dict):
         if env.get(q) == QUBIT:

@@ -35,7 +35,8 @@ from lqccs.ops import resolve_operator
 from lqccs.parser import parse_process
 from lqccs.rewrite import normalize
 from lqccs.semantics import BOT, Distribution, dist_barbs, make_config, mixture
-from lqccs.syntax import NAT, NatLit, Nil, Par, QubitLit, Recv, Send, Sum, Tau
+from lqccs.syntax import (NAT, NatLit, Nil, Par, QubitLit, Recv, Restrict, Send, Sum, Tau,
+                          free_channels, map_term)
 
 SIG = make_signature(("q", "q1", "q2", "o1"))
 
@@ -718,19 +719,61 @@ class TestOneCertificatePath:
         assert common not in expanded
 
 
-@pytest.mark.xfail(strict=True, reason="exec_view keeps a restricted blob opaque when its "
-                   "channel is also free beside it; needs alpha-conversion")
 @pytest.mark.parametrize("mode", (SATURATED, CONSTRAINED))
 def test_alpha_equivalent_restrictions_are_not_distinguished(mode):
-    # R renames L's restricted d to f. In L the blob stays opaque, because d
-    # is also free in d!5 beside it, so e!3 never reaches e?y.d!y and L has
-    # no move, while R communicates on e
+    # R renames L's restricted d to f. In L, d is also free in d!5 beside
+    # the restriction, so its scope extends only once d is renamed apart;
+    # then e!3 reaches e?y.d!y on both sides
     dl, dr, sig = _pair(
         "channel d : nat;\nchannel e : nat;\nchannel f : nat;\nqubit q;\n"
         "process L = ((d?w.nil || e?y.d!y) \\ d || d!5) || e!3;\n"
         "process R = ((f?w.nil || e?y.f!y) \\ f || d!5) || e!3;\n", "L", "R")
     v = distinguish(dl, dr, mode, SearchBounds(ancillas=0), sig)
     assert not isinstance(v, Distinguished)
+
+
+def test_a_frame_on_a_restricted_channel_does_not_open_it():
+    # candidate_frames builds frames on the restricted d as well; beside
+    # d!0 || e!0, L's bound d is renamed apart, so e?y.d!y still takes e!0
+    dl, dr, sig = _pair(
+        "channel d : nat;\nchannel e : nat;\nqubit q;\n"
+        "process L = (d?w.nil || e?y.d!y) \\ d || disc(q);\n"
+        "process R = e?y.tau.nil || disc(q);\n", "L", "R")
+    v = distinguish(dl, dr, SATURATED, SearchBounds(ancillas=0), sig)
+    assert not isinstance(v, Distinguished)
+
+
+def _renamed(t, old, new):
+    """t with its free channel `old` renamed to `new`."""
+    if old not in free_channels(t):
+        return t
+    t = map_term(t, lambda c, bound: _renamed(c, old, new), lambda e: e)
+    if isinstance(t, Send) and t.chan == old:
+        return Send(new, t.payload)
+    return Recv(new, t.vars, t.cont) if isinstance(t, Recv) and t.chan == old else t
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from((SATURATED, CONSTRAINED)),
+       st.booleans())
+def test_renaming_a_bound_channel_is_never_distinguished(seed, mode, inner):
+    # (p || q \ ch1) \ ch2 || r against its copy with ch1 (inner) or ch2
+    # renamed to a declared channel that no generated term names
+    gen = TermGen(seed, make_signature(chans="ck"))
+    term = gen.restricted_par((frozenset({"q1"}), frozenset({"q2"}), frozenset()))
+    outer, r = term.left, term.right
+    p, blob = outer.body.left, outer.body.right
+
+    def alpha(t):
+        return Restrict(_renamed(t.body, t.chan, t.chan + "2"), t.chan + "2")
+
+    copy = Par(Restrict(Par(p, alpha(blob)), outer.chan) if inner else alpha(outer), r)
+    sig = make_signature(("q1", "q2"))
+    sig.channels.update({"c2": sig.channels["c"], "k2": sig.channels["k"]})
+    rho = random_density(np.random.default_rng(seed), ("q1", "q2"))
+    dl, dr = (Distribution.point(make_config(rho, t)) for t in (term, copy))
+    bounds = SearchBounds(context_size=6, depth=3, ancillas=0)
+    assert not isinstance(distinguish(dl, dr, mode, bounds, sig), Distinguished)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -25,7 +25,7 @@ from lqccs.semantics import (
     step_genuine,
     unique,
 )
-from lqccs.syntax import NIL, ApplyOp, Measure, Par, RandBit, Recv, Restrict, Send, Sum, Tau, sum_guards
+from lqccs.syntax import NIL, ApplyOp, Measure, Par, RandBit, Recv, Send, Sum, Tau, sum_guards
 
 SIG = make_signature()
 
@@ -50,13 +50,6 @@ def reference_proc_moves(rho, proc, sig) -> list:
 
     for i, comp in enumerate(comps):
         others = comps[:i] + comps[i + 1 :]
-        if isinstance(comp, Restrict):
-            for dist in reference_proc_moves(rho, comp, sig):
-                moves.append(Distribution([
-                    (Configuration(c.rho, _rebuild(others + [c.proc], restricted)), p)
-                    for c, p in dist.items()
-                ]))
-            continue
         for g in sum_guards(comp):
             if isinstance(g, Tau):
                 moves.append(succ(rho, others + [g.cont]))
@@ -155,9 +148,10 @@ def test_merged_rules_match_the_reference(seed, observer):
     assert keys(estep_genuine(cfg, sig)) == keys(reference_estep_genuine(cfg, sig))
 
 
-def test_an_opaque_blob_keeps_the_observer():
-    # k is restricted in the blob and free beside it, so the blob cannot
-    # merge and communicates inside; the observer must stay in its successor
+def test_a_communication_on_a_renamed_channel_keeps_the_observer():
+    # k is restricted in the blob and free beside it, so the blob merges
+    # only with its k renamed apart and communicates on that name, never
+    # with k?y.nil; the observer must stay in its successor
     proc = parse_process("(k!0 || k?x.disc(q1)) \\ k || k?y.nil", SIG)
     obs = parse_process("M01(o1 |> y).((if y = 0 then k!0 else k!1) || disc(o1))", SIG)
     cfg, _ = random_config(0)

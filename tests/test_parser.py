@@ -189,3 +189,10 @@ def test_roundtrip_property(seed):
     gen = TermGen(seed, sig)
     t = gen.process(frozenset({"q1", "q2"}), {}, 3)
     assert parse_process(pretty(t), sig) == t
+
+
+def test_a_fresh_channel_name_does_not_parse():
+    # a restricted channel renamed apart is called `stem#i`, so it can never
+    # equal a channel of a source term
+    with pytest.raises(ParseError):
+        parse_process("d#0!1", make_signature())

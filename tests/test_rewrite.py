@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genterms import TermGen, make_signature
 from lqccs.errors import EvalError, QubitCaptureError
@@ -11,7 +13,7 @@ from lqccs.rewrite import (
     normalize_observer,
     substitute,
 )
-from lqccs.syntax import BinOp, BoolLit, NatLit, Par, QubitLit, Sum, Var
+from lqccs.syntax import NIL, BinOp, BoolLit, NatLit, Par, QubitLit, Recv, Restrict, Send, Sum, Tau, Var
 
 
 def P(text):
@@ -92,13 +94,38 @@ class TestNormalize:
             n = normalize(t)
             assert normalize(n) == n
 
-    @pytest.mark.xfail(strict=True, reason="_normalize_restrict keeps a restricted blob opaque "
-                       "when its channel is also free beside it; needs alpha-conversion")
     def test_normal_form_of_a_clashing_restriction_is_a_fixed_point(self):
-        # the inner `\\ b` hides the b of `b!0` beside it, so one pass leaves
-        # `a?x.b!1 \\ b \\ a || b!0` and a second reorders the restrictions
+        # the inner `\\ b` hides the b of `b!0` beside it, so its scope
+        # extends over `b!0` only under a fresh name
         n = normalize(P("(a?x.b!1 \\ b || b!0) \\ a"))
         assert normalize(n) == n
+
+    def test_a_renamed_body_is_sorted_again(self):
+        # b clashes with the free b of b?x.nil and b#0 is taken, so b becomes
+        # b#1, which sorts after the b#0!2 that b!1 sorted before
+        body = Tau(Par(Send("b", (NatLit(1),)), Send("b#0", (NatLit(2),))))
+        t = Restrict(Par(Restrict(body, "b"), Par(P("b?x.nil"), Recv("b#0", ("y",), NIL))), "b#0")
+        n = normalize(t)
+        assert pretty(n) == "(b#0?y.nil || tau.(b#0!2 || b#1!1)) \\ b#0 \\ b#1 || b?x.nil"
+        assert normalize(n) == n
+
+    def test_a_fresh_name_avoids_bound_channels(self):
+        # b#0 is bound inside the body, so renaming b to b#0 would let b!1
+        # reach the b#0 reception it cannot reach; the unused `\\ k` only
+        # makes normalize extend the scope of `\\ b`
+        inner = Restrict(Par(Send("b", (NatLit(1),)), Recv("b#0", ("y",), NIL)), "b#0")
+        n = normalize(Restrict(Par(Restrict(Tau(inner), "b"), P("b?x.nil")), "k"))
+        assert pretty(n) == "b?x.nil || tau.(b#0?y.nil \\ b#0 || b#1!1) \\ b#1"
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=1_000_000))
+    def test_idempotent_on_clashing_restrictions(self, seed):
+        # restrictions over c and k only, so a restricted channel is often
+        # free beside its restriction or restricted again around it
+        gen = TermGen(seed, make_signature(chans="ck"))
+        for _ in range(16):
+            n = normalize(gen.restricted_par((frozenset({"q1"}), frozenset({"q2"}), frozenset())))
+            assert normalize(n) == n, pretty(n)
 
     def test_congruence_rule_instances(self):
         sig = make_signature()

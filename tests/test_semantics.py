@@ -9,7 +9,7 @@ from lqccs.errors import ChoiceExplosion
 from lqccs.parser import parse_process
 from lqccs.parser import pretty
 from lqccs.rewrite import normalize
-from lqccs.syntax import Par, Recv, Restrict, free_channels
+from lqccs.syntax import Restrict
 from lqccs.semantics import (
     BOT,
     BOT_BARB,
@@ -206,43 +206,46 @@ def test_restriction_masks_barbs_on_generated_terms():
 
 class TestExecView:
     def test_scope_extends_past_a_clashing_inner_blob(self):
-        # the outer `\ c` may extend over k?x.k!2, the inner `\ k` may not
+        # the outer `\ c` may extend over k?x.k!2; the inner `\ k` extends
+        # too, once its k is renamed apart from the free k of k?x.k!2
         sig = make_signature()
         proc = normalize(parse_process(
             "(k?x.k!2 || c!q1 || M01(q2 |> m).(k!0 || c!q2) \\ k) \\ c", sig))
-        assert pretty(proc) == "(M01(q2 |> m).(c!q2 || k!0) \\ k || c!q1) \\ c || k?x.k!2"
+        assert pretty(proc) == "(M01(q2 |> m).(c!q2 || k#0!0) || c!q1) \\ c \\ k#0 || k?x.k!2"
         comps, restricted = exec_view(proc)
-        assert restricted == {"c"}
-        assert sorted(map(pretty, comps)) == ["M01(q2 |> m).(c!q2 || k!0) \\ k", "c!q1", "k?x.k!2"]
+        assert restricted == {"c", "k#0"}
+        assert sorted(map(pretty, comps)) == ["M01(q2 |> m).(c!q2 || k#0!0)", "c!q1", "k?x.k!2"]
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(min_value=0, max_value=1_000_000))
     def test_no_extendable_blob_is_left_opaque(self, seed):
         # sixteen terms (p || q \ ch1) \ ch2 || r over generated p, q and r,
-        # some behind a reception on k: a blob exec_view keeps opaque has a
-        # chain channel that is restricted already or free in another component
-        gen = TermGen(seed)
-        rng = gen.rng
-
-        def part():
-            owned = frozenset(rng.choice(((), ("q1",), ("q2",), ("o1",))))
-            t = gen.process(owned, {}, rng.randrange(3))
-            return Recv("k", ("x",), t) if rng.random() < 0.5 else t
-
+        # some behind a reception on k: exec_view leaves no component a
+        # restriction, whatever channels clash
+        gen = TermGen(seed, make_signature(chans="ck"))
         for _ in range(16):
-            p, q, r = part(), part(), part()
-            proc = Par(Restrict(Par(p, Restrict(q, rng.choice("ck"))), rng.choice("ck")), r)
-            comps, restricted = exec_view(normalize(proc))
-            for i, comp in enumerate(comps):
-                chain = set()
-                while isinstance(comp, Restrict):
-                    chain.add(comp.chan)
-                    comp = comp.body
-                others = [free_channels(x) for j, x in enumerate(comps) if j != i]
-                assert not chain or chain & restricted.union(*others), pretty(proc)
+            owned = [frozenset(gen.rng.choice(((), ("q1",), ("q2",), ("o1",)))) for _ in range(3)]
+            proc = gen.restricted_par(owned)
+            comps, _ = exec_view(normalize(proc))
+            assert not any(isinstance(comp, Restrict) for comp in comps), pretty(proc)
 
 
 class TestTypingPreservation:
+    def test_a_renamed_normal_form_keeps_its_typing(self):
+        # the normal form sends and receives on k#0, typed as the declared k
+        src = "(k?x.k!2 || c!q1 || M01(q2 |> m).(k!m || k?z.c!q2) \\ k) \\ c"
+        start = cfg(k0("q1", "q2"), src)
+        assert "k#0?z.c!q2" in pretty(start.proc)
+        assert typecheck(SIG, start.proc) == typecheck(SIG, P(src)) == {"q1", "q2"}
+        frontier, steps = [start], 0
+        while frontier:
+            c = frontier.pop()
+            for dist in step_genuine(c, SIG):
+                assert typing_preserved(c, dist, SIG)
+                frontier += [x for x, _ in dist.items() if not x.is_bot]
+                steps += 1
+        assert steps == 2  # the measurement of |0>, then the communication on k#0
+
     def test_ql_chain(self):
         c = cfg(k0("q"), QL)
         assert typecheck(SIG, c.proc) == frozenset({"q"})
