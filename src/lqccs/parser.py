@@ -384,22 +384,6 @@ def parse_observer(text: str, sig: Signature | None = None):
     return term
 
 
-def parse(text: str):
-    """Program text -> (Signature, main term); bare term -> (empty sig, term).
-
-    Programs must start with a declaration keyword. The main term of a
-    program is its last process definition.
-    """
-    stripped = text.lstrip()
-    if stripped.split(None, 1) and stripped.split(None, 1)[0] in (
-        "channel", "var", "qubit", "process",
-    ):
-        sig, defs = parse_program(text)
-        main = list(defs.values())[-1]
-        return sig, main
-    return Signature(), parse_process(text)
-
-
 # --- pretty printer ---------------------------------------------------------
 
 

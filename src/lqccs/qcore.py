@@ -347,16 +347,9 @@ def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:
     traced = tuple(traced)
     if not traced:
         return rho
-    positions = set(rho.register.positions(traced))
-    n = rho.num_qubits
-    keep = [i for i in range(n) if i not in positions]
-    tensor = rho.mat.reshape([2] * (2 * n))
-    # trace out each dropped axis pair, highest axis first so indices stay valid
-    for pos in sorted(positions, reverse=True):
-        k = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=pos, axis2=k + pos)
-    dim = 1 << len(keep)
-    return DensityMatrix(rho.register.without(traced), tensor.reshape(dim, dim), check=False)
+    gone = set(rho.register.positions(traced))
+    kept = [i for i in range(rho.num_qubits) if i not in gone]
+    return DensityMatrix(rho.register.without(traced), _target_marginal(kept, rho), check=False)
 
 
 def mix(rho: DensityMatrix, sigma: DensityMatrix, p: float) -> DensityMatrix:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ChoiceExplosion, EvalError, LqccsError, TypingError
+from .errors import ChoiceExplosion, EvalError, LqccsError
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
@@ -33,7 +33,6 @@ from .syntax import (
     par_components,
     sum_guards,
 )
-from .typecheck import typecheck
 
 BOT_BARB = "⊥"
 DEFAULT_CHOICE_CAP = 100_000
@@ -433,26 +432,3 @@ def barb_mismatch(b1: dict, b2: dict):
         if abs(p1 - p2) > TOL_PROB:
             return (k, p1, p2)
     return None
-
-
-# --- typing of configurations ------------------------------------------------
-
-
-def config_typing(config: Configuration, sig):
-    """(register names, owned qubits) of a well-typed configuration."""
-    if config.is_bot:
-        return None
-    sp = typecheck(sig, config.proc)
-    sr = typecheck(sig, config.obs) if config.obs != NIL else frozenset()
-    if sp & sr:
-        raise TypingError(f"process and observer share qubits {sorted(sp & sr)}")
-    reg = frozenset(config.rho.register.names)
-    if not (sp | sr) <= reg:
-        raise TypingError(f"owned qubits {sorted((sp | sr) - reg)} missing from the state")
-    return (frozenset(config.rho.register.names), sp | sr)
-
-
-def typing_preserved(config: Configuration, dist: Distribution, sig) -> bool:
-    """Every element of a successor distribution carries the source typing."""
-    src = config_typing(config, sig)
-    return all(c.is_bot or config_typing(c, sig) == src for c, _ in dist.items())

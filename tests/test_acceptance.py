@@ -9,6 +9,13 @@ import pytest
 
 from genterms import TermGen, make_signature, random_density
 from lqccs import corpus, qcore
+from lqccs.claims import (
+    check_nondet_vs_ite,
+    crossvalidate_semantics,
+    partial_trace_necessary,
+    refines_upto,
+    replay_measurement_witness,
+)
 from lqccs.equiv import (
     CONSTRAINED,
     SATURATED,
@@ -16,13 +23,8 @@ from lqccs.equiv import (
     Distinguished,
     SearchBounds,
     _node_count,
-    check_nondet_vs_ite,
-    crossvalidate_semantics,
     density_quotient_equiv,
     distinguish,
-    partial_trace_necessary,
-    refines_upto,
-    replay_measurement_witness,
     replay_witness,
 )
 from lqccs.errors import LinearityError

@@ -65,6 +65,29 @@ def test_run_emits_trace(ql_file, capsys):
     assert level2["barbs"] == {"a": 0.5, "b": 0.5}
 
 
+def test_run_prints_a_text_tree(ql_file, capsys):
+    assert main(["run", ql_file, "--state", "ket0", "--depth", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "1.0000 H(q).M01(q |> x).(disc(q) || (if (x = 0) then a!1 else b!1))\n"
+        "--[⋄]-->\n"
+        "  1.0000 M01(q |> x).(disc(q) || (if (x = 0) then a!1 else b!1))\n"
+        "  --[⋄]-->\n"
+        "    0.5000 b!1 || disc(q)\n"
+        "    0.5000 a!1 || disc(q)\n"
+        "    barbs: {'a': 0.5, 'b': 0.5}\n"
+    )
+
+
+def test_run_standard_mode_has_no_indices(ql_file, capsys):
+    assert main(["run", ql_file, "--state", "ket0", "--depth", "3", "--mode", "standard",
+                 "--json"]) == 0
+    tree = json.loads(capsys.readouterr().out)
+    level1 = tree["moves"][0]["next"]
+    level2 = level1["moves"][0]["next"]
+    assert level2["barbs"] == {"a": 0.5, "b": 0.5}
+    assert [m["index"] for node in (tree, level1, level2) for m in node["moves"]] == [None] * 3
+
+
 def test_run_emit_state_includes_matrices(ql_file, capsys):
     assert main(["run", ql_file, "--depth", "1", "--emit-state", "--json"]) == 0
     tree = json.loads(capsys.readouterr().out)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,17 @@ from hypothesis import strategies as st
 
 from genterms import TermGen, make_signature, random_config, random_density
 from lqccs import qcore
+from lqccs.claims import (
+    check_nondet_vs_ite,
+    crossvalidate_semantics,
+    dist_refines,
+    partial_trace_necessary,
+    ptag,
+    ptag_obs,
+    refines_upto,
+    replay_measurement_witness,
+    superop_closure_pair,
+)
 from lqccs.equiv import (
     CONSTRAINED,
     SATURATED,
@@ -15,20 +28,11 @@ from lqccs.equiv import (
     advance_unique,
     certify,
     check_candidate,
-    check_nondet_vs_ite,
     config_partial_trace,
-    crossvalidate_semantics,
     density_quotient_equiv,
-    dist_refines,
     distinguish,
     is_deterministic,
-    partial_trace_necessary,
-    ptag,
-    ptag_obs,
-    refines_upto,
-    replay_measurement_witness,
     replay_witness,
-    superop_closure_pair,
 )
 from lqccs.errors import ShapeError
 from lqccs.ops import resolve_operator
@@ -799,3 +803,39 @@ def test_certified_reception_pairs_have_no_witness(seed):
     bounds = SearchBounds(context_size=6, depth=3, ancillas=1)
     pl, pr = (pad_ancillas(d, bounds.ancillas, {"q1"}) for d in (dl, dr))
     assert _search(pl, pr, CONSTRAINED, bounds, gen.sig, Stats()) is None
+
+
+def _branch_pair():
+    """`tau.a!0` against `tau.a!0 + tau.b!0`: only the right side can reach
+    the b barb, so the witness attacks from the right."""
+    sig = make_signature(("q",))
+    sig.channels["a"] = (NAT,)
+    sig.channels["b"] = (NAT,)
+    st = pure(qcore.KET0, "q")
+    dl, dr = (Distribution.point(make_config(st, parse_process(text, sig)))
+              for text in ("tau.a!0 || disc(q)", "(tau.a!0 + tau.b!0) || disc(q)"))
+    return sig, dl, dr
+
+
+@pytest.mark.parametrize("mode", [SATURATED, CONSTRAINED])
+def test_a_right_side_witness_replays(mode):
+    sig, dl, dr = _branch_pair()
+    bounds = SearchBounds(ancillas=0)
+    v = distinguish(dl, dr, mode, bounds, sig)
+    assert isinstance(v, Distinguished)
+    assert v.witness.side == "right" and len(v.witness.refutations) == 1
+    assert replay_witness(dl, dr, v.witness, mode, bounds, sig)
+
+
+@pytest.mark.parametrize("mode", [SATURATED, CONSTRAINED])
+def test_a_tampered_witness_does_not_replay(mode):
+    sig, dl, dr = _branch_pair()
+    bounds = SearchBounds(ancillas=0)
+    w = distinguish(dl, dr, mode, bounds, sig).witness
+    for tampered in (
+        dataclasses.replace(w, move=Distribution.point(BOT)),  # no side can make this move
+        dataclasses.replace(w, context=P("disc(q)")),  # q is owned: the context does not type
+        dataclasses.replace(w, side="left"),
+        object(),
+    ):
+        assert not replay_witness(dl, dr, tampered, mode, bounds, sig)

@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every name a module of the
 package imports must be used in that module, every function or class a
 module defines must be named somewhere else in the repository, every
-parameter of a function must be read by its body, and every defaulted
-parameter must be passed by some call."""
+parameter of a function must be read by its body, every defaulted
+parameter must be passed by some call, and no module but `claims` itself
+imports `claims`."""
 
 import ast
 import re
@@ -163,3 +164,34 @@ def test_unpassed_default_is_reported():
     )
     calls = "f(0, 1)\nf(0, d=4)\ng(0, *rest)\nh(**opts)\nC(1, 2)\nC(1).m(5)\n"
     assert unpassed_defaults({"m.py": src}, [calls]) == [("m.py", "f.c"), ("m.py", "m.v")]
+
+
+def claims_imports(source: str) -> list:
+    """Lines of `source` that import the `claims` module or a name from it.
+    The paper-claim checkers read the engine; the engine never reads them."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            paths = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("claims" in path.split(".") for path in paths):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "claims.py"],
+                         ids=lambda p: p.name)
+def test_no_engine_module_imports_claims(path):
+    assert claims_imports(path.read_text()) == []
+
+
+def test_claims_import_is_reported():
+    src = (
+        "from .claims import ptag\nfrom . import claims, qcore\nimport lqccs.claims\n"
+        "from .equiv import distinguish\nfrom lqccs import corpus\n"
+    )
+    assert claims_imports(src) == [1, 2, 3]

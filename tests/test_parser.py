@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from genterms import TermGen, make_signature
 from lqccs.errors import ParseError, SortError
-from lqccs.parser import parse, parse_observer, parse_process, parse_program, pretty
+from lqccs.parser import parse_observer, parse_process, parse_program, pretty
 from lqccs.syntax import (
     ApplyOp,
     Ite,
@@ -22,7 +22,7 @@ from lqccs.syntax import (
 
 
 def test_quantum_lottery_shape():
-    _, t = parse("H(q).M01(q |> x).((if x = 0 then a!1 else b!1) || disc(q))")
+    t = parse_process("H(q).M01(q |> x).((if x = 0 then a!1 else b!1) || disc(q))")
     assert isinstance(t, ApplyOp) and t.op == "H"
     assert t.args == (QubitLit("q"),)
     m = t.cont

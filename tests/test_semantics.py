@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from genterms import TermGen, make_signature, random_density
 from lqccs import qcore
+from lqccs.claims import typing_preserved
 from lqccs.errors import ChoiceExplosion
 from lqccs.parser import parse_process
 from lqccs.parser import pretty
@@ -23,7 +24,6 @@ from lqccs.semantics import (
     proc_barbs,
     step,
     step_genuine,
-    typing_preserved,
 )
 from lqccs.typecheck import typecheck
 
