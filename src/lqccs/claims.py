@@ -29,10 +29,10 @@ import numpy as np
 from . import qcore
 from .equiv import SearchBounds, _feasible, _fresh_names, _measure_flag_body, _used_channels
 from .errors import ChoiceExplosion, ShapeError, TypingError
-from .osem import DIAMOND, L, R, apply_context, estep_genuine, lift_estep, moves_at
+from .osem import DIAMOND, L, R, apply_context, estep_genuine, lift_estep
 from .qcore import TOL_MASS, TOL_PROB, TOL_STATE, partial_trace
 from .rewrite import normalize, normalize_observer
-from .semantics import Configuration, Distribution, config_barbs, dist_barbs, step_genuine
+from .semantics import Configuration, Distribution, at_index, config_barbs, dist_barbs, step_genuine
 from .syntax import (
     NIL,
     ApplyOp,
@@ -241,7 +241,7 @@ def replay_measurement_witness(
     got = []
     for d in (dl, dr):
         ctx = apply_context(d, frame)
-        succ = moves_at(ctx, "", use_sig)
+        succ = at_index(lift_estep(ctx, use_sig), "")
         if len(succ) != 1:
             return False
         got.append(dist_barbs(succ[0]).get(witness.flag, 0.0))

@@ -25,10 +25,10 @@ from .equiv import (
     density_quotient_equiv,
     distinguish,
 )
-from .osem import apply_context, lift_estep, moves_at
+from .osem import apply_context, lift_estep
 from .parser import parse_process, parse_program
 from .qcore import TOL_MAT, TOL_PROB
-from .semantics import Distribution, barb_mismatch, dist_barbs, make_config
+from .semantics import Distribution, at_index, barb_mismatch, dist_barbs, make_config
 from .syntax import Send, Signature, par_components
 
 
@@ -104,7 +104,8 @@ def _discard_tracing(sig, dl, dr, bounds):
     for prep in ("c!anc0", "H(anc0).c!anc0", "X(anc0).c!anc0"):
         frame = parse_process(prep, sig)
         red_l, red_r = (
-            config_partial_trace(advance_unique(moves_at(ctx, "", sig)[0], sig)[-1], ("anc0",))
+            config_partial_trace(
+                advance_unique(at_index(lift_estep(ctx, sig), "")[0], sig)[-1], ("anc0",))
             for ctx in (apply_context(dl, frame), apply_context(dr, frame))
         )
         cert = density_quotient_equiv(red_l, red_r, bounds, sig)
@@ -290,10 +291,9 @@ def _reachable_barbmaps(dist, sig, depth):
         nxt = []
         for d in frontier:
             for _, succ in lift_estep(d, sig):
-                k = succ.key()
-                if k in seen:
+                if succ in seen:
                     continue
-                seen.add(k)
+                seen.add(succ)
                 out.append(dist_barbs(succ))
                 nxt.append(succ)
         frontier = nxt

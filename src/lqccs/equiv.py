@@ -30,7 +30,7 @@ from .osem import (
     lift_estep,
 )
 from .parser import pretty
-from .qcore import TOL_PROB, TOL_STATE, DensityMatrix, partial_trace
+from .qcore import TOL_MASS, TOL_PROB, TOL_STATE, DensityMatrix, partial_trace
 from .rewrite import normalize
 from .semantics import (
     BOT,
@@ -41,6 +41,7 @@ from .semantics import (
     barb_mismatch,
     dist_barbs,
     exec_view,
+    lift,
     lift_step,
     open_guards,
     proc_barbs,
@@ -138,7 +139,7 @@ class AttackStep:
     context: object  # frame applied to both sides before the move, or None
     index: object  # transition index, or None in saturated mode
     move: Distribution
-    refutations: tuple  # ((defender distribution key, sub-witness), ...)
+    refutations: tuple  # ((defender distribution, sub-witness), ...)
 
 
 Witness = object  # BarbLeaf | AttackStep
@@ -355,12 +356,14 @@ def _fresh_names(stem: str, n: int, taken) -> list:
 
 
 def _channel_usage(dists, sig):
-    """-> (sends, recvs): channel -> (arity, is_qubit) as seen in the terms."""
+    """-> (sends, recvs): channel -> (arity, is_qubit) as seen in the terms,
+    for the channels free in some element: no context reaches a restricted one."""
+    free = set().union(*map(_used_channels, dists))
     sends: dict = {}
     recvs: dict = {}
 
     def walk(t):
-        if isinstance(t, (Send, Recv)):
+        if isinstance(t, (Send, Recv)) and t.chan in free:
             declared = sig.channel_type(t.chan) if sig is not None else None
             if isinstance(t, Send):
                 qubit = any(isinstance(e, QubitLit) for e in t.payload)
@@ -582,7 +585,7 @@ def _certificate(dl: Distribution, dr: Distribution, mode: str, bounds, sig):
     equality in both modes, the density quotient in constrained mode only
     (QCF's dishonest-Bob prefixes are a density-quotient pair that
     saturated contexts tell apart)."""
-    if dl.key() == dr.key():
+    if dl == dr:
         return ("equal-distributions", None)
     if mode == CONSTRAINED:
         q = density_quotient_equiv(dl, dr, bounds, sig)
@@ -652,6 +655,8 @@ def _search(dl, dr, mode, bounds, sig, stats):
         if depth == 0:
             return None
         at_root = depth == bounds.depth
+        # keyed on `key()`s: a memo keyed on the distributions would keep
+        # every visited state, its matrices and configurations, alive
         key = (a.key(), b.key(), depth)
         if key in memo:
             return memo[key]
@@ -695,7 +700,7 @@ def _search(dl, dr, mode, bounds, sig, stats):
                         if sub is None:
                             beaten = False
                             break
-                        refutations.append((resp.key(), sub))
+                        refutations.append((resp, sub))
                     if beaten:
                         return AttackStep(side, frame, idx, mv, tuple(refutations))
         return None
@@ -706,11 +711,13 @@ def _search(dl, dr, mode, bounds, sig, stats):
 def replay_witness(dl, dr, witness, mode, bounds, sig=None) -> bool:
     """Re-execute a distinguishing strategy from scratch: the attack move
     must be derivable, and every recomputed defender option must be
-    refuted by the stored sub-witness."""
+    refuted by the stored sub-witness; a barb leaf's masses must be the
+    recorded ones."""
     if isinstance(witness, BarbLeaf):
-        bl = dist_barbs(dl)
-        br = dist_barbs(dr)
-        return abs(bl.get(witness.channel, 0.0) - br.get(witness.channel, 0.0)) > TOL_PROB
+        pl = dist_barbs(dl).get(witness.channel, 0.0)
+        pr = dist_barbs(dr).get(witness.channel, 0.0)
+        return (abs(pl - witness.p_left) <= TOL_MASS and abs(pr - witness.p_right) <= TOL_MASS
+                and abs(pl - pr) > TOL_PROB)
     if not isinstance(witness, AttackStep):
         return False
     a, b = dl, dr
@@ -723,11 +730,11 @@ def replay_witness(dl, dr, witness, mode, bounds, sig=None) -> bool:
     mine, theirs = (a, b) if witness.side == "left" else (b, a)
     my_moves = at_index(_lifted_moves(mine, mode, sig, bounds.choice_cap), witness.index)
     their_moves = at_index(_lifted_moves(theirs, mode, sig, bounds.choice_cap), witness.index)
-    if witness.move.key() not in {m.key() for m in my_moves}:
+    if witness.move not in my_moves:
         return False
     stored = dict(witness.refutations)
     for resp in their_moves:
-        sub = stored.get(resp.key())
+        sub = stored.get(resp)
         if sub is None:
             return False
         if witness.side == "left":
@@ -787,14 +794,8 @@ def check_candidate(
 
 def _pair_in_relation(pair, pairs, upto_cv: bool) -> bool:
     a, b = pair
-    for x, y in pairs:
-        if a.key() == x.key() and b.key() == y.key():
-            return True
-    if a.key() == b.key():
-        return True  # identity pairs are always sound to close under
-    if upto_cv:
-        return _in_convex_hull(a, b, pairs)
-    return False
+    # identity pairs are always sound to close under
+    return pair in pairs or a == b or (upto_cv and _in_convex_hull(a, b, pairs))
 
 
 def _in_convex_hull(a: Distribution, b: Distribution, pairs) -> bool:
@@ -836,18 +837,14 @@ def _feasible(a_eq, b_eq) -> bool:
 # execution helpers shared with the corpus
 
 
-def _genuine(moves) -> list:
-    """Indexed moves minus the pure-deadlock diamond fallback."""
-    return [(i, d) for i, d in moves if not (i == DIAMOND and d.bot_mass() >= 1.0 - TOL_PROB)]
-
-
 def advance_unique(dist: Distribution, sig=None):
-    """Follow the chain of unique genuine lifted moves, at most 64, until
-    the distribution branches or goes quiescent. Returns the list of
-    distributions visited, including the start."""
+    """Follow the chain of unique lifted genuine moves (`estep_genuine`: an
+    element without the move gives the BOT point, but a deadlock is no
+    move of its own), at most 64, until the distribution branches or goes
+    quiescent. Returns the distributions visited, including the start."""
     trace = [dist]
     for _ in range(64):
-        moves = _genuine(lift_estep(dist, sig))
+        moves = lift(dist, lambda c: estep_genuine(c, sig))
         if len(moves) != 1:
             break
         dist = moves[0][1]

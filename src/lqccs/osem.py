@@ -20,13 +20,11 @@ from .semantics import (
     Configuration,
     Distribution,
     _rebuild,
-    at_index,
     communications,
     exec_view,
     fire,
     instantiate,
     lift,
-    move_key,
     step_genuine,
     unique,
 )
@@ -67,7 +65,7 @@ def estep_genuine(config: Configuration, sig=None) -> list:
     # observer indices are not the diamond, so only the observer's own moves can repeat
     return moves + unique([(idx, Distribution(
         [(Configuration(r, proc, obs), p) for p, r, obs in instantiate(s, config.rho, sig)]))
-        for idx, proc, s in observer_schemas(config.proc, config.obs)], move_key)
+        for idx, proc, s in observer_schemas(config.proc, config.obs)])
 
 
 @cached_beside("_moves_beside")
@@ -117,12 +115,6 @@ def lift_estep(dist: Distribution, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> l
     product of per-element choices at that index, with deadlock points
     filling in for elements that lack the index."""
     return lift(dist, lambda c: estep(c, sig), cap)
-
-
-def moves_at(dist: Distribution, index: str, sig=None) -> list:
-    """Successors of the lifted relation at one index; the deadlock point
-    when no element enables it."""
-    return at_index(lift_estep(dist, sig), index)
 
 
 def apply_context(dist: Distribution, frame) -> Distribution:

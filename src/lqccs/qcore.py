@@ -176,11 +176,12 @@ class DensityMatrix:
 
 
 class Superoperator:
-    """Completely positive map given by its Kraus decomposition."""
+    """Completely positive map given by its Kraus decomposition; `check`
+    requires the Kraus operators to sum to the identity (trace preserving)."""
 
     __slots__ = ("arity", "kraus")
 
-    def __init__(self, kraus, trace_preserving: bool = True, check: bool = True):
+    def __init__(self, kraus, check: bool = True):
         kraus = [_as_array(k) for k in kraus]
         if not kraus:
             raise ValueError("empty Kraus list")
@@ -192,13 +193,8 @@ class Superoperator:
             raise ValueError("Kraus operators of mixed dimension")
         if check:
             acc = sum(k.conj().T @ k for k in kraus)
-            if trace_preserving:
-                if np.max(np.abs(acc - np.eye(dim))) > TOL_CHECK:
-                    raise ValueError("Kraus operators do not sum to identity")
-            else:
-                eigs = np.linalg.eigvalsh(np.eye(dim) - acc)
-                if eigs.min() < -TOL_CHECK:
-                    raise ValueError("Kraus sum exceeds identity")
+            if np.max(np.abs(acc - np.eye(dim))) > TOL_CHECK:
+                raise ValueError("Kraus operators do not sum to identity")
         self.arity = n
         self.kraus = kraus
 

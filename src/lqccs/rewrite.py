@@ -311,7 +311,3 @@ def normalize_observer(t):
     if isinstance(t, (Tau, Restrict, RandBit)):
         raise TypeError(f"not an observer term: {t!r}")
     return map_term(t, lambda c, bound: normalize_observer(c), _norm_expr)
-
-
-def congruent_observer(r, s) -> bool:
-    return normalize_observer(r) == normalize_observer(s)

@@ -231,20 +231,10 @@ def step_genuine(config: Configuration, sig=None) -> list:
     ])
 
 
-def unique(items, key=Distribution.key) -> list:
-    """First occurrence of each item, in order, compared by `key`; a list
-    of fewer than two items is returned without computing any key."""
-    if len(items) < 2:
-        return list(items)
-    seen = {}
-    for item in items:
-        seen.setdefault(key(item), item)
-    return list(seen.values())
-
-
-def move_key(move):
-    """Identity of an (index, distribution) move."""
-    return (move[0], move[1].key())
+def unique(items) -> list:
+    """First occurrence of each item, in order, compared by `==`; a list
+    of fewer than two items is returned without hashing any."""
+    return list(items) if len(items) < 2 else list(dict.fromkeys(items))
 
 
 def communications(senders, receivers, blocked=frozenset()):
@@ -369,7 +359,7 @@ def lift(dist: Distribution, moves_of, cap: int = DEFAULT_CHOICE_CAP) -> list:
                 raise ChoiceExplosion(f"{total}+ move combinations exceed the cap {cap}")
         for combo in itertools.product(*options):
             out.append((idx, Distribution.convex([(p, d) for (_, p), d in zip(elems, combo)])))
-    return unique(out, move_key)
+    return unique(out)
 
 
 def at_index(moves, index) -> list:

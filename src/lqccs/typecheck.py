@@ -4,8 +4,7 @@ The judgment assigns each term the unique set of qubit names it owns:
 discards and qubit sends introduce qubits, parallel composition demands
 disjoint ownership, sums and conditional branches must agree, and a
 received qubit must be used by the continuation. Inference is
-syntax-directed and bottom-up; `order` picks the traversal direction of
-binary nodes so order-independence can be tested.
+syntax-directed and bottom-up.
 """
 
 from __future__ import annotations
@@ -85,9 +84,9 @@ def _qubit_tuple(exprs, env, what: str) -> frozenset:
     return frozenset(names)
 
 
-def typecheck(sig: Signature, term, order: str = "lr") -> frozenset:
+def typecheck(sig: Signature, term) -> frozenset:
     """Infer the qubit context of a closed-enough term; raises on failure."""
-    return _check(term, dict(sig.variables), sig, order)
+    return _check(term, dict(sig.variables), sig)
 
 
 def _channel(sig: Signature, chan: str, n: int, what: str) -> tuple:
@@ -101,19 +100,15 @@ def _channel(sig: Signature, chan: str, n: int, what: str) -> tuple:
     return ct
 
 
-def _pair(a, b, order):
-    return (a, b) if order == "lr" else (b, a)
-
-
-def _check(term, env, sig, order) -> frozenset:
+def _check(term, env, sig) -> frozenset:
     if isinstance(term, Nil):
         return _qubit_tuple(term.discards, env, "discard")
     if isinstance(term, Tau):
-        return _check(term.cont, env, sig, order)
+        return _check(term.cont, env, sig)
     if isinstance(term, ApplyOp):
         used = _qubit_tuple(term.args, env, f"{term.op} arguments")
         resolve_operator(term.op, len(term.args), sig)
-        inner = _check(term.cont, env, sig, order)
+        inner = _check(term.cont, env, sig)
         if not used <= inner:
             raise LinearityError(
                 f"{term.op} acts on {sorted(used - inner)} not owned by its continuation"
@@ -122,7 +117,7 @@ def _check(term, env, sig, order) -> frozenset:
     if isinstance(term, Measure):
         used = _qubit_tuple(term.args, env, f"{term.op} arguments")
         resolve_measurement(term.op, len(term.args), sig)
-        inner = _check(term.cont, {**env, term.var: NAT}, sig, order)
+        inner = _check(term.cont, {**env, term.var: NAT}, sig)
         if not used <= inner:
             raise LinearityError(
                 f"{term.op} measures {sorted(used - inner)} not owned by its continuation"
@@ -138,7 +133,7 @@ def _check(term, env, sig, order) -> frozenset:
             env2[v] = t
             if t == QUBIT:
                 qvars.append(v)
-        inner = _check(term.cont, env2, sig, order)
+        inner = _check(term.cont, env2, sig)
         for v in qvars:
             if v not in inner:
                 raise LinearityError(
@@ -160,43 +155,31 @@ def _check(term, env, sig, order) -> frozenset:
             raise LinearityError(f"qubit sent twice in one payload on {term.chan!r}")
         return frozenset(owned)
     if isinstance(term, Sum):
-        first, second = _pair(term.left, term.right, order)
-        s1 = _check(first, env, sig, order)
-        s2 = _check(second, env, sig, order)
+        s1 = _check(term.left, env, sig)
+        s2 = _check(term.right, env, sig)
         if s1 != s2:
             raise LinearityError(
                 f"sum alternatives own different qubits: {sorted(s1)} vs {sorted(s2)}"
             )
         return s1
     if isinstance(term, Par):
-        first, second = _pair(term.left, term.right, order)
-        s1 = _check(first, env, sig, order)
-        s2 = _check(second, env, sig, order)
+        s1 = _check(term.left, env, sig)
+        s2 = _check(term.right, env, sig)
         if s1 & s2:
             raise LinearityError(f"qubits shared across parallel components: {sorted(s1 & s2)}")
         return s1 | s2
     if isinstance(term, Restrict):
-        return _check(term.body, env, sig, order)
+        return _check(term.body, env, sig)
     if isinstance(term, Ite):
         if expr_type(term.cond, env, sig) != BOOL:
             raise TypingError("conditional guard must be boolean")
-        first, second = _pair(term.then, term.els, order)
-        s1 = _check(first, env, sig, order)
-        s2 = _check(second, env, sig, order)
+        s1 = _check(term.then, env, sig)
+        s2 = _check(term.els, env, sig)
         if s1 != s2:
             raise LinearityError(
                 f"conditional branches own different qubits: {sorted(s1)} vs {sorted(s2)}"
             )
-        return s1 if order == "lr" else s2
+        return s1
     if isinstance(term, RandBit):
-        return _check(term.cont, {**env, term.var: NAT}, sig, order)
+        return _check(term.cont, {**env, term.var: NAT}, sig)
     raise TypingError(f"not a term: {term!r}")
-
-
-def typecheck_unique_property(sig: Signature, term) -> frozenset:
-    """Re-run inference with both traversal orders and insist they agree."""
-    lr = typecheck(sig, term, "lr")
-    rl = typecheck(sig, term, "rl")
-    if lr != rl:
-        raise TypingError(f"typing depends on traversal order: {sorted(lr)} vs {sorted(rl)}")
-    return lr

@@ -31,6 +31,7 @@ from lqccs.syntax import (
     Sum,
     Tau,
     Var,
+    map_term,
 )
 
 CHANNELS = {
@@ -213,6 +214,17 @@ class TermGen:
         if rng.random() < 0.5:
             return Send("k", (NatLit(rng.randrange(2)),))
         return Nil()
+
+
+def mirror(t):
+    """`t` with the two sides of every `Par` and `Sum` swapped, and the
+    branches of every conditional swapped under its negated guard: a
+    term that types like `t`, read in the other order."""
+    if isinstance(t, (Par, Sum)):
+        return type(t)(mirror(t.right), mirror(t.left))
+    if isinstance(t, Ite):
+        return Ite(Not(t.cond), mirror(t.els), mirror(t.then))
+    return map_term(t, lambda c, _: mirror(c), lambda e: e)
 
 
 def random_density(rng: np.random.Generator, names) -> qcore.DensityMatrix:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from genterms import TermGen, make_signature, random_density
+from genterms import TermGen, make_signature, mirror, random_density
 from lqccs import corpus, qcore
 from lqccs.claims import (
     check_nondet_vs_ite,
@@ -31,7 +31,7 @@ from lqccs.errors import LinearityError
 from lqccs.ops import resolve_operator
 from lqccs.parser import parse_process
 from lqccs.semantics import Distribution, dist_barbs, lift_step, make_config, mixture
-from lqccs.typecheck import typecheck, typecheck_unique_property
+from lqccs.typecheck import typecheck
 
 TOL = 1e-9
 
@@ -79,7 +79,7 @@ def test_criterion_2_typing():
     for seed in range(500):
         gen = TermGen(seed, sig)
         term = gen.process(frozenset({"q1", "q2"}), {}, 4)
-        assert typecheck_unique_property(sig, term) == frozenset({"q1", "q2"})
+        assert typecheck(sig, term) == typecheck(sig, mirror(term)) == frozenset({"q1", "q2"})
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     _report(2, "unique typing over 500 random terms; illegal rows rejected", t0)

@@ -21,11 +21,13 @@ from lqccs.claims import (
 from lqccs.equiv import (
     CONSTRAINED,
     SATURATED,
+    BarbLeaf,
     CertifiedBisimilar,
     Distinguished,
     InconclusiveAtBounds,
     SearchBounds,
     advance_unique,
+    candidate_frames,
     certify,
     check_candidate,
     config_partial_trace,
@@ -40,7 +42,7 @@ from lqccs.parser import parse_process
 from lqccs.rewrite import normalize
 from lqccs.semantics import BOT, Distribution, dist_barbs, make_config, mixture
 from lqccs.syntax import (NAT, NatLit, Nil, Par, QubitLit, Recv, Restrict, Send, Sum, Tau,
-                          free_channels, map_term)
+                          channels, free_channels, map_term)
 
 SIG = make_signature(("q", "q1", "q2", "o1"))
 
@@ -736,15 +738,27 @@ def test_alpha_equivalent_restrictions_are_not_distinguished(mode):
     assert not isinstance(v, Distinguished)
 
 
-def test_a_frame_on_a_restricted_channel_does_not_open_it():
-    # candidate_frames builds frames on the restricted d as well; beside
-    # d!0 || e!0, L's bound d is renamed apart, so e?y.d!y still takes e!0
-    dl, dr, sig = _pair(
+def _restricted_d_pair():
+    return _pair(
         "channel d : nat;\nchannel e : nat;\nqubit q;\n"
         "process L = (d?w.nil || e?y.d!y) \\ d || disc(q);\n"
         "process R = e?y.tau.nil || disc(q);\n", "L", "R")
+
+
+def test_a_frame_on_a_restricted_channel_does_not_open_it():
+    # a frame on d could not reach L's bound d: beside d!0 || e!0 it is
+    # renamed apart, so e?y.d!y still takes e!0
+    dl, dr, sig = _restricted_d_pair()
     v = distinguish(dl, dr, SATURATED, SearchBounds(ancillas=0), sig)
     assert not isinstance(v, Distinguished)
+
+
+@pytest.mark.parametrize("mode", (SATURATED, CONSTRAINED))
+def test_no_candidate_frame_names_a_restricted_channel(mode):
+    # the frames are e!0, e!1 and e!0 || e!1; no context reaches the bound d
+    dl, dr, sig = _restricted_d_pair()
+    frames = candidate_frames(dl, dr, mode, SearchBounds(ancillas=0), sig)
+    assert frames and not any("d" in channels(f) for f in frames)
 
 
 def _renamed(t, old, new):
@@ -832,10 +846,37 @@ def test_a_tampered_witness_does_not_replay(mode):
     sig, dl, dr = _branch_pair()
     bounds = SearchBounds(ancillas=0)
     w = distinguish(dl, dr, mode, bounds, sig).witness
+    (resp, leaf), = w.refutations
+    assert isinstance(leaf, BarbLeaf)
+    swapped = dataclasses.replace(leaf, p_left=leaf.p_right, p_right=leaf.p_left)
     for tampered in (
+        dataclasses.replace(w, refutations=((resp, swapped),)),  # the masses it prints are wrong
         dataclasses.replace(w, move=Distribution.point(BOT)),  # no side can make this move
         dataclasses.replace(w, context=P("disc(q)")),  # q is owned: the context does not type
         dataclasses.replace(w, side="left"),
         object(),
     ):
         assert not replay_witness(dl, dr, tampered, mode, bounds, sig)
+
+
+class TestAdvanceUnique:
+    """`advance_unique` follows the one lifted genuine move: a deadlock is
+    never a move of its own, but an element without the move, beside one
+    that has it, goes to BOT."""
+
+    def test_a_stuck_point_does_not_move(self):
+        d = point(pure(qcore.KET0, "q"), "k?x.disc(q)")
+        assert advance_unique(d, SIG) == [d]
+
+    def test_a_stuck_element_goes_to_bot_beside_a_moving_one(self):
+        st = pure(qcore.KET0, "q")
+        d = mixture(point(st, "k?x.disc(q)"), point(st, "tau.k!0 || disc(q)"), 0.5)
+        run = advance_unique(d, SIG)
+        assert len(run) == 2
+        assert abs(run[-1].bot_mass() - 0.5) < 1e-9
+
+    def test_an_observer_only_communication_is_followed(self):
+        run = advance_unique(point(pure(qcore.KET0, "q"), "k?x.disc(q)", "k!1"), SIG)
+        assert len(run) == 2
+        ((c, _),) = run[-1].items()
+        assert c.proc == P("disc(q)") and c.obs == Nil()

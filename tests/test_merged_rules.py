@@ -21,7 +21,6 @@ from lqccs.semantics import (
     communications,
     exec_view,
     make_config,
-    move_key,
     step_genuine,
     unique,
 )
@@ -129,11 +128,11 @@ def reference_estep_genuine(config, sig) -> list:
     moves = [(DIAMOND, d) for d in reference_step_genuine(config, sig)]
     obs = normalize_observer(config.obs)
     moves.extend(reference_observer_moves(config.rho, normalize(config.proc), obs, sig))
-    return unique(moves, move_key)
+    return unique(moves)
 
 
 def keys(moves) -> list:
-    return [move_key(m) for m in moves]
+    return [(idx, d.key()) for idx, d in moves]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -11,7 +11,6 @@ from lqccs.osem import (
     estep,
     estep_genuine,
     lift_estep,
-    moves_at,
 )
 from lqccs.parser import parse_process
 from lqccs.rewrite import normalize, normalize_observer
@@ -19,6 +18,7 @@ from lqccs.semantics import (
     BOT,
     Configuration,
     Distribution,
+    at_index,
     dist_barbs,
     make_config,
     mixture,
@@ -179,9 +179,9 @@ class TestLiftEstep:
         assert len(eps) == 1
         assert abs(eps[0].bot_mass() - 0.5) < 1e-9
 
-    def test_moves_at_falls_back_to_bot(self):
+    def test_an_index_no_element_enables_falls_back_to_bot(self):
         d = Distribution.point(make_config(k0("q"), P("disc(q)"), P("nil")))
-        assert moves_at(d, "ℓr", SIG) == [Distribution.point(BOT)]
+        assert at_index(lift_estep(d, SIG), "ℓr") == [Distribution.point(BOT)]
 
     def test_decomposable_on_random_splits(self):
         # restricting a lifted move to a sub-distribution and renormalizing

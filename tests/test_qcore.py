@@ -450,7 +450,6 @@ class TestBuiltins:
 @pytest.mark.parametrize("build", [
     lambda m: DensityMatrix(("q",), m),
     lambda m: Superoperator([m], check=False),
-    lambda m: Superoperator([m], trace_preserving=False),
     lambda m: Superoperator.probabilistic([(1.0, m)]),
     lambda m: Superoperator.constant(m),
     lambda m: Measurement([m, I2], check=False),
@@ -458,7 +457,7 @@ class TestBuiltins:
     lambda m: projector(m[:, :1]),
     lambda m: kron(m, I2),
     lambda m: kron_all([I2, m]),
-], ids=["state", "superop", "subnormal-superop", "probabilistic", "constant",
+], ids=["state", "superop", "probabilistic", "constant",
         "measurement", "pure-state", "projector", "kron", "kron-all"])
 def test_non_finite_caller_data_is_refused(build, bad):
     """Finiteness is checked where caller data enters: checked states,

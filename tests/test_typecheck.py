@@ -1,10 +1,10 @@
 import pytest
 
-from genterms import TermGen, make_signature
+from genterms import TermGen, make_signature, mirror
 from lqccs.errors import ArityError, ChannelTypeError, LinearityError, TypingError
 from lqccs.parser import parse_process
 from lqccs.syntax import Signature
-from lqccs.typecheck import typecheck, typecheck_unique_property
+from lqccs.typecheck import typecheck
 
 QL = "H(q).M01(q |> x).((if x = 0 then a!1 else b!1) || disc(q))"
 
@@ -84,9 +84,10 @@ def test_classical_payload_typing():
 
 def test_unique_typing_on_examples():
     sig = ql_signature()
-    assert typecheck_unique_property(sig, parse_process(QL, sig)) == frozenset({"q"})
+    ql = parse_process(QL, sig)
+    assert typecheck(sig, ql) == typecheck(sig, mirror(ql)) == frozenset({"q"})
     both = parse_process("c!q1 || disc(q2)", sig)
-    assert typecheck_unique_property(sig, both) == frozenset({"q1", "q2"})
+    assert typecheck(sig, both) == typecheck(sig, mirror(both)) == frozenset({"q1", "q2"})
 
 
 def test_unique_typing_generated():
@@ -94,7 +95,7 @@ def test_unique_typing_generated():
     for seed in range(300):
         gen = TermGen(seed, sig)
         term = gen.process(frozenset({"q1", "q2"}), {}, 4)
-        assert typecheck_unique_property(sig, term) == frozenset({"q1", "q2"})
+        assert typecheck(sig, term) == typecheck(sig, mirror(term)) == frozenset({"q1", "q2"})
 
 
 def test_observers_type_with_the_same_rules():
