@@ -22,12 +22,12 @@ Every checker reads the engine; no engine module imports this one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import qcore
-from .equiv import SearchBounds, _feasible, _fresh_names, _measure_flag_body, _used_channels
+from .equiv import SearchBounds, _feasible, _measure_flag_body, _used_channels
 from .errors import ChoiceExplosion, ShapeError, TypingError
 from .osem import DIAMOND, L, R, apply_context, estep_genuine, lift_estep
 from .qcore import TOL_MASS, TOL_PROB, TOL_STATE, partial_trace
@@ -47,6 +47,7 @@ from .syntax import (
     Signature,
     Sum,
     children,
+    fresh_names,
     is_guard,
     map_term,
     par_components,
@@ -225,7 +226,7 @@ def partial_trace_necessary(dl: Distribution, dr: Distribution):
     m = qcore.Measurement([proj, np.eye(dim) - proj], check=False)
     p_left = float((proj @ red_l.mat).trace().real)
     p_right = float((proj @ red_r.mat).trace().real)
-    flag = _fresh_names("ptflag", 1, _used_channels(dl) | _used_channels(dr))[0]
+    flag = fresh_names("ptflag", 1, _used_channels(dl) | _used_channels(dr))[0]
     return ("refuted", MeasurementWitness(m, env_l, flag, p_left, p_right))
 
 
@@ -234,8 +235,8 @@ def replay_measurement_witness(
 ) -> bool:
     """Apply the witness measurement as an observer context to both sides
     and confirm the flag barb masses differ as recorded."""
-    use_sig = sig.copy() if sig is not None else Signature()
-    use_sig.measurements["Mwitness"] = witness.measurement
+    sig = sig or Signature()
+    use_sig = replace(sig, measurements={**sig.measurements, "Mwitness": witness.measurement})
     targets = tuple(QubitLit(q) for q in witness.targets)
     frame = _measure_flag_body("Mwitness", targets, 0, witness.flag, None)
     got = []

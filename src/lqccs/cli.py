@@ -23,7 +23,7 @@ from .equiv import (
 from .errors import ChoiceExplosion, LqccsError, ParseError
 from .osem import lift_estep
 from .parser import parse_program, pretty
-from .semantics import Distribution, dist_barbs, lift_step, make_config
+from .semantics import Distribution, config_barbs, dist_barbs, lift_step, make_config
 from .syntax import NIL
 from .typecheck import typecheck
 
@@ -46,7 +46,7 @@ def build_state(spec: str, qubits):
         used += 1
     if used != len(qubits):
         raise ValueError(f"state covers {used} qubits, register has {len(qubits)}")
-    return qcore.pure_state(qcore.kron_all(vecs) if len(vecs) > 1 else vecs[0], tuple(qubits))
+    return qcore.pure_state(qcore.kron_all(vecs), tuple(qubits))
 
 
 def _load(path: str):
@@ -81,7 +81,7 @@ def _dist_json(dist: Distribution, emit_state: bool = False):
             "prob": p,
             "process": pretty(cfg.proc),
             "observer": pretty(cfg.obs) if cfg.obs != NIL else None,
-            "barbs": sorted(dist_barbs(Distribution.point(cfg))),
+            "barbs": sorted(config_barbs(cfg)),
         }
         if emit_state:
             item["state"] = cfg.rho.to_json()
@@ -132,10 +132,7 @@ def _tree_json(dist, sig, depth, mode, emit_state, step_no=0):
     if depth <= 0:
         return node
     moves = []
-    if mode == "enhanced":
-        nexts = lift_estep(dist, sig)
-    else:
-        nexts = [(None, d) for d in lift_step(dist, sig)]
+    nexts = lift_estep(dist, sig) if mode == "enhanced" else lift_step(dist, sig)
     for idx, succ in nexts:
         moves.append({
             "index": idx,
@@ -176,9 +173,9 @@ def main(argv=None) -> int:
     p.add_argument("--right", required=True)
     p.add_argument("--state", default="")
     p.add_argument("--mode", choices=["saturated", "constrained"], default="constrained")
-    p.add_argument("--ctx-size", type=int, default=14)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--ancillas", type=int, default=1)
+    p.add_argument("--ctx-size", type=int, default=SearchBounds.context_size)
+    p.add_argument("--depth", type=int, default=SearchBounds.depth)
+    p.add_argument("--ancillas", type=int, default=SearchBounds.ancillas)
 
     p = sub.add_parser("certify", help="density-quotient certificate for a pair")
     p.add_argument("file")

@@ -5,7 +5,6 @@ source, the bounds its check runs with, and the check."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -28,7 +27,7 @@ from .equiv import (
 from .osem import apply_context, lift_estep
 from .parser import parse_process, parse_program
 from .qcore import TOL_MAT, TOL_PROB
-from .semantics import Distribution, at_index, barb_mismatch, dist_barbs, make_config
+from .semantics import Distribution, at_index, barb_mismatch, config_barbs, dist_barbs, make_config
 from .syntax import Send, Signature, par_components
 
 
@@ -228,12 +227,11 @@ process Spec = SWAP(q0,q2).tau.tau.tau.tau.(out!q2 || disc(q0,q1));
 """
 
 
-def teleport_states():
-    return [
-        ("ket0", np.array([[1.0], [0.0]], dtype=complex)),
-        ("ket+", (1 / math.sqrt(2)) * np.array([[1.0], [1.0]], dtype=complex)),
-        ("3/5,4/5", np.array([[0.6], [0.8]], dtype=complex)),
-    ]
+TELEPORT_STATES = (
+    ("ket0", qcore.KET0),
+    ("ket+", qcore.KETP),
+    ("3/5,4/5", np.array([[0.6], [0.8]], dtype=complex)),
+)
 
 
 def build_teleportation() -> CorpusEntry:
@@ -242,7 +240,7 @@ def build_teleportation() -> CorpusEntry:
     def check():
         sig, defs = parse_program(TELEPORT_SRC)
         out_send = parse_process("out!q2", sig)
-        for name, psi in teleport_states():
+        for name, psi in TELEPORT_STATES:
             st = qcore.pure_state(qcore.kron(psi, qcore.PHI_P), ("q0", "q1", "q2"))
             ends = [_forced_end(_point(st, defs[p]), sig) for p in ("Tel", "Spec")]
             if any(end is None for end in ends):
@@ -446,7 +444,7 @@ def build_qcf(n: int = 1) -> CorpusEntry:
             return False, failure
         masses = {0: 0.0, 1: 0.0}
         for cfg, p in run[-1].items():
-            barbs = sorted(dist_barbs(Distribution.point(cfg)))
+            barbs = sorted(config_barbs(cfg))
             if barbs != ["a", "b"]:
                 return False, f"final element with barbs {barbs}"
             sends = _outcome_payloads(cfg.proc)

@@ -62,11 +62,11 @@ from .syntax import (
     cached,
     children,
     free_channels,
+    fresh_names,
     observer_violation,
     par_all,
     par_components,
     qubit_atoms,
-    sum_guards,
 )
 
 SATURATED = "saturated"
@@ -151,9 +151,7 @@ Witness = object  # BarbLeaf | AttackStep
 
 def _lifted_moves(dist: Distribution, mode: str, sig, cap: int) -> list:
     """(index, successor) pairs; saturated moves carry index None."""
-    if mode == SATURATED:
-        return [(None, d) for d in lift_step(dist, sig, cap)]
-    return lift_estep(dist, sig, cap)
+    return lift_step(dist, sig, cap) if mode == SATURATED else lift_estep(dist, sig, cap)
 
 
 def _apply_frame(dist: Distribution, frame, mode: str) -> Distribution:
@@ -170,18 +168,9 @@ def syntactically_deterministic(proc) -> bool:
     """Sufficient syntactic condition: no real sums, at most one live
     parallel component, choices only via conditionals or measurement
     outcomes."""
-    proc = normalize(proc)
-    comps, _ = exec_view(proc)
-    live = [c for c in comps if not isinstance(c, Nil)]
-    if len(live) > 1:
-        return False
-    if not live:
-        return True
-    guards = sum_guards(live[0])
-    if len(guards) > 1:
-        return False
+    live = [c for c in exec_view(normalize(proc))[0] if not isinstance(c, Nil)]
     # a conditional at the top is left unresolved here, so it counts as a choice
-    return not isinstance(guards[0], Ite) and _det_term(guards[0])
+    return not live or (len(live) == 1 and not isinstance(live[0], Ite) and _det_term(live[0]))
 
 
 def _det_term(t) -> bool:
@@ -189,9 +178,7 @@ def _det_term(t) -> bool:
         return False
     if isinstance(t, Par):
         live = [c for c in par_components(t) if not isinstance(c, Nil)]
-        if len(live) > 1:
-            return False
-        return all(_det_term(c) for c in live)
+        return len(live) <= 1 and all(_det_term(c) for c in live)
     return all(_det_term(c) for c in children(t))
 
 
@@ -227,7 +214,7 @@ def _determinism_probes(dist: Distribution) -> list:
         if not c.is_bot:
             chans |= set(proc_barbs(c.proc))
     chans = sorted(chans)
-    flags = _fresh_names("probe", 2, _used_channels(dist))
+    flags = fresh_names("probe", 2, _used_channels(dist))
     sends, _ = _channel_usage((dist,), None)
     arities = {c: arity for c, (arity, _) in sends.items()}
     frames = [_probe_recv(a, arities.get(a, 1), flags[0]) for a in chans]
@@ -255,7 +242,7 @@ def density_quotient_equiv(
     inconclusive, never a refutation."""
     ql = _quotient_groups(dl)
     qr = _quotient_groups(dr)
-    if ql is None or qr is None:
+    if ql is None or qr is None or ql[0] != qr[0]:
         return InconclusiveAtBounds(bounds, "support elements on different registers")
     (register, gl), (_, gr) = ql, qr
     if set(gl) != set(gr):
@@ -344,17 +331,6 @@ def _used_channels(dist: Distribution) -> set:
     return used
 
 
-def _fresh_names(stem: str, n: int, taken) -> list:
-    out = []
-    i = 0
-    while len(out) < n:
-        name = f"{stem}{i}"
-        if name not in taken:
-            out.append(name)
-        i += 1
-    return out
-
-
 def _channel_usage(dists, sig):
     """-> (sends, recvs): channel -> (arity, is_qubit) as seen in the terms,
     for the channels free in some element: no context reaches a restricted one."""
@@ -401,7 +377,7 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
     observer discipline."""
     sends, recvs = _channel_usage((dl, dr), sig)
     taken = _used_channels(dl) | _used_channels(dr)
-    flags = _fresh_names("flag", max(bounds.fresh_channels, 2), taken)
+    flags = fresh_names("flag", max(bounds.fresh_channels, 2), taken)
     free_qubits = _free_qubits(dl, dr)
 
     pieces = []
@@ -507,8 +483,8 @@ def _free_qubits(dl: Distribution, dr: Distribution) -> list:
 def pad_ancillas(dist: Distribution, n: int, taken) -> Distribution:
     if n <= 0:
         return dist
-    names = _fresh_names("anc", n, taken)
-    anc = qcore.pure_state(qcore.kron_all([qcore.KET0] * n) if n > 1 else qcore.KET0, names)
+    names = fresh_names("anc", n, taken)
+    anc = qcore.pure_state(qcore.kron_all([qcore.KET0] * n), names)
 
     def pad(c: Configuration) -> Configuration:
         return Configuration(c.rho.tensor(anc), c.proc, c.obs)

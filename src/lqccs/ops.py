@@ -32,8 +32,7 @@ STATES = {
 @lru_cache(maxsize=None)
 def _builtin_operator(name: str, arity: int):
     if name in _TENSORABLE:
-        u = qcore.kron_all([_TENSORABLE[name]] * arity) if arity > 1 else _TENSORABLE[name]
-        return qcore.Superoperator.unitary(u)
+        return qcore.Superoperator.unitary(qcore.kron_all([_TENSORABLE[name]] * arity))
     if name in _FIXED:
         if arity != 2:
             raise ArityError(f"{name} takes 2 qubits, got {arity}")

@@ -46,8 +46,6 @@ def estep(config: Configuration, sig=None) -> list:
     """Indexed moves of a triple. A stuck process still yields the
     diamond move to the deadlock point (the process side of the semantics
     is the deadlock-augmented reduction)."""
-    if config.is_bot:
-        return [(DIAMOND, Distribution.point(BOT))]
     moves = estep_genuine(config, sig)
     if not any(idx == DIAMOND for idx, _ in moves):
         moves.append((DIAMOND, Distribution.point(BOT)))

@@ -47,9 +47,11 @@ from .syntax import (
     Sum,
     Tau,
     Var,
+    as_qubits,
     cached,
     check_observer,
     check_process_sorts,
+    free_qubit_args,
 )
 
 KEYWORDS = {
@@ -165,7 +167,7 @@ class _Parser:
                 self.fail(f"expected a declaration, found {tok.text!r}")
         for name, start in bodies:
             self.i = start
-            self.defs[name] = _classify_free_names(self.parse_par(), sig)
+            self.defs[name] = as_qubits(self.parse_par(), sig.qubits)
             check_process_sorts(self.defs[name])
             self.expect(";")
         if not self.defs:
@@ -344,14 +346,6 @@ class _Parser:
         self.fail(f"expected an expression, found {tok.text!r}")
 
 
-def _classify_free_names(term, sig: Signature):
-    """Turn free Var leaves that denote declared register qubits into QubitLit."""
-    from .rewrite import map_free_vars
-
-    names = set(sig.qubits)
-    return map_free_vars(term, lambda v: QubitLit(v.name) if v.name in names else v)
-
-
 def parse_program(text: str):
     """Parse a full program file: (Signature, {name: term})."""
     return _Parser(text).parse_program()
@@ -368,12 +362,7 @@ def parse_process(text: str, sig: Signature | None = None):
     tok = p.peek()
     if tok.text != "":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    if sig is not None:
-        term = _classify_free_names(term, sig)
-    else:
-        from .rewrite import infer_free_qubits
-
-        term = infer_free_qubits(term)
+    term = as_qubits(term, sig.qubits if sig is not None else free_qubit_args(term))
     check_process_sorts(term)
     return term
 

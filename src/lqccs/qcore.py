@@ -49,8 +49,9 @@ def kron(a, b) -> np.ndarray:
 
 
 def kron_all(mats) -> np.ndarray:
-    out = _as_array(mats[0])
-    for m in mats[1:]:
+    """Kronecker product of any number of factors; of none, the 1x1 identity."""
+    out = np.ones((1, 1), dtype=complex)
+    for m in mats:
         out = np.kron(out, _as_array(m))
     return out
 
@@ -406,7 +407,7 @@ def computational_measurement(n: int) -> Measurement:
 
 
 def hadamard_measurement(n: int) -> Measurement:
-    hn = kron_all([H] * n) if n > 1 else H
+    hn = kron_all([H] * n)
     return Measurement([hn @ op @ hn for op in computational_measurement(n).operators], check=False)
 
 

@@ -18,11 +18,9 @@ from functools import lru_cache
 from .errors import EvalError, QubitCaptureError
 from .parser import pretty, pretty_expr
 from .syntax import (
-    ApplyOp,
     BinOp,
     BoolLit,
     Ite,
-    Measure,
     NatLit,
     Nil,
     NIL,
@@ -40,13 +38,13 @@ from .syntax import (
     expr_vars,
     fresh_channel,
     free_channels,
+    map_free_vars,
     map_term,
     par_all,
     par_components,
     qubit_atoms,
     sum_all,
     sum_guards,
-    term_exprs,
 )
 
 # --- evaluation -------------------------------------------------------------
@@ -122,46 +120,7 @@ def _norm_expr(e):
     return out
 
 
-# --- generic walkers --------------------------------------------------------
-
-
-def map_free_vars(term, f):
-    """Rewrite every free Var leaf with f; binders shadow."""
-
-    def mappers(bound):
-        def on_expr(e):
-            if isinstance(e, Var):
-                return e if e.name in bound else f(e)
-            if isinstance(e, Not):
-                return Not(on_expr(e.arg))
-            if isinstance(e, BinOp):
-                return BinOp(e.op, on_expr(e.left), on_expr(e.right))
-            return e
-
-        def on_child(t, binds):
-            if binds:
-                return map_term(t, *mappers(bound.union(binds)))
-            return map_term(t, on_child, on_expr)
-
-        return on_child, on_expr
-
-    return map_term(term, *mappers(frozenset()))
-
-
-def infer_free_qubits(term):
-    """Classify free names in qubit positions (op args, discards) as qubits."""
-    names = set()
-
-    def collect(t, bound):
-        if isinstance(t, (ApplyOp, Measure, Nil)):
-            names.update(e.name for e in term_exprs(t)
-                         if isinstance(e, Var) and e.name not in bound)
-        return map_term(t, lambda c, binds: collect(c, bound.union(binds)), lambda e: e)
-
-    collect(term, frozenset())
-    if not names:
-        return term
-    return map_free_vars(term, lambda v: QubitLit(v.name) if v.name in names else v)
+# --- substitution -----------------------------------------------------------
 
 
 def substitute(term, var: str, value):
@@ -185,11 +144,6 @@ def substitute_many(term, pairs):
 # --- process congruence -----------------------------------------------------
 
 
-def term_key(t) -> str:
-    """Total order on terms used for canonical sorting."""
-    return pretty(t)
-
-
 def _flat_parts(t, split, norm) -> list:
     """The parts of t under `split`, each normalized by `norm`, nil
     dropped and the normalized parts split again."""
@@ -202,7 +156,7 @@ def normalize(t):
         return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_expr)))
     if isinstance(t, (Sum, Par)):
         split, join = (sum_guards, sum_all) if isinstance(t, Sum) else (par_components, par_all)
-        parts = sorted(_flat_parts(t, split, normalize), key=term_key)
+        parts = sorted(_flat_parts(t, split, normalize), key=pretty)
         return join(parts) if parts else NIL
     if isinstance(t, Restrict):
         return _normalize_restrict(normalize(t.body), t.chan)
@@ -278,10 +232,10 @@ def _normalize_restrict(body, chan):
         for x in comps:
             (using if c in free_channels(x) else rest).append(x)
         if using:  # else no component uses c: the restriction is inert
-            comps = rest + [Restrict(par_all(sorted(using, key=term_key)), c)]
+            comps = rest + [Restrict(par_all(sorted(using, key=pretty)), c)]
     if not comps:
         return NIL
-    comps.sort(key=term_key)
+    comps.sort(key=pretty)
     return par_all(comps)
 
 
@@ -301,7 +255,7 @@ def normalize_observer(t):
     if isinstance(t, Nil):
         return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_expr)))
     if isinstance(t, Sum):
-        guards = sorted(set(_flat_parts(t, sum_guards, normalize_observer)), key=term_key)
+        guards = sorted(set(_flat_parts(t, sum_guards, normalize_observer)), key=pretty)
         return sum_all(guards) if guards else NIL
     if isinstance(t, Ite):
         cond = _norm_expr(t.cond)

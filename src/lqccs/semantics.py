@@ -370,8 +370,9 @@ def at_index(moves, index) -> list:
 
 def lift_step(dist: Distribution, sig=None, cap: int = DEFAULT_CHOICE_CAP) -> list:
     """Lift the reduction relation: every per-element choice of moves,
-    linearly combined. Stuck elements contribute the BOT point."""
-    return [d for _, d in lift(dist, lambda c: [(None, m) for m in step(c, sig)], cap)]
+    linearly combined, as (None, successor) moves, the shape of
+    `osem.lift_estep`'s. Stuck elements contribute the BOT point."""
+    return lift(dist, lambda c: [(None, m) for m in step(c, sig)], cap)
 
 
 # --- barbs -------------------------------------------------------------------

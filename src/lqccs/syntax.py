@@ -316,6 +316,49 @@ def map_term(term: Term, on_child, on_expr) -> Term:
     raise TypeError(f"not a term: {term!r}")
 
 
+def map_free_vars(term: Term, f) -> Term:
+    """Rewrite every free Var leaf with f; binders shadow."""
+
+    def mappers(bound):
+        def on_expr(e):
+            if isinstance(e, Var):
+                return e if e.name in bound else f(e)
+            if isinstance(e, Not):
+                return Not(on_expr(e.arg))
+            if isinstance(e, BinOp):
+                return BinOp(e.op, on_expr(e.left), on_expr(e.right))
+            return e
+
+        def on_child(t, binds):
+            if binds:
+                return map_term(t, *mappers(bound.union(binds)))
+            return map_term(t, on_child, on_expr)
+
+        return on_child, on_expr
+
+    return map_term(term, *mappers(frozenset()))
+
+
+def as_qubits(term: Term, names) -> Term:
+    """The term with each free Var named in `names` made a QubitLit."""
+    return map_free_vars(term, lambda v: QubitLit(v.name) if v.name in names else v)
+
+
+def free_qubit_args(term: Term) -> frozenset:
+    """The free variable names in qubit positions: operator and measurement
+    arguments, and discards."""
+    found = set()
+    if isinstance(term, (ApplyOp, Measure, Nil)):
+        found.update(e.name for e in term_exprs(term) if isinstance(e, Var))
+
+    def on_child(child, bound):
+        found.update(free_qubit_args(child).difference(bound))
+        return child
+
+    map_term(term, on_child, lambda e: e)
+    return frozenset(found)
+
+
 def check_process_sorts(term: Term):
     """Reject terms outside the two-level grammar (sums of non-guards)."""
     if isinstance(term, Sum):
@@ -383,11 +426,16 @@ def channels(term: Term) -> frozenset:
     return frozenset(own).union(*map(channels, children(term)))
 
 
+def fresh_names(stem: str, n: int, taken) -> list:
+    """The n least names `stem + str(i)` not in `taken`."""
+    names = (name for i in itertools.count() if (name := f"{stem}{i}") not in taken)
+    return list(itertools.islice(names, n))
+
+
 def fresh_channel(chan: str, taken) -> str:
     """`stem#i`, for the stem of `chan` and the least i whose name is not in
     `taken`. The lexer reads no `#`, so no source channel has this form."""
-    stem = chan.partition("#")[0]
-    return next(name for i in itertools.count() if (name := f"{stem}#{i}") not in taken)
+    return fresh_names(chan.partition("#")[0] + "#", 1, taken)[0]
 
 
 def expr_vars(e: Expr) -> frozenset:
@@ -450,11 +498,3 @@ class Signature:
         """The declared payload types of `chan`, or None; a `stem#i` has its stem's."""
         return self.channels.get(chan.partition("#")[0])
 
-    def copy(self) -> "Signature":
-        return Signature(
-            dict(self.channels),
-            dict(self.variables),
-            tuple(self.qubits),
-            dict(self.operators),
-            dict(self.measurements),
-        )

@@ -36,7 +36,7 @@ from .syntax import (
 )
 
 
-def expr_type(e, env: dict, sig: Signature) -> str:
+def expr_type(e, env: dict) -> str:
     if isinstance(e, Var):
         t = env.get(e.name)
         if t is None:
@@ -49,12 +49,12 @@ def expr_type(e, env: dict, sig: Signature) -> str:
     if isinstance(e, BoolLit):
         return BOOL
     if isinstance(e, Not):
-        if expr_type(e.arg, env, sig) != BOOL:
+        if expr_type(e.arg, env) != BOOL:
             raise TypingError("'not' expects a boolean")
         return BOOL
     if isinstance(e, BinOp):
-        lt = expr_type(e.left, env, sig)
-        rt = expr_type(e.right, env, sig)
+        lt = expr_type(e.left, env)
+        rt = expr_type(e.right, env)
         if e.op in ("or", "and"):
             if lt != BOOL or rt != BOOL:
                 raise TypingError(f"{e.op!r} expects booleans, got {lt}, {rt}")
@@ -144,7 +144,7 @@ def _check(term, env, sig) -> frozenset:
         ct = _channel(sig, term.chan, len(term.payload), "payload has")
         owned = []
         for e, t in zip(term.payload, ct):
-            et = expr_type(e, env, sig)
+            et = expr_type(e, env)
             if et != t:
                 raise ChannelTypeError(
                     f"channel {term.chan!r} expects {t}, payload {e!r} has type {et}"
@@ -171,7 +171,7 @@ def _check(term, env, sig) -> frozenset:
     if isinstance(term, Restrict):
         return _check(term.body, env, sig)
     if isinstance(term, Ite):
-        if expr_type(term.cond, env, sig) != BOOL:
+        if expr_type(term.cond, env) != BOOL:
             raise TypingError("conditional guard must be boolean")
         s1 = _check(term.then, env, sig)
         s2 = _check(term.els, env, sig)

@@ -93,12 +93,12 @@ def test_criterion_3_quantum_lottery_semantics():
     ql = parse_process("H(q).M01(q |> x).((if x = 0 then a!1 else b!1) || disc(q))", sig)
     d = Distribution.point(make_config(qcore.pure_state(qcore.KET0, ("q",)), ql))
 
-    (d1,) = lift_step(d, sig)
+    ((_, d1),) = lift_step(d, sig)
     ((c1, p1),) = list(d1.items())
     assert abs(p1 - 1.0) < TOL
     assert np.max(np.abs(c1.rho.mat - qcore.projector(qcore.KETP))) < TOL
 
-    (d2,) = lift_step(d1, sig)
+    ((_, d2),) = lift_step(d1, sig)
     assert len(d2) == 2
     states = sorted(np.real(c.rho.mat[0, 0]) for c, _ in d2.items())
     assert abs(states[0] - 0.0) < TOL and abs(states[1] - 1.0) < TOL
@@ -106,7 +106,7 @@ def test_criterion_3_quantum_lottery_semantics():
     barbs = dist_barbs(d2)
     assert abs(barbs["a"] - 0.5) < TOL and abs(barbs["b"] - 0.5) < TOL
 
-    (d3,) = lift_step(d2, sig)
+    ((_, d3),) = lift_step(d2, sig)
     assert abs(d3.bot_mass() - 1.0) < TOL
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from lqccs.cli import main
+from lqccs.equiv import SearchBounds
 
 QL_PROGRAM = """
 channel a : nat;
@@ -16,6 +17,12 @@ channel c : qubit;
 qubit q;
 process Left = SetPlus(q).M01(q |> x).c!q;
 process Right = Set0(q).Mpm(q |> x).c!q;
+"""
+
+NO_QUBITS_PROGRAM = """
+channel c : nat;
+process P = c!1;
+process Q = tau.c!1;
 """
 
 BAD_PROGRAM = """
@@ -120,6 +127,25 @@ def test_distinguish_and_certify(row5_file, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["verdict"] == "distinguished"
     assert verdict["witness"]["kind"] == "attack"
+
+
+def test_distinguish_bounds_default_to_search_bounds(row5_file, capsys):
+    assert main(["distinguish", row5_file, "--left", "Left", "--right", "Right"]) == 0
+    bounds = json.loads(capsys.readouterr().out)["bounds"]
+    d = SearchBounds()
+    assert bounds == {"context_size": d.context_size, "depth": d.depth,
+                      "ancillas": d.ancillas, "fresh_channels": d.fresh_channels}
+
+
+def test_program_without_qubits(tmp_path, capsys):
+    p = tmp_path / "classical.lq"
+    p.write_text(NO_QUBITS_PROGRAM)
+    assert main(["run", str(p), "--depth", "1"]) == 0
+    capsys.readouterr()
+    assert main(["distinguish", str(p), "--left", "P", "--right", "Q"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "distinguished"
+    assert verdict["witness"]["kind"] == "barb-mismatch" and verdict["witness"]["channel"] == "c"
 
 
 def test_check_candidate_cli(tmp_path, capsys):

@@ -110,6 +110,34 @@ class TestDensityQuotient:
         assert isinstance(density_quotient_equiv(d, d), (CertifiedBisimilar, InconclusiveAtBounds))
 
 
+def _register_order_pair():
+    """One matrix, |0>|1>, on the registers (a, b) and (b, a): |0>_a|1>_b
+    against |1>_a|0>_b beside a process that sends a."""
+    from lqccs.parser import parse_program
+
+    sig, defs = parse_program("channel k : qubit; qubit a, b; process P = k!a || disc(b);")
+    mat = qcore.kron(qcore.KET0, qcore.KET1)
+    return sig, defs["P"], *(Distribution.point(make_config(pure(mat, *reg), defs["P"]))
+                             for reg in (("a", "b"), ("b", "a")))
+
+
+def test_quotient_does_not_certify_states_on_different_registers():
+    sig, _, dl, dr = _register_order_pair()
+    assert isinstance(density_quotient_equiv(dl, dr, SearchBounds(), sig), InconclusiveAtBounds)
+
+
+@pytest.mark.parametrize("mode", [SATURATED, CONSTRAINED])
+def test_register_order_pair_is_distinguished(mode):
+    sig, proc, dl, dr = _register_order_pair()
+    bounds = SearchBounds(ancillas=0)
+    v = distinguish(dl, dr, mode, bounds, sig)
+    assert isinstance(v, Distinguished)
+    assert replay_witness(dl, dr, v.witness, mode, bounds, sig)
+    # the same right side written on (a, b) is told apart too
+    same = Distribution.point(make_config(pure(qcore.kron(qcore.KET1, qcore.KET0), "a", "b"), proc))
+    assert isinstance(distinguish(dl, same, mode, bounds, sig), Distinguished)
+
+
 class TestIsDeterministic:
     def test_send(self):
         assert is_deterministic(point(pure(qcore.KET0, "q"), "c!q")) == "yes"
@@ -343,6 +371,8 @@ class TestPartialTraceNecessary:
         verdict, wit = partial_trace_necessary(dl, dr)
         assert verdict == "refuted"
         assert replay_measurement_witness(dl, dr, wit, SIG)
+        # the replay adds its measurement to a copy of the signature
+        assert "Mwitness" not in SIG.measurements
 
     def test_superoperator_closure_keeps_certificates(self):
         anc = pure(qcore.KET0, "o1")

@@ -70,15 +70,20 @@ def test_unused_definition_is_reported():
 
 def unread_parameters(source: str) -> list:
     """(line, function, parameter) for each parameter of a named function
-    that its body never reads; `self` is exempt, and so are lambdas."""
+    that its body never reads, other than as an argument of a call to a
+    function of the same name (`f(x)` or `o.f(x)` in `f`); `self` is
+    exempt, and so are lambdas."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         a = node.args
         params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        recursed = {id(arg) for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and node.name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                    for arg in call.args + [kw.value for kw in call.keywords]}
         read = {n.id for stmt in node.body for n in ast.walk(stmt)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in recursed}
         out.extend((node.lineno, node.name, p.arg) for p in params
                    if p.arg != "self" and p.arg not in read)
     return sorted(out)
@@ -92,9 +97,12 @@ def test_no_unread_parameters(path):
 def test_unread_parameter_is_reported():
     src = (
         "class C:\n    def m(self, a, b):\n        return a\n\n\n"
-        "def f(x, *rest, key=None, **extra):\n    g = lambda unused: x\n    return g, extra\n"
+        "def f(x, *rest, key=None, **extra):\n    g = lambda unused: x\n    return g, extra\n\n\n"
+        "def walk(t, env):\n    return [walk(c, env=env) for c in t]\n\n\n"
+        "def size(t, acc):\n    return acc + sum(size(c, acc) for c in t)\n"
     )
-    assert unread_parameters(src) == [(2, "m", "b"), (6, "f", "key"), (6, "f", "rest")]
+    assert unread_parameters(src) == [
+        (2, "m", "b"), (6, "f", "key"), (6, "f", "rest"), (11, "walk", "env")]
 
 
 def unpassed_defaults(modules: dict, others: list) -> list:

@@ -2,6 +2,8 @@
 keys every result on all that the result depends on, and the replay of a
 witness does not read it."""
 
+from dataclasses import replace
+
 import pytest
 
 from lqccs import memo, qcore
@@ -173,7 +175,7 @@ class TestKeys:
         dl, dr, sig = pair(src)
         sigs = {}
         for name, gate in (("X", qcore.X), ("I", qcore.I2)):
-            sigs[name] = sig.copy()
+            sigs[name] = replace(sig)
             sigs[name].operators = {"U": qcore.Superoperator.unitary(gate)}
         verdicts = {name: summary(distinguish(dl, dr, SATURATED, SearchBounds(), s))
                     for name, s in sigs.items()}

@@ -15,9 +15,14 @@ from lqccs.syntax import (
     Recv,
     Restrict,
     Send,
+    Signature,
     Sum,
     Tau,
     Var,
+    as_qubits,
+    free_qubit_args,
+    fresh_channel,
+    fresh_names,
 )
 
 
@@ -196,3 +201,16 @@ def test_a_fresh_channel_name_does_not_parse():
     # equal a channel of a source term
     with pytest.raises(ParseError):
         parse_process("d#0!1", make_signature())
+
+
+def test_fresh_names_are_the_least_untaken():
+    assert fresh_names("flag", 3, {"flag0", "flag2"}) == ["flag1", "flag3", "flag4"]
+    assert fresh_channel("d#0", {"d#0"}) == "d#1"
+
+
+def test_free_qubit_args_skip_bound_names():
+    # x is bound by the reception; q is free in a discard, r only in a payload
+    text = "c?x.H(x).disc(x) || disc(q) || d!r"
+    term = parse_process(text, Signature())
+    assert free_qubit_args(term) == {"q"}
+    assert as_qubits(term, {"q"}) == parse_process(text)

@@ -115,7 +115,7 @@ class TestStep:
 class TestLift:
     def test_lift_of_point_is_step(self):
         c = cfg(k0("q"), QL)
-        assert lift_step(Distribution.point(c)) == step(c)
+        assert lift_step(Distribution.point(c)) == [(None, d) for d in step(c)]
 
     def test_stuck_elements_fill_with_bot(self):
         d = mixture(
@@ -123,7 +123,7 @@ class TestLift:
             Distribution.point(cfg(k0("q2"), "tau.disc(q2)")),
             0.5,
         )
-        (out,) = lift_step(d)
+        ((_, out),) = lift_step(d)
         assert abs(out.bot_mass() - 0.5) < 1e-9
 
     def test_per_element_choices_multiply(self):
@@ -141,7 +141,7 @@ class TestLift:
             Distribution.point(cfg(k0("q2"), "k!1 || disc(q2)")),
             0.5,
         )
-        assert lift_step(d) == [Distribution.point(BOT)]
+        assert lift_step(d) == [(None, Distribution.point(BOT))]
 
     def test_map_leaves_bot_without_calling_f(self):
         d = mixture(Distribution.point(cfg(k0("q"), "k!0 || disc(q)")), Distribution.point(BOT), 0.5)
