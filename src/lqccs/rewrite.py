@@ -3,12 +3,13 @@
 `normalize` computes the canonical representative of a process term's
 congruence class: closed classical expressions are evaluated, literal
 conditionals resolved, parallel and sum children flattened and sorted in
-a fixed total order, inert components dropped, restrictions renamed
-apart where they clash (`extend_scopes`) and pushed inward past
-components that do not use the channel (and dropped when the channel is
-not free at all), and discard tuples sorted. `normalize_observer` does
-the same for the observer congruence, which keeps the shape of parallel
-composition intact.
+a fixed total order, inert components dropped, discard tuples sorted, and
+the scopes of restrictions closed (`close_scopes`): renamed apart where
+they clash (`extend_scopes`) and pushed inward past components that do
+not use the channel (and dropped when it is not free at all).
+`normalize_observer` does the same for the observer congruence, which
+keeps the shape of parallel composition intact. `substitute` is memoized
+like `normalize`, on interned terms.
 """
 
 from __future__ import annotations
@@ -128,6 +129,12 @@ def substitute(term, var: str, value):
     free variable. Substituting a qubit name into a term that already
     owns it is rejected."""
     node = value if isinstance(value, (QubitLit, BoolLit, NatLit)) else value_to_expr(value)
+    return _substitute(term, var, node)
+
+
+@lru_cache(maxsize=None)
+def _substitute(term, var, node):
+    """Keyed on the literal node, not the value: True == 1 and hash(True) == hash(1)."""
     if isinstance(node, QubitLit) and node.name in qubit_atoms(term):
         raise QubitCaptureError(
             f"substituting qubit {node.name!r} into a term that already uses it"
@@ -144,10 +151,10 @@ def substitute_many(term, pairs):
 # --- process congruence -----------------------------------------------------
 
 
-def _flat_parts(t, split, norm) -> list:
-    """The parts of t under `split`, each normalized by `norm`, nil
-    dropped and the normalized parts split again."""
-    return [p for c in split(t) if (n := norm(c)) != NIL for p in split(n)]
+def flat_parts(parts, split, norm) -> list:
+    """`parts`, each normalized by `norm`, nil dropped and the normalized
+    parts split again by `split`."""
+    return [p for c in parts if (n := norm(c)) != NIL for p in split(n)]
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +163,7 @@ def normalize(t):
         return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_expr)))
     if isinstance(t, (Sum, Par)):
         split, join = (sum_guards, sum_all) if isinstance(t, Sum) else (par_components, par_all)
-        parts = sorted(_flat_parts(t, split, normalize), key=pretty)
+        parts = sorted(flat_parts(split(t), split, normalize), key=pretty)
         return join(parts) if parts else NIL
     if isinstance(t, Restrict):
         return _normalize_restrict(normalize(t.body), t.chan)
@@ -217,24 +224,26 @@ def _rename_channel(t, old, new):
 
 
 def _normalize_restrict(body, chan):
-    """body is already normalized; compute the canonical form of the whole
-    restriction chain rooted here. Component-level restrictions whose
-    scope may legally extend over their siblings are pulled up first, then
-    every channel is pushed back inward in a fixed order, so congruent
-    nestings canonicalize alike."""
+    """The normal form of the normal `body` under `chan` and its own chain."""
     chans = {chan}
     while isinstance(body, Restrict):
         chans.add(body.chan)
         body = body.body
-    comps, chans = extend_scopes(par_components(body), chans)
+    return close_scopes(par_components(body), chans)
+
+
+def close_scopes(comps, chans):
+    """The normal form of the normal components `comps` under restrictions
+    on `chans`: the scopes of restricted components are extended over their
+    siblings (`extend_scopes`), then each channel is pushed back inward in a
+    fixed order, so congruent nestings canonicalize alike."""
+    comps, chans = extend_scopes(comps, chans)
     for c in sorted(chans):
         rest, using = [], []
         for x in comps:
             (using if c in free_channels(x) else rest).append(x)
         if using:  # else no component uses c: the restriction is inert
             comps = rest + [Restrict(par_all(sorted(using, key=pretty)), c)]
-    if not comps:
-        return NIL
     comps.sort(key=pretty)
     return par_all(comps)
 
@@ -255,7 +264,7 @@ def normalize_observer(t):
     if isinstance(t, Nil):
         return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_expr)))
     if isinstance(t, Sum):
-        guards = sorted(set(_flat_parts(t, sum_guards, normalize_observer)), key=pretty)
+        guards = sorted(set(flat_parts(sum_guards(t), sum_guards, normalize_observer)), key=pretty)
         return sum_all(guards) if guards else NIL
     if isinstance(t, Ite):
         cond = _norm_expr(t.cond)

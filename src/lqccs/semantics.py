@@ -15,8 +15,8 @@ from .errors import ChoiceExplosion, EvalError, LqccsError
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
-from .rewrite import (eval_expr, extend_scopes, normalize, normalize_observer, substitute_many,
-                      value_to_expr)
+from .rewrite import (close_scopes, eval_expr, extend_scopes, flat_parts, normalize,
+                      normalize_observer, substitute_many, value_to_expr)
 from .syntax import (
     NIL,
     ApplyOp,
@@ -24,11 +24,11 @@ from .syntax import (
     QubitLit,
     RandBit,
     Recv,
-    Restrict,
     Send,
     Tau,
     cached,
     cached_beside,
+    channels,
     par_all,
     par_components,
     sum_guards,
@@ -188,10 +188,15 @@ def exec_view(proc):
 
 
 def _rebuild(comps, restricted) -> object:
-    term = par_all(c for c in comps if c != NIL)
-    for c in sorted(restricted):
-        term = Restrict(term, c)
-    return normalize(term)
+    """`normalize` of `comps` in parallel under the chain of `restricted`:
+    each component normalized (a cache hit on a continuation's siblings),
+    then the scopes closed. As in the chain, normalized innermost first, a
+    fresh name avoids the names in use and the least channel, no other."""
+    comps = sorted(flat_parts(comps, par_components, normalize), key=pretty)
+    if not restricted:
+        return par_all(comps)
+    named = set().union(*map(channels, comps)) & restricted
+    return close_scopes(comps, named | {min(restricted)})
 
 
 def _payload_values(payload):

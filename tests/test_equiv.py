@@ -138,6 +138,67 @@ def test_register_order_pair_is_distinguished(mode):
     assert isinstance(distinguish(dl, same, mode, bounds, sig), Distinguished)
 
 
+def _reordered(rho, order):
+    """The same state as `rho` on its register reordered to `order`: the
+    matrix conjugated by the permutation of its tensor factors."""
+    names = rho.register.names
+    perm = [names.index(q) for q in order]
+    axes = perm + [len(names) + p for p in perm]
+    mat = rho.mat.reshape((2,) * 2 * len(names)).transpose(axes).reshape(rho.mat.shape)
+    return qcore.DensityMatrix(tuple(order), mat, check=False)
+
+
+_SET_STATES = ("SetPhiP", "SetPhiM", "SetPsiP", "SetMaxMix")
+_REORDER_PAIRS = [
+    ("channel c : qubit;\nqubit q1, q2;\n", f"{a}(q1,q2).(c!q1 || c!q2)", f"{b}(q1,q2).(c!q1 || c!q2)")
+    for a in _SET_STATES for b in _SET_STATES
+] + [
+    ("channel c : qubit;\nchannel d : qubit;\nchannel k : nat;\nqubit q1, q2, q3;\n", left, right)
+    for left, right in (
+        ("CNOT(q1,q2).CNOT(q1,q2).(c!q1 || disc(q2,q3))", "I(q1).I(q1).(c!q1 || disc(q2,q3))"),
+        ("SWAP(q1,q2).(c!q2 || disc(q1,q3))", "I(q1).(c!q1 || disc(q2,q3))"),
+        ("Z(q1).M01(q1 |> x).(k!x || disc(q1,q2,q3))", "I(q1).M01(q1 |> x).(k!x || disc(q1,q2,q3))"),
+        ("I(q1).M01(q1 |> x).(k!x || disc(q1,q2,q3))", "I(q1).M01(q2 |> x).(k!x || disc(q1,q2,q3))"),
+        ("c!q1 || disc(q2,q3)", "c!q2 || disc(q1,q3)"),
+        ("CNOT(q1,q2).(c!q1 || c!q2 || disc(q3))", "I(q1).(c!q1 || c!q2 || disc(q3))"),
+        ("CNOT(q1,q3).(c!q3 || disc(q1,q2))", "I(q1).(c!q3 || disc(q1,q2))"),
+        ("c?x.Z(x).M01(x |> y).(d!x || k!y) || disc(q1,q2)",
+         "c?x.I(x).M01(x |> y).(d!x || k!y) || disc(q1,q2)"),
+        ("c?x.X(x).Mpm(x |> y).d!x || disc(q1,q2)", "c?x.I(x).Mpm(x |> y).d!x || disc(q1,q2)"),
+    )
+]
+
+
+def test_reordering_the_register_keeps_the_verdict():
+    from lqccs.cli import build_state
+    from lqccs.parser import parse_program
+
+    # |0>_a |1>_b written on (b, a) is |1>|0>
+    flipped = _reordered(pure(qcore.kron(qcore.KET0, qcore.KET1), "a", "b"), ("b", "a"))
+    assert np.allclose(flipped.mat, pure(qcore.kron(qcore.KET1, qcore.KET0), "b", "a").mat)
+    # 25 pairs, each in both modes on a random state and, over three qubits,
+    # on |+>|1>|0> too; each state also with its register reversed and,
+    # over three qubits, rotated
+    kinds = set()
+    for k, (head, left, right) in enumerate(_REORDER_PAIRS):
+        sig, defs = parse_program(f"{head}process L = {left};\nprocess R = {right};\n")
+        names = sig.qubits
+        states = [random_density(np.random.default_rng(k), names)]
+        orders = [names[::-1]]
+        if len(names) > 2:
+            states.append(build_state("ketplus,ket1", names))
+            orders.append(names[1:] + names[:1])
+        for rho in states:
+            for mode in (SATURATED, CONSTRAINED):
+                verdicts = [
+                    distinguish(*(Distribution.point(make_config(r, defs[s])) for s in "LR"),
+                                mode, SearchBounds(), sig).verdict
+                    for r in [rho] + [_reordered(rho, order) for order in orders]]
+                assert len(set(verdicts)) == 1, (left, right, mode, verdicts)
+                kinds.add(verdicts[0])
+    assert kinds == {"distinguished", "certified-bisimilar", "inconclusive-at-bounds"}
+
+
 class TestIsDeterministic:
     def test_send(self):
         assert is_deterministic(point(pure(qcore.KET0, "q"), "c!q")) == "yes"

@@ -172,8 +172,18 @@ class TestSubstitute:
 
     def test_qubit_capture_rejected(self):
         t = parse_process("c!x || disc(q)")
-        with pytest.raises(QubitCaptureError):
-            substitute(t, "x", QubitLit("q"))
+        for _ in range(2):  # the memo must not remember a call that raised
+            with pytest.raises(QubitCaptureError):
+                substitute(t, "x", QubitLit("q"))
+
+    @pytest.mark.parametrize("first, second", [(True, 1), (1, True), (False, 0), (0, False)])
+    def test_the_memo_tells_a_boolean_from_a_number(self, first, second):
+        # True == 1 and hash(True) == hash(1), but their literals differ;
+        # the channel is named for the case, so no other call warmed the memo
+        t = Send(f"memo_{first}_{second}", (Var("x"),))
+        for value in (first, second):
+            (lit,) = substitute(t, "x", value).payload
+            assert lit == (BoolLit(value) if isinstance(value, bool) else NatLit(value))
 
 
 def test_congruent_terms_print_differently_but_normalize_alike():

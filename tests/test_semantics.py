@@ -3,20 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genterms import TermGen, make_signature, random_density
-from lqccs import qcore
+from genterms import TermGen, make_signature, random_config, random_density
+from lqccs import osem, qcore, semantics
 from lqccs.claims import typing_preserved
 from lqccs.errors import ChoiceExplosion
 from lqccs.parser import parse_process
 from lqccs.parser import pretty
-from lqccs.rewrite import normalize
-from lqccs.syntax import Restrict
+from lqccs.rewrite import _rename_channel, normalize, normalize_observer, substitute_many
+from lqccs.syntax import NIL, Restrict, channels, par_all
 from lqccs.semantics import (
     BOT,
     BOT_BARB,
     Configuration,
     Distribution,
     dist_barbs,
+    _proc_schemas,
+    _rebuild,
     exec_view,
     lift_step,
     make_config,
@@ -228,6 +230,145 @@ class TestExecView:
             proc = gen.restricted_par(owned)
             comps, _ = exec_view(normalize(proc))
             assert not any(isinstance(comp, Restrict) for comp in comps), pretty(proc)
+
+
+def _rebuild_reference(comps, restricted):
+    """The residual as the whole term's normal form: the components in
+    parallel under a chain of restrictions, normalized as one term."""
+    term = par_all(comps)
+    for c in sorted(restricted):
+        term = Restrict(term, c)
+    return normalize(term)
+
+
+class TestRebuild:
+    """`_rebuild` normalizes each component, a cache hit on the siblings,
+    then closes the scopes once; its residual must be the very node that
+    normalizing the whole rebuilt term gives. (`tests/test_merged_rules.py`
+    builds its reference residuals with `_rebuild` itself, so it cannot
+    catch a fault here.)"""
+
+    @staticmethod
+    def check(comps, restricted):
+        got = _rebuild(comps, restricted)
+        assert got is _rebuild_reference(comps, restricted), (comps, sorted(restricted))
+        return got
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Lists of the (components, restricted) arguments of every
+        `_rebuild` call the process rules and the observer rules make from
+        now on, in that order."""
+        calls = ([], [])
+        for module, seen in zip((semantics, osem), calls):
+            def record(comps, restricted, seen=seen):
+                seen.append((list(comps), frozenset(restricted)))
+                return _rebuild(comps, restricted)
+
+            monkeypatch.setattr(module, "_rebuild", record)
+        return calls
+
+    @staticmethod
+    def residuals(proc) -> list:
+        """The residuals of the schemas of a normal `proc`, both outcomes of
+        a measurement included, built afresh: `schemas` would read the ones
+        kept on the node."""
+        out = []
+        for schema in _proc_schemas(proc):
+            if schema[0] == semantics.MEASURE:
+                _, _, _, guard, settle, _ = schema
+                out += [settle(substitute_many(guard.cont, [(guard.var, v)])) for v in (0, 1)]
+            elif schema[0] != semantics.ERROR:
+                out += [r for r in schema[1:] if not isinstance(r, (str, tuple))]
+        return out
+
+    def test_without_restrictions_a_restricted_continuation_stays_one(self):
+        # under a plain Par, (k?x.k!x) \ k beside k!1 keeps its k
+        got = self.check([normalize(P("k!1")), P("(k?x.k!x) \\ k")], frozenset())
+        assert pretty(got) == "k!1 || k?x.k!x \\ k"
+
+    def test_a_clashing_continuation_is_renamed_apart_under_restrictions(self):
+        # the continuation's k is free in k!2 beside it, so it becomes k#0
+        sibs = [normalize(P("k!2")), normalize(P("d?y.nil"))]
+        got = self.check([*sibs, P("(k?x.d!x) \\ k")], {"d"})
+        assert pretty(got) == "(d?y.nil || k#0?x.d!x) \\ d \\ k#0 || k!2"
+
+    def test_a_fresh_name_may_reuse_an_outer_name_no_component_uses(self):
+        # k#0 is restricted outside but named by no component: as in the
+        # whole term's chain, innermost first, the clashing k becomes k#0
+        got = self.check([P("(k!6) \\ k"), normalize(P("k?x.c!q1"))], {"k", "k#0"})
+        assert pretty(got) == "k#0!6 \\ k#0 || k?x.c!q1 \\ k"
+
+    def test_a_continuation_that_normalizes_to_nil_is_dropped(self):
+        sib, nil_cont = normalize(P("k!1")), P("if true then nil else k!1")
+        for restricted in (frozenset(), {"k"}, {"c", "k"}):
+            assert self.check([sib, nil_cont], restricted) is self.check([sib], restricted)
+            assert self.check([nil_cont], restricted) is NIL
+
+    def test_dropping_a_component_without_a_continuation(self):
+        # the observer rule for a reception: the sender leaves, nothing joins
+        proc = normalize(P("(k!0 || k?x.c!q1 || c?y.d!y || d!q2) \\ c \\ k || d?z.nil"))
+        comps, restricted = exec_view(proc)
+        assert restricted == {"c", "k"}
+        for i in range(len(comps)):
+            self.check(comps[:i] + comps[i + 1:], restricted)
+
+    def test_generated_components_under_generated_restrictions(self):
+        # 3,000 lists of one to four generated terms, some of their channels
+        # renamed to c#0, k#0 or k#1 and each under up to two restrictions,
+        # below a random subset of six channels
+        names = ("c", "k", "c#0", "k#0", "c#1", "k#1")
+        for seed in range(3_000):
+            gen = TermGen(seed, make_signature(chans="ck"))
+            rng, comps = gen.rng, []
+            for _ in range(rng.randrange(1, 5)):
+                t = gen.process(frozenset(), {}, rng.randrange(3))
+                new = rng.choice(("c#0", "k#0", "k#1"))
+                if rng.random() < 0.3 and new not in channels(t):
+                    t = _rename_channel(t, new[0], new)
+                for _ in range(rng.randrange(3)):
+                    if rng.random() < 0.5:
+                        t = Restrict(t, rng.choice(names))
+                comps.append(t)
+            self.check(comps, frozenset(c for c in names if rng.random() < 0.4))
+
+    def test_generated_continuations_beside_restricted_siblings(self):
+        # 300 terms (p || q \ ch1) \ ch2 || r: each component of their
+        # execution view replaced by a generated process, restricted half
+        # the time, under the view's restrictions and under none
+        for seed in range(300):
+            gen = TermGen(seed, make_signature(chans="ck"))
+            owned = [frozenset(gen.rng.choice(((), ("q1",), ("q2",)))) for _ in range(3)]
+            comps, restricted = exec_view(normalize(gen.restricted_par(owned)))
+            for i in range(len(comps)):
+                cont = gen.process(frozenset(), {}, 2)
+                if gen.rng.random() < 0.5:
+                    cont = Restrict(cont, gen.rng.choice("ck"))
+                for chans in (restricted, frozenset()):
+                    self.check(comps[:i] + [cont] + comps[i + 1:], chans)
+
+    def test_every_residual_the_rules_build(self, monkeypatch):
+        # the process moves of 1,000 (p || q \ ch1) \ ch2 || r terms and
+        # 1,000 random_config processes, three moves deep, and the observer
+        # moves of each beside k!0 || k?z.nil or its own observer
+        proc_calls, obs_calls = self.recorded(monkeypatch)
+        pairs = []
+        for seed in range(1_000):
+            gen = TermGen(seed, make_signature(chans="ck"))
+            pairs.append((gen.restricted_par((frozenset({"q1"}), frozenset({"q2"}), frozenset())),
+                          P("k!0 || k?z.nil")))
+            cfg, _ = random_config(seed)
+            pairs.append((cfg.proc, cfg.obs))
+        frontier = [normalize(proc) for proc, _ in pairs]
+        for proc, (_, obs) in zip(frontier, pairs):
+            obs = normalize_observer(obs)
+            list(osem._observer_schemas(proc, obs, obs, ""))
+        for _ in range(3):
+            frontier = [r for proc in frontier for r in self.residuals(proc)]
+        for comps, restricted in proc_calls + obs_calls:
+            self.check(comps, restricted)
+        assert len(proc_calls) > 3_000 and sum(1 for _, r in proc_calls if r) > 1_000
+        assert len(obs_calls) > 1_000 and sum(1 for _, r in obs_calls if r) > 100
 
 
 class TestTypingPreservation:
