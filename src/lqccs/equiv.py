@@ -280,7 +280,7 @@ def _quotient_groups(dist: Distribution):
         elif register != c.rho.register:
             return None
         key = (c.proc, c.obs)
-        m, agg = groups.get(key, (0.0, np.zeros_like(c.rho.mat)))
+        m, agg = groups.get(key, (0.0, 0.0))
         groups[key] = (m + p, agg + p * c.rho.mat)
     return register, groups
 
@@ -736,9 +736,10 @@ def check_candidate(
     """Verify the transfer conditions of a candidate relation on its own
     moves: barb equality per pair, and every lifted (indexed) move of one
     side matched by the other with successors inside the relation (or its
-    convex hull when `upto_cv`). The relation is read as closed under
-    contexts in the caller's intended sense; obligations are generated
-    from the pairs as given."""
+    convex hull when `upto_cv`). Obligations are generated from the pairs
+    as given, so closure under contexts is not proved: before certifying,
+    each pair of two unequal sides is searched with `distinguish` at
+    `bounds`, and the first replayed witness found is returned instead."""
     pairs = list(pairs)
     for n, (a, b) in enumerate(pairs):
         bm = barb_mismatch(dist_barbs(a), dist_barbs(b))
@@ -765,6 +766,11 @@ def check_candidate(
                         bounds,
                         f"pair {n}: {label} move at index {idx!r} has no match in the relation",
                     )
+    for a, b in pairs:
+        if a != b:
+            v = distinguish(a, b, mode, bounds, sig)
+            if isinstance(v, Distinguished):
+                return v
     return CertifiedBisimilar(("candidate-relation", len(pairs)))
 
 

@@ -11,11 +11,12 @@ outlives the verdict that stored it. Outside a verdict nothing is
 stored and every backend call computes afresh.
 
 A backend call is keyed by its operator's identity, its targets and its
-state's `DensityMatrix.key()`: the register names and the entries
-rounded to `HASH_DECIMALS`. The key is built only while a memo is open,
-so a call outside a verdict never rounds its state. A hit may return the
-result computed for a state that differs from the caller's below that
-rounding.
+state's `DensityMatrix.key()`: the register names and the entries of rho
+rounded to `HASH_DECIMALS`; for a state held as a ket psi, rho = psi
+psi^dag is built for the key and not kept. The key is built only while a
+memo is open, so a call outside a verdict never rounds its state. A hit
+may return the result computed for a state that differs from the
+caller's below that rounding.
 """
 
 from __future__ import annotations

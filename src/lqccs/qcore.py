@@ -1,11 +1,15 @@
 """Dense linear algebra for multi-qubit density operators.
 
-States are density matrices over an ordered register of named qubits;
+States are density operators over an ordered register of named qubits;
 qubit i of the register is the i-th tensor factor (most significant bit
-of the basis index). Operators act on arbitrary subsets of the register
-by local contraction: a k-qubit operator is contracted into the k target
-axes of the state's (2,)*2n tensor view, so it is never extended to the
-whole register.
+of the basis index). A pure state is held as its ket psi, a flat 2^n
+vector, and mixed states as the 2^n x 2^n matrix rho; rho = psi psi^dag
+of a ket is built only when a reader asks for it. `pure_state` builds
+kets, and a one-Kraus superoperator, a measurement branch and the tensor
+product of two kets keep them kets. Operators act on arbitrary subsets of
+the register by local contraction: a k-qubit operator is contracted into
+the k target axes of the state's (2,)*n or (2,)*2n tensor view, so it is
+never extended to the whole register.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ TOL_STATE = 1e-8
 # granularity used when hashing states: coarser than TOL_MAT so that
 # states equal up to tolerance do not split across hash buckets
 HASH_DECIMALS = 7
+# entries further apart than this round to different keys, with a wide
+# margin for the float error of computing them two ways
+KEY_APART = 10.0 ** (1 - HASH_DECIMALS)
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -101,9 +108,13 @@ class DensityMatrix:
     in configurations are normalized. `check=True` validates caller data,
     finiteness included; `check=False` is for results computed from
     states and operators that were already checked, and scans nothing.
+
+    A pure state may be held as its ket instead (`from_ket`): `ket` is
+    then the flat 2^n vector psi, and `mat`, rho = psi psi^dag, is built
+    on each read and not kept. `ket` is None for a state held as rho.
     """
 
-    __slots__ = ("register", "mat", "_key")
+    __slots__ = ("register", "ket", "_mat", "_key")
 
     def __init__(self, register, mat, check: bool = True):
         if not isinstance(register, QubitRegister):
@@ -125,22 +136,60 @@ class DensityMatrix:
                 raise ValueError(f"density matrix trace {tr} outside [0, 1]")
         mat.setflags(write=False)
         self.register = register
-        self.mat = mat
+        self.ket = None
+        self._mat = mat
         self._key = None
+
+    @classmethod
+    def from_ket(cls, register, psi: np.ndarray) -> "DensityMatrix":
+        """The state psi psi^dag held as psi, a flat complex 2^n vector
+        computed from checked data; nothing is scanned, and psi is made
+        read-only, not copied."""
+        self = cls.__new__(cls)
+        self.register = register if isinstance(register, QubitRegister) else QubitRegister(register)
+        if psi.shape != (1 << len(self.register),):
+            raise RegisterError(
+                f"ket shape {psi.shape} does not fit register of {len(self.register)} qubits"
+            )
+        psi.setflags(write=False)
+        self.ket = psi
+        self._mat = None
+        self._key = None
+        return self
+
+    @property
+    def mat(self) -> np.ndarray:
+        """rho; for a ket, psi psi^dag, built afresh on each read."""
+        return self._mat if self.ket is None else _ket_bra(self.ket)
 
     @property
     def num_qubits(self) -> int:
         return len(self.register)
 
     def trace(self) -> float:
-        return float(self.mat.trace().real)
+        if self.ket is not None:
+            return float(np.vdot(self.ket, self.ket).real)
+        return float(self._mat.trace().real)
 
     def key(self):
-        """Hashable fingerprint; rounded so equal states collide."""
+        """Hashable fingerprint; rounded so equal states collide. For a ket
+        it is built from psi psi^dag, so it does not depend on how a state
+        is held."""
         if self._key is None:
             rounded = np.round(self.mat, HASH_DECIMALS) + 0.0  # kill -0.0
             self._key = (self.register.names, rounded.tobytes())
         return self._key
+
+    def keys_differ(self, other: "DensityMatrix") -> bool:
+        """Whether `key()`s not built yet must differ, read off two kets'
+        diagonals |psi_i|^2: True only when neither state has a key, both
+        are kets over one register and some diagonal entries are more than
+        KEY_APART apart; False says nothing."""
+        if (self.ket is None or other.ket is None or self._key is not None
+                or other._key is not None or self.register != other.register):
+            return False
+        diag = np.abs(self.ket) ** 2 - np.abs(other.ket) ** 2
+        return bool(np.max(np.abs(diag)) > KEY_APART)
 
     def __eq__(self, other):
         return isinstance(other, DensityMatrix) and self.close_to(other)
@@ -161,14 +210,13 @@ class DensityMatrix:
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         if set(self.register.names) & set(other.register.names):
             raise RegisterError("tensor factors share qubit names")
-        return DensityMatrix(
-            self.register.names + other.register.names,
-            np.kron(self.mat, other.mat),
-            check=False,
-        )
+        names = self.register.names + other.register.names
+        if self.ket is not None and other.ket is not None:
+            return DensityMatrix.from_ket(names, np.kron(self.ket, other.ket))
+        return DensityMatrix(names, np.kron(self.mat, other.mat), check=False)
 
     def to_json(self):
-        dim = self.mat.shape[0]
+        dim = 1 << self.num_qubits
         return {
             "rows": dim,
             "cols": dim,
@@ -287,6 +335,16 @@ def _conjugations(ops, targets, rho: DensityMatrix):
         yield np.moveaxis(t, outs, rows + cols).reshape(dim, dim)
 
 
+def _contract(op: np.ndarray, positions, psi: np.ndarray) -> np.ndarray:
+    """op psi with op acting on the qubits at `positions`: op contracted
+    into those axes of psi's (2,)*n tensor view."""
+    n = psi.size.bit_length() - 1
+    k = len(positions)
+    t = np.tensordot(op.reshape((2,) * (2 * k)), psi.reshape((2,) * n),
+                     axes=(list(range(k, 2 * k)), list(positions)))
+    return np.moveaxis(t, list(range(k)), list(positions)).reshape(-1)
+
+
 def _target_marginal(positions, rho: DensityMatrix) -> np.ndarray:
     """Reduced state of rho on the qubits at `positions`, in that order."""
     n = rho.num_qubits
@@ -310,7 +368,10 @@ def apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatri
 
 
 def _apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatrix:
-    out = np.zeros_like(rho.mat)
+    if rho.ket is not None and len(e.kraus) == 1:
+        positions = _target_positions(e.kraus, targets, rho)
+        return DensityMatrix.from_ket(rho.register, _contract(e.kraus[0], positions, rho.ket))
+    out = 0.0
     for post in _conjugations(e.kraus, targets, rho):
         out += post
     return DensityMatrix(rho.register, out, check=False)
@@ -322,6 +383,8 @@ def measure(m: Measurement, targets, rho: DensityMatrix):
 
 
 def _measure(m: Measurement, targets, rho: DensityMatrix):
+    if rho.ket is not None:
+        return _measure_ket(m, _target_positions(m.operators, targets, rho), rho)
     # p_m = tr(M_m^dag M_m rho_T) on the targets' reduced state rho_T picks
     # the outcomes to keep before any 2^n x 2^n post-state is built
     marginal = _target_marginal(_target_positions(m.operators, targets, rho), rho)
@@ -339,14 +402,33 @@ def _measure(m: Measurement, targets, rho: DensityMatrix):
     return results
 
 
+def _measure_ket(m: Measurement, positions, rho: DensityMatrix):
+    # branch m is M_m psi / sqrt(p_m), with p_m = |M_m psi|^2
+    results = []
+    for outcome, op in enumerate(m.operators):
+        post = _contract(op, positions, rho.ket)
+        p = np.vdot(post, post).real
+        if p > TOL_PROB:
+            results.append((outcome, float(p),
+                            DensityMatrix.from_ket(rho.register, post / math.sqrt(p))))
+    return results
+
+
 def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:
-    """Reduced state over the remaining qubits, order preserved."""
+    """Reduced state over the remaining qubits, order preserved; of a ket,
+    A A^dag with A the ket as a kept x traced matrix."""
     traced = tuple(traced)
     if not traced:
         return rho
     gone = set(rho.register.positions(traced))
     kept = [i for i in range(rho.num_qubits) if i not in gone]
-    return DensityMatrix(rho.register.without(traced), _target_marginal(kept, rho), check=False)
+    register = rho.register.without(traced)
+    if rho.ket is None:
+        return DensityMatrix(register, _target_marginal(kept, rho), check=False)
+    n = rho.num_qubits
+    a = np.moveaxis(rho.ket.reshape((2,) * n), kept, list(range(len(kept))))
+    a = a.reshape(1 << len(kept), -1)
+    return DensityMatrix(register, a @ a.conj().T, check=False)
 
 
 def mix(rho: DensityMatrix, sigma: DensityMatrix, p: float) -> DensityMatrix:
@@ -386,14 +468,18 @@ PSI_M = _SQ2 * (kron(KET0, KET1) - kron(KET1, KET0))
 
 
 def projector(vec) -> np.ndarray:
-    v = _as_array(vec).reshape(-1, 1)
+    return _ket_bra(_as_array(vec))
+
+
+def _ket_bra(psi: np.ndarray) -> np.ndarray:
+    v = psi.reshape(-1, 1)
     return v @ v.conj().T
 
 
 def pure_state(vec, names) -> DensityMatrix:
-    v = _as_array(vec).reshape(-1, 1)
-    v = v / np.linalg.norm(v)
-    return DensityMatrix(names, projector(v), check=False)
+    """The normalized ket `vec` over the register `names`, held as a ket."""
+    v = _as_array(vec).reshape(-1)
+    return DensityMatrix.from_ket(names, v / np.linalg.norm(v))
 
 
 def computational_measurement(n: int) -> Measurement:

@@ -51,7 +51,10 @@ class Configuration:
     two configurations collide on their discrete structure or when a
     support is sorted. It rests on `pretty` being injective on terms, so
     equal keys mean the same interned process and observer, and so equal
-    hashes."""
+    hashes. Two colliding kets whose keys are not built yet are first
+    compared on their diagonals (`DensityMatrix.keys_differ`), which tells
+    most unequal pure states apart without building either key; equality
+    is still exactly that of the keys."""
 
     __slots__ = ("rho", "proc", "obs", "_key", "_hash")
 
@@ -80,7 +83,8 @@ class Configuration:
         if self is other:
             return True
         if (not isinstance(other, Configuration) or self._hash != other._hash
-                or self.proc is not other.proc or self.obs is not other.obs):
+                or self.proc is not other.proc or self.obs is not other.obs
+                or self.rho.keys_differ(other.rho)):
             return False
         return self.key() == other.key()
 

@@ -162,6 +162,21 @@ def test_check_candidate_cli(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "certified-bisimilar"
 
 
+def test_check_candidate_cli_refutes_a_pair_open_to_contexts(tmp_path, capsys):
+    p = tmp_path / "gates.lq"
+    p.write_text(
+        """
+        channel c : qubit;
+        channel d : qubit;
+        qubit a0;
+        process L = c?x.H(x).d!x;
+        process R = c?x.I(x).d!x;
+        """
+    )
+    assert main(["check-candidate", str(p), "--pair", "L:R"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "distinguished"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["distinguish"]) == 2
 

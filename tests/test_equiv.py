@@ -739,6 +739,25 @@ class TestCheckCandidate:
         without = check_candidate(rel, CONSTRAINED, SearchBounds(), upto_cv=False, sig=SIG)
         assert isinstance(without, InconclusiveAtBounds)
 
+    @pytest.mark.parametrize("mode", [CONSTRAINED, SATURATED])
+    def test_pair_told_apart_by_a_context_is_distinguished(self, mode):
+        # both sides wait on c, so they have no moves of their own and the
+        # transfer conditions hold vacuously; a context that sends a0 on c
+        # and measures what comes back on d tells H from I
+        dl, dr, sig = _pair(GATE_PAIR_SRC, "L", "R")
+        v = check_candidate([(dl, dr)], mode, SearchBounds(), sig=sig)
+        assert isinstance(v, Distinguished)
+        assert isinstance(distinguish(dl, dr, mode, SearchBounds(), sig), Distinguished)
+
+
+GATE_PAIR_SRC = """
+channel c : qubit;
+channel d : qubit;
+qubit a0;
+process L = c?x.H(x).d!x;
+process R = c?x.I(x).d!x;
+"""
+
 
 def _pair(src, left, right, state=""):
     from lqccs.cli import build_state

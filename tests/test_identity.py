@@ -74,6 +74,39 @@ def test_distribution_identity_is_its_key(seed, p):
         _assert_contract(a, b)
 
 
+def _ket_vectors(seed: int) -> list:
+    """Kets on two qubits: one ket, the same ket, a global phase away,
+    1e-12 away, the same diagonal with other phases, and another ket."""
+    rng = np.random.default_rng(seed)
+
+    def ket():
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        return v / np.linalg.norm(v)
+
+    psi = ket()
+    return [psi, psi.copy(), np.exp(0.7j) * psi, psi + 1e-12 * ket(),
+            np.exp(1j * rng.uniform(0, 2 * np.pi, size=4)) * psi, ket()]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 10_000))
+def test_ket_configuration_identity_is_its_key(seed):
+    """Colliding kets are compared on their diagonals before any key is
+    built; equality must still be exactly equality of keys."""
+    c, _ = random_config(seed)
+    names = c.rho.register.names
+    vecs = _ket_vectors(seed)
+    for u, v in itertools.product(vecs, repeat=2):
+        # fresh states, so that neither has a key and the pre-test runs
+        a = Configuration(qcore.pure_state(u, names), c.proc, c.obs)
+        b = Configuration(qcore.pure_state(v, names), c.proc, c.obs)
+        _assert_contract(a, b)
+    # a ket and its dense twin are one state
+    ket = qcore.pure_state(vecs[0], names)
+    dense = qcore.DensityMatrix(names, ket.mat, check=False)
+    assert Configuration(ket, c.proc, c.obs) == Configuration(dense, c.proc, c.obs)
+
+
 def test_equal_states_merge_and_different_states_stay_apart():
     c, *_ = _family(3)
     same = Configuration(qcore.DensityMatrix(c.rho.register.names, c.rho.mat.copy(),

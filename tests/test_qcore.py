@@ -467,3 +467,169 @@ def test_non_finite_caller_data_is_refused(build, bad):
     m[0, 0] = bad
     with pytest.raises(ValueError, match="NaN or Inf"):
         build(m)
+
+
+# ---------------------------------------------------------------------------
+# kets against their dense twins: a pure state held as psi must give every
+# backend operation the result of the same state held as rho = psi psi^dag
+
+
+def random_ket(rng, n):
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return v / np.linalg.norm(v)
+
+
+def random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def random_kraus(rng, dim, count):
+    """`count` Kraus operators summing to the identity: the blocks of a
+    random isometry from dim to count * dim."""
+    a = rng.normal(size=(count * dim, dim)) + 1j * rng.normal(size=(count * dim, dim))
+    iso, _ = np.linalg.qr(a)
+    return [iso[i * dim:(i + 1) * dim] for i in range(count)]
+
+
+def twins(psi, names):
+    ket = pure_state(psi, names)
+    assert ket.ket is not None
+    return ket, DensityMatrix(names, ket.mat, check=False)
+
+
+def assert_twins(got, want):
+    assert got.register == want.register
+    assert np.max(np.abs(got.mat - want.mat)) < qcore.TOL_MAT
+    assert got.key() == want.key()
+
+
+def assert_same_order(gots, wants):
+    def order(states):
+        return sorted(range(len(states)), key=lambda i: states[i].key())
+    assert order(gots) == order(wants)
+
+
+@st.composite
+def ket_cases(draw):
+    """(register, target positions, ket, rng): 1-8 qubits, 1-3 targets in
+    any order, a random ket, or one with the targets confined to a random
+    nonempty set of computational basis values, so that some outcomes of
+    M01 have probability zero."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(3, n)))
+    positions = tuple(draw(st.permutations(range(n)))[:k])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = random_ket(rng, n)
+    if draw(st.booleans()):
+        kept = draw(st.lists(st.booleans(), min_size=1 << k, max_size=1 << k).filter(any))
+        psi = dense_embedding(np.diag(np.array(kept, dtype=complex)), positions, n) @ psi
+        psi /= np.linalg.norm(psi)
+    return register(n), positions, psi, rng
+
+
+KET_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+class TestKetTwin:
+    @KET_SETTINGS
+    @given(ket_cases())
+    def test_one_kraus_superop_keeps_a_ket(self, case):
+        names, positions, psi, rng = case
+        ket, dense = twins(psi, names)
+        targets = tuple(names[p] for p in positions)
+        e = Superoperator([random_unitary(rng, 1 << len(targets))], check=False)
+        got = apply_superop(e, targets, ket)
+        assert got.ket is not None
+        assert_twins(got, apply_superop(e, targets, dense))
+        assert_same_order([ket, got], [dense, apply_superop(e, targets, dense)])
+
+    @KET_SETTINGS
+    @given(ket_cases(), st.integers(2, 4))
+    def test_several_kraus_superop(self, case, count):
+        names, positions, psi, rng = case
+        ket, dense = twins(psi, names)
+        targets = tuple(names[p] for p in positions)
+        e = Superoperator(random_kraus(rng, 1 << len(targets), count))
+        assert_twins(apply_superop(e, targets, ket), apply_superop(e, targets, dense))
+
+    @KET_SETTINGS
+    @given(ket_cases(), st.sampled_from(["M01", "Mpm", "MBell", "rotated"]))
+    def test_measure(self, case, kind):
+        names, positions, psi, rng = case
+        ket, dense = twins(psi, names)
+        if kind == "MBell" and len(positions) != 2:
+            kind = "M01"
+        dim = 1 << len(positions)
+        if kind == "rotated":
+            v = random_unitary(rng, dim)
+            m = Measurement([np.diag(row) @ v for row in np.eye(dim)], check=False)
+        else:
+            m = resolve_measurement(kind, len(positions))
+        targets = tuple(names[p] for p in positions)
+        got = measure(m, targets, ket)
+        want = measure(m, targets, dense)
+        assert [outcome for outcome, _, _ in got] == [outcome for outcome, _, _ in want]
+        for (_, p, post), (_, p_want, post_want) in zip(got, want):
+            assert abs(p - p_want) < qcore.TOL_MAT
+            assert post.ket is not None
+            assert abs(post.trace() - 1.0) < qcore.TOL_MAT
+            assert_twins(post, post_want)
+        assert_same_order([post for _, _, post in got], [post for _, _, post in want])
+
+    @KET_SETTINGS
+    @given(ket_cases(), st.data())
+    def test_partial_trace(self, case, data):
+        names, _, psi, _ = case
+        ket, dense = twins(psi, names)
+        traced = data.draw(st.lists(st.sampled_from(names), unique=True))
+        assert_twins(partial_trace(ket, traced), partial_trace(dense, traced))
+
+    @KET_SETTINGS
+    @given(ket_cases(), st.integers(1, 2), st.floats(0.0, 1.0))
+    def test_tensor_and_mix(self, case, m, p):
+        names, _, psi, rng = case
+        ket, dense = twins(psi, names)
+        other, other_dense = twins(random_ket(rng, m), tuple(f"r{i}" for i in range(m)))
+        both = ket.tensor(other)
+        assert both.ket is not None
+        assert_twins(both, dense.tensor(other_dense))
+        assert_twins(ket.tensor(other_dense), dense.tensor(other_dense))
+        second, second_dense = twins(random_ket(rng, len(names)), names)
+        assert_twins(mix(ket, second, p), mix(dense, second_dense, p))
+        assert_same_order([ket, second, both], [dense, second_dense, dense.tensor(other_dense)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(ket_cases(), st.sampled_from(["equal", "phase", "1e-12", "other"]))
+def test_keys_differ_never_contradicts_the_keys(case, kind):
+    """The diagonal pre-test of kets says *unequal* only where the rounded
+    keys differ, also for equal kets, kets a global phase apart and kets
+    1e-12 apart."""
+    names, _, psi, rng = case
+    if kind == "equal":
+        phi = psi.copy()
+    elif kind == "phase":
+        phi = np.exp(1j * rng.uniform(0, 2 * np.pi)) * psi
+    elif kind == "1e-12":
+        phi = psi + 1e-12 * random_ket(rng, len(names))
+    else:
+        phi = random_ket(rng, len(names))
+    a, b = pure_state(psi, names), pure_state(phi, names)
+    differ = a.keys_differ(b)
+    assert differ == b.keys_differ(a)
+    if a.key() == b.key():
+        assert not differ
+    # once a key is built the pre-test stands aside
+    assert not a.keys_differ(b)
+    if kind != "other":
+        assert a.key() == b.key()
+
+
+def test_keys_differ_tells_basis_states_apart():
+    a, b = pure_state(KET0, ("q",)), pure_state(KET1, ("q",))
+    assert a.keys_differ(b)
+    assert not a.keys_differ(pure_state(KET0, ("p",)))
+    assert not a.keys_differ(DensityMatrix(("q",), projector(KET1)))
+    # |+> and |-> share a diagonal: only their keys tell them apart
+    assert not pure_state(KETP, ("q",)).keys_differ(pure_state(KETM, ("q",)))
