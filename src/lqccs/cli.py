@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     p.add_argument("--depth", type=int, default=SearchBounds.depth)
     p.add_argument("--ancillas", type=int, default=SearchBounds.ancillas)
 
-    p = sub.add_parser("certify", help="density-quotient certificate for a pair")
+    p = sub.add_parser("certify", help="certify a pair without a search (constrained)")
     p.add_argument("file")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)

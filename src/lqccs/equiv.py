@@ -1,14 +1,18 @@
 """The verdict engine: bounded distinguisher games for the saturated and
-constrained semantics, the certificates that end them (equality, and the
-density quotient for deterministic processes), bisimulation-candidate
-checking (plain and up to convex hull), discard-trace reduction, and the
-forced-run drivers the corpus shares. The paper's side claims are checked
-in `claims`, on top of this module.
+constrained semantics, the certificates that end them (equality, the
+density quotient for deterministic processes, and the input certificate
+for qubit receptions), bisimulation-candidate checking (plain and up to
+convex hull), discard-trace reduction, and the forced-run drivers the
+corpus shares. The paper's side claims are checked in `claims`, on top
+of this module.
 
 Soundness contract: every Distinguished verdict carries a strategy tree
 that is replayed from scratch before it is returned; certificates are
-equality in both modes and the density quotient in constrained mode only
-(`_certify`); everything else is inconclusive at the given bounds.
+equality in both modes, the density quotient in constrained mode only,
+and the input certificate: equality reached by the two continuations of
+a qubit reception fed half of a Bell pair, in both modes, with the
+saturated run stepping only from pure states (`_certify`); everything
+else is inconclusive at the given bounds.
 """
 
 from __future__ import annotations
@@ -31,12 +35,13 @@ from .osem import (
 )
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, TOL_STATE, DensityMatrix, partial_trace
-from .rewrite import normalize
+from .rewrite import normalize, substitute
 from .semantics import (
     BOT,
     DEFAULT_CHOICE_CAP,
     Configuration,
     Distribution,
+    _rebuild,
     at_index,
     barb_mismatch,
     dist_barbs,
@@ -47,6 +52,7 @@ from .semantics import (
     proc_barbs,
 )
 from .syntax import (
+    QUBIT,
     ApplyOp,
     BinOp,
     Ite,
@@ -501,10 +507,11 @@ def distinguish(
 ):
     """Bounded two-player game. Distinguished verdicts are replayed before
     being returned; a certificate after forced silent steps (`_certify`:
-    equality, or the density quotient in constrained mode only) may
-    certify bisimilarity; anything else is inconclusive. The verdict is
-    computed under one memo (`memo.scope`); the replay runs after it is
-    closed, so it recomputes the backend but reads the same move schemas."""
+    equality, the density quotient in constrained mode only, or the input
+    certificate at a pair of qubit receptions) may certify bisimilarity;
+    anything else is inconclusive. The verdict is computed under one memo
+    (`memo.scope`); the replay runs after it is closed, so it recomputes
+    the backend but reads the same move schemas."""
     t0 = time.monotonic()
     stats = Stats()
     with memo.scope(stats):
@@ -545,7 +552,8 @@ def certify(
 ):
     """Certificate-only entry point, constrained semantics: equality or
     the density quotient, after forced silent steps that stop at barbs,
-    receptions and free qubits (`_certify`)."""
+    receptions and free qubits, or the input certificate at a pair of
+    qubit receptions (`_certify`)."""
     t0 = time.monotonic()
     stats = Stats()
     with memo.scope(stats):
@@ -572,7 +580,9 @@ def _certificate(dl: Distribution, dr: Distribution, mode: str, bounds, sig):
 
 def _certify(dl: Distribution, dr: Distribution, mode: str, bounds, sig):
     """`_certificate` tried at each pair of a forced run, on which both
-    sides take their forced steps (`_forced_successor`) in lockstep.
+    sides take their forced steps (`_forced_successor`) in lockstep; where
+    the run stops at a pair of qubit receptions, the input certificate
+    (`_input_certificate`).
 
     Soundness. A side steps only when closed to contexts: no barb, no
     reception on an unrestricted channel, every register qubit owned, one
@@ -588,22 +598,56 @@ def _certify(dl: Distribution, dr: Distribution, mode: str, bounds, sig):
       context can fire beside the forced step in some elements only
       (`tau.f!0` beside one outcome of `M01(q |> x).tau.disc(q)`, against
       `tau.M01(q |> x).disc(q)`), and so the run steps only from point
-      distributions. Only equality is closed under parallel contexts."""
+      distributions. Only equality is closed under parallel contexts.
+
+    Input certificate (`_input_certificate`): c?x.P against c?x.Q, lone
+    live receptions of one qubit on the same free channel c, over one
+    state and observer. Both sides receive x' of a Bell pair on fresh
+    (r, x') and step in lockstep as above, except that register qubits
+    the process does not own, r among them, are the context's; equality
+    after the same number n of steps certifies. Those steps act on x' and
+    owned qubits only, with no barb, input or deadlock mass: a
+    trace-preserving instrument, which its action on half of a maximally
+    entangled pair fixes (Choi). So P and Q end equal after n steps on
+    any input, however entangled with what the context keeps. The pairs
+    met on the way are images of one joint state under the first k < n
+    steps of each run; a context move on disjoint qubits, applied to
+    both sides element by element, commutes with the runs and keeps that
+    shape, with equal probabilities, as the runs keep the context's
+    marginal. Forced steps consume prefixes, so elements at different
+    stages never share a process.
+    - Constrained: the diamond fires in all elements, so all are at one
+      stage, and each index moves both sides alike, even where one side
+      merges elements that the other keeps apart.
+    - Saturated: elements may be at different stages, and elements merged
+      on one side only let the attacker step them apart on the other
+      (`Set0(x).Set0(x)` against `I(x).Set0(x)`, beside a context that
+      measures and resets r). So the run steps only from a point whose
+      state is pure: a step between pure states acts as one isometry on
+      every state a context can reach, so both sides merge alike."""
     pair = (dl, dr)
     for _ in range(bounds.depth + 8):
         cert = _certificate(*pair, mode, bounds, sig)
         if cert is not None:
             return cert
-        pair = tuple(_forced_successor(d, mode, sig, bounds) for d in pair)
-        if None in pair:
-            return None
+        succ = tuple(_forced_successor(d, mode, sig, bounds) for d in pair)
+        if None in succ:
+            return _input_certificate(*pair, mode, bounds, sig)
+        pair = succ
     return None
 
 
-def _forced_successor(dist: Distribution, mode: str, sig, bounds):
+def _forced_successor(dist: Distribution, mode: str, sig, bounds, shared: bool = False):
     """The forced step of a side closed to contexts (see `_certify`), or
-    None. The deadlock point counts as a barb."""
-    if dist_barbs(dist) or _free_qubits(dist, dist) or (mode == SATURATED and len(dist) > 1):
+    None. The deadlock point counts as a barb. In an input run (`shared`)
+    the register qubits the process does not own are the context's, and
+    a saturated step starts from a pure state."""
+    if dist_barbs(dist) or (mode == SATURATED and len(dist) > 1):
+        return None
+    if shared:
+        if mode == SATURATED and not next(iter(dist.support)).rho.is_pure():
+            return None
+    elif _free_qubits(dist, dist):
         return None
     if any(isinstance(g, Recv) for c, _ in dist.items() for g in open_guards(c.proc)):
         return None
@@ -617,6 +661,50 @@ def _forced_successor(dist: Distribution, mode: str, sig, bounds):
     if succ.bot_mass() > TOL_PROB:
         return None
     return succ
+
+
+def _input_certificate(dl: Distribution, dr: Distribution, mode: str, bounds, sig):
+    """("choi-input", c, n) when dl and dr are points over one state and
+    observer, each process a lone live reception of one qubit on the same
+    free channel c, and the two continuations, fed x' of the Bell pair
+    (|00> + |11>)/sqrt 2 on fresh qubits (r, x') appended to the
+    register, are equal after n forced steps in lockstep; else None (see
+    `_certify`)."""
+    if sig is None or len(dl) != 1 or len(dr) != 1:
+        return None
+    (cl, _), = dl.items()
+    (cr, _), = dr.items()
+    if cl.is_bot or cr.is_bot or cl.obs is not cr.obs:
+        return None
+    views = [_lone_reception(c.proc) for c in (cl, cr)]
+    if None in views or views[0][0].chan != views[1][0].chan \
+            or sig.channel_type(views[0][0].chan) != (QUBIT,) or cl.rho.key() != cr.rho.key():
+        return None
+    ref, inp = fresh_names("choi", 2, _all_names(dl) | _all_names(dr))
+    rho = cl.rho.tensor(qcore.pure_state(qcore.PHI_P, (ref, inp)))
+    pair = tuple(
+        Distribution.point(Configuration(rho, _rebuild(
+            [*others, substitute(recv.cont, recv.vars[0], QubitLit(inp))], restricted), cl.obs))
+        for recv, others, restricted in views)
+    for steps in range(1, bounds.depth + 8):
+        pair = tuple(_forced_successor(d, mode, sig, bounds, shared=True) for d in pair)
+        if None in pair:
+            return None
+        if pair[0] == pair[1]:
+            return ("choi-input", views[0][0].chan, steps)
+    return None
+
+
+def _lone_reception(proc):
+    """(reception, other components, restricted channels) when the one
+    live component of `proc` is a reception of one variable on a channel
+    no restriction hides, else None."""
+    comps, restricted = exec_view(proc)
+    live = [x for x in comps if not isinstance(x, Nil)]
+    if len(live) != 1 or not isinstance(live[0], Recv) or live[0].chan in restricted \
+            or len(live[0].vars) != 1:
+        return None
+    return live[0], [x for x in comps if x is not live[0]], restricted
 
 
 def _search(dl, dr, mode, bounds, sig, stats):

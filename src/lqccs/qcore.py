@@ -171,6 +171,10 @@ class DensityMatrix:
             return float(np.vdot(self.ket, self.ket).real)
         return float(self._mat.trace().real)
 
+    def is_pure(self) -> bool:
+        """Held as a ket, or tr(rho^2) within TOL_MAT of one."""
+        return self.ket is not None or abs(np.vdot(self._mat, self._mat).real - 1.0) <= TOL_MAT
+
     def key(self):
         """Hashable fingerprint; rounded so equal states collide. For a ket
         it is built from psi psi^dag, so it does not depend on how a state

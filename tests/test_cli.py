@@ -177,6 +177,26 @@ def test_check_candidate_cli_refutes_a_pair_open_to_contexts(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "distinguished"
 
 
+def test_a_received_phase_is_certified_without_a_search(tmp_path, capsys):
+    p = tmp_path / "phase.lq"
+    p.write_text(
+        """
+        channel c : qubit;
+        channel d : qubit;
+        qubit a0;
+        process L = c?x.I(x).M01(x |> y).d!x;
+        process R = c?x.Z(x).M01(x |> y).d!x;
+        """
+    )
+    for argv in (["certify", str(p), "--left", "L", "--right", "R"],
+                 ["distinguish", str(p), "--left", "L", "--right", "R", "--mode", "saturated"]):
+        assert main(argv) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["verdict"] == "certified-bisimilar"
+        assert verdict["certificate"] == ["choi-input", "c", "2"]
+        assert verdict["stats"]["contexts_tried"] == 0
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["distinguish"]) == 2
 

@@ -41,8 +41,8 @@ from lqccs.ops import resolve_operator
 from lqccs.parser import parse_process
 from lqccs.rewrite import normalize
 from lqccs.semantics import BOT, Distribution, dist_barbs, make_config, mixture
-from lqccs.syntax import (NAT, NatLit, Nil, Par, QubitLit, Recv, Restrict, Send, Sum, Tau,
-                          channels, free_channels, map_term)
+from lqccs.syntax import (NAT, QUBIT, ApplyOp, Measure, NatLit, Nil, Par, QubitLit, Recv,
+                          Restrict, Send, Sum, Tau, Var, channels, free_channels, map_term)
 
 SIG = make_signature(("q", "q1", "q2", "o1"))
 
@@ -833,6 +833,101 @@ class TestOneCertificatePath:
         assert equiv._search(dl, dr, SATURATED, bounds, sig, equiv.Stats()) is None
         assert dl in expanded and dr in expanded
         assert common not in expanded
+
+
+class TestInputCertificate:
+    """`_certify` feeds a pair of qubit receptions half of a Bell pair
+    and certifies equality after the same number of forced steps."""
+
+    SRC = ("channel c : qubit;\nchannel d : qubit;\nchannel f : nat;\nqubit a0;\n"
+           "process L = {};\nprocess R = {};\n")
+
+    def pair(self, left, right):
+        return _pair(self.SRC.format(left, right), "L", "R")
+
+    @pytest.mark.parametrize("mode", [SATURATED, CONSTRAINED])
+    def test_a_phase_the_measurement_erases_is_certified(self, mode):
+        dl, dr, sig = self.pair("c?x.I(x).M01(x |> y).d!x", "c?x.Z(x).M01(x |> y).d!x")
+        v = distinguish(dl, dr, mode, SearchBounds(), sig)
+        assert isinstance(v, CertifiedBisimilar)
+        assert v.certificate == ("choi-input", "c", 2)
+        assert v.stats.contexts_tried == 0 and v.stats.states_visited == 0
+
+    @pytest.mark.parametrize("mode", [SATURATED, CONSTRAINED])
+    def test_the_input_is_half_of_a_bell_pair(self, mode):
+        # fed |0>, the sides are equal after the gate; fed half of a Bell
+        # pair they are not, and the search tells them apart
+        dl, dr, sig = self.pair("c?x.Z(x).d!x", "c?x.I(x).d!x")
+        assert isinstance(certify(dl, dr, SearchBounds(), sig), InconclusiveAtBounds)
+        v = distinguish(dl, dr, mode, SearchBounds(), sig)
+        assert isinstance(v, Distinguished)
+
+    @pytest.mark.parametrize("mode", [SATURATED, CONSTRAINED])
+    def test_the_two_sides_take_the_same_number_of_steps(self, mode):
+        # equal instruments, reached in three steps on the left and two on
+        # the right: an observer of d sees the right side's barb first
+        dl, dr, sig = self.pair("c?x.I(x).I(x).M01(x |> y).d!x", "c?x.Z(x).M01(x |> y).d!x")
+        assert isinstance(certify(dl, dr, SearchBounds(), sig), InconclusiveAtBounds)
+        assert isinstance(distinguish(dl, dr, mode, SearchBounds(), sig), Distinguished)
+
+    def test_a_saturated_run_steps_only_from_pure_states(self):
+        # the left side resets the input before the step that both sides
+        # share; a context that keeps the other half of a Bell pair,
+        # measures and resets it merges the left elements only, and then
+        # fires its tau beside the right side's step in one element
+        dl, dr, sig = self.pair("c?x.Set0(x).Set0(x).d!x", "c?x.I(x).Set0(x).d!x")
+        v = distinguish(dl, dr, CONSTRAINED, SearchBounds(), sig)
+        assert isinstance(v, CertifiedBisimilar)
+        assert v.certificate == ("choi-input", "c", 2)
+        sig.qubits += ("anc0",)
+        frame = parse_process("SetPhiP(a0, anc0).(c!a0 || M01(anc0 |> y).Set0(anc0).tau.f!0)", sig)
+        bounds = SearchBounds(hint_contexts=(frame,))
+        v = distinguish(dl, dr, SATURATED, bounds, sig)
+        assert isinstance(v, Distinguished)
+
+
+def test_input_certified_pairs_have_no_witness():
+    # c?x.P against c?x.Q, where P and Q are most often a gate before a
+    # shared measurement and tail: whenever the input certificate
+    # certifies, the search on the padded pair finds no witness, and some
+    # of the certified pairs are unequal
+    from lqccs.equiv import Stats, _certify, _search, pad_ancillas
+
+    commuting = {"M01": ("I", "Z"), "Mpm": ("I", "X")}
+    certified = []
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(min_value=0, max_value=100_000), st.sampled_from((SATURATED, CONSTRAINED)))
+    def property_(seed, mode):
+        gen = TermGen(seed)
+        rng = gen.rng
+        meas = rng.choice(sorted(commuting))
+        var, out = gen.fresh("x"), gen.fresh("m")
+        tail = gen.process(frozenset({var}), {var: QUBIT, out: NAT}, 2)
+
+        def side():
+            x = Var(var)
+            if rng.random() < 0.2:
+                body = gen.process(frozenset({var}), {var: QUBIT}, 3)
+            else:
+                gate = rng.choice(commuting[meas] if rng.random() < 0.8 else ("H", "X", "Z"))
+                body = ApplyOp(gate, (x,), Measure(meas, (x,), out, tail))
+            return Recv("c", (var,), body)
+
+        vec = np.random.default_rng(seed).normal(size=2) + 1j
+        rho = qcore.pure_state(vec, ("o1",))
+        dl, dr = (Distribution.point(make_config(rho, side())) for _ in range(2))
+        cert = _certify(dl, dr, mode, SearchBounds(), gen.sig)
+        if cert is None or cert[0] != "choi-input":
+            return
+        # equality is tried first, so the two sides differ
+        certified.append((seed, mode))
+        bounds = SearchBounds()
+        pl, pr = (pad_ancillas(d, bounds.ancillas, {"o1"}) for d in (dl, dr))
+        assert _search(pl, pr, mode, bounds, gen.sig, Stats()) is None
+
+    property_()
+    assert certified
 
 
 @pytest.mark.parametrize("mode", (SATURATED, CONSTRAINED))

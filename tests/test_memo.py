@@ -16,13 +16,16 @@ from lqccs.parser import parse_process, parse_program
 from lqccs.semantics import BOT, Distribution, make_config, step, step_genuine
 
 # a phase before a measurement in the basis it commutes with: never
-# distinguished, and the slowest kind of verdict to search
+# distinguished, and the slowest kind of verdict to search; the send on
+# k beside each reception keeps the input certificate out of scope, so
+# the game searches
 PHASE_SRC = """
 channel c : qubit;
 channel d : qubit;
+channel k : nat;
 qubit a0;
-process L = c?x.I(x).M01(x |> y).d!x;
-process R = c?x.Z(x).M01(x |> y).d!x;
+process L = c?x.I(x).M01(x |> y).d!x || k!0;
+process R = c?x.Z(x).M01(x |> y).d!x || k!0;
 """
 
 # one qubit q1 is flipped or left alone before both qubits go out on
