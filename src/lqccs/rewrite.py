@@ -4,12 +4,14 @@
 congruence class: closed classical expressions are evaluated, literal
 conditionals resolved, parallel and sum children flattened and sorted in
 a fixed total order, inert components dropped, discard tuples sorted, and
-the scopes of restrictions closed (`close_scopes`): renamed apart where
-they clash (`extend_scopes`) and pushed inward past components that do
-not use the channel (and dropped when it is not free at all).
-`normalize_observer` does the same for the observer congruence, which
-keeps the shape of parallel composition intact. `substitute` is memoized
-like `normalize`, on interned terms.
+the scopes of each chain of restrictions closed under its set of channels
+(`close_scopes`): renamed apart where they clash (`extend_scopes`) and
+pushed inward past components that do not use the channel (and dropped
+when it is not free at all). A normal form is marked as one, so
+normalizing it again is a cache lookup. `normalize_observer`, which
+neither reads nor sets the mark, does the same for the observer
+congruence, which keeps the shape of parallel composition intact.
+`substitute` is memoized like `normalize`, on interned terms.
 """
 
 from __future__ import annotations
@@ -159,6 +161,18 @@ def flat_parts(parts, split, norm) -> list:
 
 @lru_cache(maxsize=None)
 def normalize(t):
+    """The normal form of `t`, marked (`mark_normal`); a marked `t` is its
+    own, so a residual, built normal, is not normalized again."""
+    return t if getattr(t, "_normal", False) else mark_normal(_normal_form(t))
+
+
+def mark_normal(t):
+    """`t`, marked as its own normal form."""
+    object.__setattr__(t, "_normal", True)
+    return t
+
+
+def _normal_form(t):
     if isinstance(t, Nil):
         return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_expr)))
     if isinstance(t, (Sum, Par)):
@@ -166,7 +180,7 @@ def normalize(t):
         parts = sorted(flat_parts(split(t), split, normalize), key=pretty)
         return join(parts) if parts else NIL
     if isinstance(t, Restrict):
-        return _normalize_restrict(normalize(t.body), t.chan)
+        return _normalize_restrict(t)
     if isinstance(t, Ite):
         cond = _norm_expr(t.cond)
         if isinstance(cond, BoolLit):
@@ -223,20 +237,23 @@ def _rename_channel(t, old, new):
     return Recv(new, t.vars, t.cont) if isinstance(t, Recv) and t.chan == old else t
 
 
-def _normalize_restrict(body, chan):
-    """The normal form of the normal `body` under `chan` and its own chain."""
-    chans = {chan}
-    while isinstance(body, Restrict):
-        chans.add(body.chan)
-        body = body.body
-    return close_scopes(par_components(body), chans)
+def _normalize_restrict(t):
+    """The normal form of the chain of restrictions `t`, taken whole, as in
+    Milner's standard form: the chain's channels are one set, the body is
+    normalized once and its scopes closed under the set, so a fresh name
+    avoids every channel of the chain, whatever order it is written in."""
+    chans = set()
+    while isinstance(t, Restrict):
+        chans.add(t.chan)
+        t = t.body
+    return close_scopes(par_components(normalize(t)), chans)
 
 
 def close_scopes(comps, chans):
     """The normal form of the normal components `comps` under restrictions
-    on `chans`: the scopes of restricted components are extended over their
-    siblings (`extend_scopes`), then each channel is pushed back inward in a
-    fixed order, so congruent nestings canonicalize alike."""
+    on `chans`, marked: the scopes of restricted components are extended
+    over their siblings (`extend_scopes`), then each channel is pushed back
+    inward in a fixed order, so congruent nestings canonicalize alike."""
     comps, chans = extend_scopes(comps, chans)
     for c in sorted(chans):
         rest, using = [], []
@@ -245,7 +262,7 @@ def close_scopes(comps, chans):
         if using:  # else no component uses c: the restriction is inert
             comps = rest + [Restrict(par_all(sorted(using, key=pretty)), c)]
     comps.sort(key=pretty)
-    return par_all(comps)
+    return mark_normal(par_all(comps))
 
 
 def congruent(p, q) -> bool:

@@ -15,7 +15,7 @@ from .errors import ChoiceExplosion, EvalError, LqccsError
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
-from .rewrite import (close_scopes, eval_expr, extend_scopes, flat_parts, normalize,
+from .rewrite import (close_scopes, eval_expr, extend_scopes, flat_parts, mark_normal, normalize,
                       normalize_observer, substitute_many, value_to_expr)
 from .syntax import (
     NIL,
@@ -28,7 +28,6 @@ from .syntax import (
     Tau,
     cached,
     cached_beside,
-    channels,
     par_all,
     par_components,
     sum_guards,
@@ -192,15 +191,11 @@ def exec_view(proc):
 
 
 def _rebuild(comps, restricted) -> object:
-    """`normalize` of `comps` in parallel under the chain of `restricted`:
-    each component normalized (a cache hit on a continuation's siblings),
-    then the scopes closed. As in the chain, normalized innermost first, a
-    fresh name avoids the names in use and the least channel, no other."""
+    """`normalize` of `comps` in parallel under the chain of `restricted`,
+    marked: each component normalized (a cache hit on a continuation's
+    siblings), then the scopes closed under the whole chain at once."""
     comps = sorted(flat_parts(comps, par_components, normalize), key=pretty)
-    if not restricted:
-        return par_all(comps)
-    named = set().union(*map(channels, comps)) & restricted
-    return close_scopes(comps, named | {min(restricted)})
+    return close_scopes(comps, restricted) if restricted else mark_normal(par_all(comps))
 
 
 def _payload_values(payload):

@@ -93,11 +93,12 @@ class _Interned(type):
 class _Node(metaclass=_Interned):
     """Base of the term nodes: `==` is identity; the hash is the field
     tuple's, as for a frozen dataclass, so set and dict order under a given
-    PYTHONHASHSEED does not change. `cached` and `cached_beside` fill the
-    other slots."""
+    PYTHONHASHSEED does not change. `_normal` is set on a node that is its
+    own process normal form (`rewrite.mark_normal`); `cached` and
+    `cached_beside` fill the other slots."""
 
-    __slots__ = ("_hash", "_free_channels", "_qubit_atoms", "_open_guards", "_size", "_pretty",
-                 "_schemas", "_moves_beside", "_barbs_beside", "__weakref__")
+    __slots__ = ("_hash", "_normal", "_free_channels", "_qubit_atoms", "_open_guards", "_size",
+                 "_pretty", "_schemas", "_moves_beside", "_barbs_beside", "__weakref__")
 
     def __hash__(self):
         return self._hash

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genterms import TermGen, make_signature, random_config, random_density
+from genterms import TermGen, make_signature, mirror, random_config, random_density
 from lqccs import qcore
 from lqccs.claims import (
     check_nondet_vs_ite,
@@ -1022,6 +1022,41 @@ def test_certified_reception_pairs_have_no_witness(seed):
     bounds = SearchBounds(context_size=6, depth=3, ancillas=1)
     pl, pr = (pad_ancillas(d, bounds.ancillas, {"q1"}) for d in (dl, dr))
     assert _search(pl, pr, CONSTRAINED, bounds, gen.sig, Stats()) is None
+
+
+def test_check_candidate_never_certifies_a_pair_distinguish_tells_apart():
+    # generated pairs over one random state of q1, in both modes: two
+    # processes, a process against its mirror image, or two receptions on
+    # k that wait for a context and go on at most one gate apart, so that only
+    # distinguish, run before certifying, can tell them apart
+    bounds = SearchBounds(context_size=6, depth=3, ancillas=0)
+    seen = {"certified unequal": 0, "distinguished": 0}
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(min_value=0, max_value=100_000), st.sampled_from((SATURATED, CONSTRAINED)))
+    def property_(seed, mode):
+        gen = TermGen(seed)
+        owned = frozenset({"q1"})
+        shape = gen.rng.randrange(3)
+        if shape == 2:
+            var, tail = gen.fresh("x"), gen.process(owned, {}, 2)
+            if gen.rng.random() < 0.5:
+                tail = Send("c", (QubitLit("q1"),))
+            p, q = (Recv("k", (var,), ApplyOp(g, (QubitLit("q1"),), tail) if g else tail)
+                    for g in gen.rng.choices(("", "I", "Z", "X", "H"), k=2))
+        else:
+            p = gen.process(owned, {}, 2)
+            q = mirror(p) if shape == 1 else gen.process(owned, {}, 2)
+        rho = random_density(np.random.default_rng(seed), ("q1",))
+        dl, dr = (Distribution.point(make_config(rho, t)) for t in (p, q))
+        v = check_candidate([(dl, dr)], mode, bounds, sig=gen.sig)
+        if isinstance(v, CertifiedBisimilar):
+            seen["certified unequal"] += dl != dr
+            assert not isinstance(distinguish(dl, dr, mode, bounds, gen.sig), Distinguished)
+        seen["distinguished"] += isinstance(v, Distinguished)
+
+    property_()
+    assert seen["certified unequal"] and seen["distinguished"], seen
 
 
 def _branch_pair():

@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genterms import TermGen, make_signature, random_config, random_density
+from test_rewrite import normalize_afresh
 from lqccs import osem, qcore, semantics
 from lqccs.claims import typing_preserved
 from lqccs.errors import ChoiceExplosion
 from lqccs.parser import parse_process
 from lqccs.parser import pretty
 from lqccs.rewrite import _rename_channel, normalize, normalize_observer, substitute_many
-from lqccs.syntax import NIL, Restrict, channels, par_all
+from lqccs.syntax import NIL, Restrict, channels, children, par_all
 from lqccs.semantics import (
     BOT,
     BOT_BARB,
@@ -293,11 +294,11 @@ class TestRebuild:
         got = self.check([*sibs, P("(k?x.d!x) \\ k")], {"d"})
         assert pretty(got) == "(d?y.nil || k#0?x.d!x) \\ d \\ k#0 || k!2"
 
-    def test_a_fresh_name_may_reuse_an_outer_name_no_component_uses(self):
-        # k#0 is restricted outside but named by no component: as in the
-        # whole term's chain, innermost first, the clashing k becomes k#0
+    def test_a_fresh_name_avoids_every_channel_of_the_chain(self):
+        # k#0 is restricted outside but named by no component: the chain is
+        # one set, so the clashing k avoids k#0 too and becomes k#1
         got = self.check([P("(k!6) \\ k"), normalize(P("k?x.c!q1"))], {"k", "k#0"})
-        assert pretty(got) == "k#0!6 \\ k#0 || k?x.c!q1 \\ k"
+        assert pretty(got) == "k#1!6 \\ k#1 || k?x.c!q1 \\ k"
 
     def test_a_continuation_that_normalizes_to_nil_is_dropped(self):
         sib, nil_cont = normalize(P("k!1")), P("if true then nil else k!1")
@@ -369,6 +370,44 @@ class TestRebuild:
             self.check(comps, restricted)
         assert len(proc_calls) > 3_000 and sum(1 for _, r in proc_calls if r) > 1_000
         assert len(obs_calls) > 1_000 and sum(1 for _, r in obs_calls if r) > 100
+
+
+def _subterms(t) -> set:
+    """t and every sub-term of it."""
+    out, todo = set(), [t]
+    while todo:
+        x = todo.pop()
+        if x not in out:
+            out.add(x)
+            todo += children(x)
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_every_mark_is_earned(seed):
+    # every marked node met is its own normal form computed afresh; met
+    # are the normal forms of a generated process and a restricted_par
+    # term, the residuals of their process moves and of their observer
+    # moves beside k!0 || k?z.nil, two moves deep and all born marked,
+    # and each of these terms composed with a generated frame
+    gen = TermGen(seed, make_signature(chans="ck"))
+    owned = (frozenset({"q1"}), frozenset({"q2"}), frozenset())
+    frontier = [normalize(gen.process(frozenset({"q1", "q2"}), {}, 3)),
+                normalize(gen.restricted_par(owned))]
+    obs = normalize_observer(P("k!0 || k?z.nil"))
+    met = list(frontier)
+    for _ in range(2):
+        frontier = [r for proc in frontier for r in TestRebuild.residuals(proc)] + [
+            r for proc in frontier for _, r, _ in osem._observer_schemas(proc, obs, obs, "")]
+        assert all(getattr(r, "_normal", False) for r in frontier)
+        met += frontier
+    rho = random_density(np.random.default_rng(seed), ("q1", "q2"))
+    frame = gen.process(frozenset(), {}, 2)
+    met += [c.proc for proc in met for c, _ in osem.apply_process_context(
+        Distribution.point(Configuration(rho, proc)), frame).items()]
+    for node in {n for t in met for n in _subterms(t) if getattr(n, "_normal", False)}:
+        assert normalize_afresh(node) is node, pretty(node)
 
 
 class TestTypingPreservation:
