@@ -6,15 +6,17 @@ of the basis index). A pure state is held as its ket psi, a flat 2^n
 vector, and mixed states as the 2^n x 2^n matrix rho; rho = psi psi^dag
 of a ket is built only when a reader asks for it. `pure_state` builds
 kets, and a one-Kraus superoperator, a measurement branch and the tensor
-product of two kets keep them kets. Operators act on arbitrary subsets of
-the register by local contraction: a k-qubit operator is contracted into
-the k target axes of the state's (2,)*n or (2,)*2n tensor view, so it is
-never extended to the whole register.
+product of two kets keep them kets. Operators act on k target qubits
+through a targets-first view (the state's axes permuted once so that the
+targets lead, and back once), never extended to the whole register: on a
+ket as one product with the stacked operators (Kraus operators K_i give
+rho = Phi Phi^dag, Phi's columns the K_i psi), on rho as M rho M^dag.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -228,28 +230,41 @@ class DensityMatrix:
         }
 
 
-class Superoperator:
-    """Completely positive map given by its Kraus decomposition; `check`
-    requires the Kraus operators to sum to the identity (trace preserving)."""
+def _operator_stack(ops, check: bool, what: str):
+    """Caller operators as one (q, 2^k, 2^k) complex stack, and k; with
+    `check`, sum_m M_m^dag M_m = I is checked too."""
+    ops = [_as_array(m) for m in ops]
+    if not ops:
+        raise ValueError(f"empty {what} list")
+    shape = ops[0].shape
+    if any(m.shape != shape for m in ops):
+        raise ValueError(f"{what} operators of mixed shape")
+    k = shape[0].bit_length() - 1 if len(shape) == 2 else -1
+    if k < 0 or shape != (1 << k, 1 << k):
+        raise ValueError(f"{what} operators must be 2^n x 2^n, not {shape}")
+    stack = np.stack(ops)
+    if check:
+        acc = np.einsum("mba,mbc->ac", stack.conj(), stack)
+        if np.max(np.abs(acc - np.eye(1 << k))) > TOL_CHECK:
+            raise ValueError(f"{what} operators do not satisfy sum M^dag M = I")
+    return stack, k
 
-    __slots__ = ("arity", "kraus")
+
+class Superoperator:
+    """Completely positive map given by its Kraus decomposition, a
+    (r, 2^k, 2^k) stack; `check` requires it to be trace preserving.
+    `transfer`, sum_i K_i (x) conj(K_i) on the targets' (row, column)
+    entries of rho, is built only if r >= 4^k, when it is no larger than
+    the stack and cheaper on rho than the K_i one at a time; else None."""
+
+    __slots__ = ("arity", "kraus", "transfer")
 
     def __init__(self, kraus, check: bool = True):
-        kraus = [_as_array(k) for k in kraus]
-        if not kraus:
-            raise ValueError("empty Kraus list")
-        dim = kraus[0].shape[0]
-        n = dim.bit_length() - 1
-        if 1 << n != dim:
-            raise ValueError("Kraus operators must be 2^n x 2^n")
-        if any(k.shape != (dim, dim) for k in kraus):
-            raise ValueError("Kraus operators of mixed dimension")
-        if check:
-            acc = sum(k.conj().T @ k for k in kraus)
-            if np.max(np.abs(acc - np.eye(dim))) > TOL_CHECK:
-                raise ValueError("Kraus operators do not sum to identity")
-        self.arity = n
-        self.kraus = kraus
+        self.kraus, self.arity = _operator_stack(kraus, check, "Kraus")
+        d = 1 << self.arity
+        a = self.kraus.reshape(-1, d * d)
+        self.transfer = None if len(a) < d * d else (
+            (a.T @ a.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1))
 
     @staticmethod
     def unitary(u) -> "Superoperator":
@@ -280,86 +295,82 @@ class Superoperator:
 
 
 class Measurement:
-    """Ordered family {M_m} with sum_m M_m^dag M_m = I."""
+    """Ordered family {M_m} with sum_m M_m^dag M_m = I, a (q, 2^k, 2^k)
+    stack. `effects[m]` is conj(M_m^dag M_m) flattened, so that p_m is
+    effects[m] . vec(rho_T) for the targets' reduced state rho_T."""
 
-    __slots__ = ("arity", "operators")
+    __slots__ = ("arity", "operators", "effects")
 
     def __init__(self, operators, check: bool = True):
-        operators = [_as_array(m) for m in operators]
-        dim = operators[0].shape[0]
-        n = dim.bit_length() - 1
-        if check:
-            acc = sum(m.conj().T @ m for m in operators)
-            if np.max(np.abs(acc - np.eye(dim))) > TOL_CHECK:
-                raise ValueError("measurement does not satisfy the completeness equation")
-        self.arity = n
-        self.operators = operators
+        ops, self.arity = _operator_stack(operators, check, "measurement")
+        self.operators = ops
+        self.effects = (ops.transpose(0, 2, 1) @ ops.conj()).reshape(len(ops), -1)
 
     def __len__(self):
         return len(self.operators)
 
 
-def _target_positions(ops, targets, rho: DensityMatrix) -> tuple:
-    """Register positions of `targets`, checked to be distinct and to fit
-    every operator in `ops`."""
+def _target_positions(family, targets, rho: DensityMatrix) -> tuple:
+    """Register positions of `targets`, checked to be distinct and to
+    match `family`'s arity."""
     positions = rho.register.positions(targets)
     k = len(positions)
     if len(set(positions)) != k:
         raise TargetError(f"duplicate targets {tuple(targets)}")
-    for op in ops:
-        if op.shape != (1 << k, 1 << k):
-            raise TargetError(f"operator shape {op.shape} does not match {k} targets")
+    if k != family.arity:
+        raise TargetError(f"operator on {family.arity} qubits does not match {k} targets")
     return positions
 
 
-def _conjugations(ops, targets, rho: DensityMatrix):
-    """K rho K^dag for each operator K in `ops`, acting on the qubits
-    `targets` of rho's register, as 2^n x 2^n matrices.
-
-    K is contracted into the target row axes of rho's (2,)*2n tensor view
-    and conj(K) into the matching column axes; no 2^n x 2^n operator is
-    built."""
-    positions = _target_positions(ops, targets, rho)
-    k = len(positions)
-    n = rho.num_qubits
-    dim = 1 << n
-    rows = list(positions)
-    cols = [n + p for p in positions]
-    ins = list(range(k, 2 * k))
-    # after both contractions the axes are: target rows, other rows, other
-    # columns, target columns; moveaxis puts the targets back in place
-    outs = list(range(k)) + list(range(2 * n - k, 2 * n))
-    tensor = rho.mat.reshape((2,) * (2 * n))
-    for op in ops:
-        op = op.reshape((2,) * (2 * k))
-        # the column targets keep their axis numbers n + p: the k row axes
-        # that the first contraction removes are replaced by K's k output axes
-        t = np.tensordot(op, tensor, axes=(ins, rows))
-        t = np.tensordot(t, op.conj(), axes=(cols, ins))
-        yield np.moveaxis(t, outs, rows + cols).reshape(dim, dim)
+@lru_cache(maxsize=None)
+def _axes(n: int, positions: tuple, dense: bool):
+    """Tensor shape and axis orders to (`_lead`) and from (`_restore`,
+    after a batch axis) the targets-first order: the target axes in the
+    order of `positions`, for rho their rows then their columns, then the
+    other axes in register order, for rho rows then columns."""
+    lead = positions + (tuple(n + p for p in positions) if dense else ())
+    bits = 2 * n if dense else n
+    forward = lead + tuple(i for i in range(bits) if i not in lead)
+    back = (0,) + tuple(1 + i for i in np.argsort(forward).tolist())
+    return (2,) * bits, forward, back
 
 
-def _contract(op: np.ndarray, positions, psi: np.ndarray) -> np.ndarray:
-    """op psi with op acting on the qubits at `positions`: op contracted
-    into those axes of psi's (2,)*n tensor view."""
-    n = psi.size.bit_length() - 1
-    k = len(positions)
-    t = np.tensordot(op.reshape((2,) * (2 * k)), psi.reshape((2,) * n),
-                     axes=(list(range(k, 2 * k)), list(positions)))
-    return np.moveaxis(t, list(range(k)), list(positions)).reshape(-1)
+def _lead(rho: DensityMatrix, positions) -> np.ndarray:
+    """rho's targets-first view, a copy: psi as a 2^k x 2^(n-k) matrix, or
+    rho as a 4^k x 4^(n-k) one, row (target row, target column)."""
+    dense = rho.ket is None
+    shape, forward, _ = _axes(rho.num_qubits, positions, dense)
+    x = rho._mat if dense else rho.ket
+    return x.reshape(shape).transpose(forward).reshape(1 << len(positions) * (1 + dense), -1)
 
 
-def _target_marginal(positions, rho: DensityMatrix) -> np.ndarray:
-    """Reduced state of rho on the qubits at `positions`, in that order."""
+def _restore(out: np.ndarray, positions, rho: DensityMatrix) -> np.ndarray:
+    """`_lead` undone on each of a stack of views: a stack of kets or of
+    2^n x 2^n matrices, as rho is held."""
+    dense = rho.ket is None
+    shape, _, back = _axes(rho.num_qubits, positions, dense)
+    x = rho._mat if dense else rho.ket
+    return out.reshape((-1,) + shape).transpose(back).reshape((-1,) + x.shape)
+
+
+def _sandwich(ops, view: np.ndarray) -> np.ndarray:
+    """The views of M rho M^dag for each M of the stack `ops`, from rho's
+    view: M on the targets' row index, conj(M) on their column index."""
+    d, others = ops.shape[-1], view.shape[1]
+    rows = (ops @ view.reshape(d, -1)).reshape(len(ops), d, d, others)
+    return (ops.conj()[:, None] @ rows).reshape(len(ops), d * d, others)
+
+
+def _marginal(rho: DensityMatrix, positions) -> np.ndarray:
+    """Reduced state of rho, held as a matrix, on the qubits at
+    `positions`, in that order; read in place, with no copy of rho."""
     n = rho.num_qubits
     # row axis i and column axis n + i share a label, and so are traced
     # out, unless i is a target
-    labels = list(range(n)) * 2
-    for p in positions:
-        labels[n + p] = n + p
+    labels = list(range(n)) + [n + i if i in positions else i for i in range(n)]
     out = list(positions) + [n + p for p in positions]
     dim = 1 << len(positions)
-    return np.einsum(rho.mat.reshape((2,) * (2 * n)), labels, out).reshape(dim, dim)
+    return np.einsum(rho._mat.reshape((2,) * (2 * n)), labels, out).reshape(dim, dim)
 
 
 def _backend_key(op, targets, rho: DensityMatrix):
@@ -372,13 +383,23 @@ def apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatri
 
 
 def _apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatrix:
-    if rho.ket is not None and len(e.kraus) == 1:
-        positions = _target_positions(e.kraus, targets, rho)
-        return DensityMatrix.from_ket(rho.register, _contract(e.kraus[0], positions, rho.ket))
-    out = 0.0
-    for post in _conjugations(e.kraus, targets, rho):
-        out += post
-    return DensityMatrix(rho.register, out, check=False)
+    positions = _target_positions(e, targets, rho)
+    if rho.ket is not None:
+        # the rows of phi are the K_i psi, all from one product
+        phi = _restore(e.kraus.reshape(-1, 1 << e.arity) @ _lead(rho, positions), positions, rho)
+        if len(phi) == 1:
+            return DensityMatrix.from_ket(rho.register, phi[0])
+        return DensityMatrix(rho.register, phi.T @ phi.conj(), check=False)
+    view = _lead(rho, positions)
+    if e.transfer is not None:
+        out = e.transfer @ view
+    else:
+        # one K_i at a time: at most four 2^n x 2^n arrays, whatever r is
+        out = _sandwich(e.kraus[:1], view)
+        for k in e.kraus[1:]:
+            out += _sandwich(k[None], view)
+    del view
+    return DensityMatrix(rho.register, _restore(out, positions, rho)[0], check=False)
 
 
 def measure(m: Measurement, targets, rho: DensityMatrix):
@@ -387,52 +408,38 @@ def measure(m: Measurement, targets, rho: DensityMatrix):
 
 
 def _measure(m: Measurement, targets, rho: DensityMatrix):
-    if rho.ket is not None:
-        return _measure_ket(m, _target_positions(m.operators, targets, rho), rho)
-    # p_m = tr(M_m^dag M_m rho_T) on the targets' reduced state rho_T picks
-    # the outcomes to keep before any 2^n x 2^n post-state is built
-    marginal = _target_marginal(_target_positions(m.operators, targets, rho), rho)
-    kept = [
-        outcome for outcome, op in enumerate(m.operators)
-        if np.vdot(op.conj().T @ op, marginal).real > TOL_PROB
-    ]
-    ops = [m.operators[outcome] for outcome in kept]
-    results = []
-    for outcome, post in zip(kept, _conjugations(ops, targets, rho)):
-        p = post.trace().real
-        if p <= TOL_PROB:
-            continue
-        results.append((outcome, float(p), DensityMatrix(rho.register, post / p, check=False)))
-    return results
-
-
-def _measure_ket(m: Measurement, positions, rho: DensityMatrix):
-    # branch m is M_m psi / sqrt(p_m), with p_m = |M_m psi|^2
-    results = []
-    for outcome, op in enumerate(m.operators):
-        post = _contract(op, positions, rho.ket)
-        p = np.vdot(post, post).real
-        if p > TOL_PROB:
-            results.append((outcome, float(p),
-                            DensityMatrix.from_ket(rho.register, post / math.sqrt(p))))
-    return results
+    positions = _target_positions(m, targets, rho)
+    view = _lead(rho, positions)
+    if rho.ket is None:
+        # p_m = tr(M_m^dag M_m rho_T) on the targets' reduced state rho_T
+        # picks the outcomes to keep before any post-state is built
+        p = (m.effects @ _marginal(rho, positions).reshape(-1)).real.tolist()
+        kept = [o for o, po in enumerate(p) if po > TOL_PROB]
+        posts = _restore(_sandwich(m.operators[kept], view), positions, rho)
+        return [(o, p[o], DensityMatrix(rho.register, post / p[o], check=False))
+                for o, post in zip(kept, posts)]
+    # branch m is M_m psi / sqrt(p_m), with p_m = |M_m psi|^2, a norm the
+    # targets-first order does not change
+    posts = (m.operators.reshape(-1, len(view)) @ view).reshape(len(m), -1)
+    p = np.einsum("ij,ij->i", posts.conj(), posts).real.tolist()
+    kept = [o for o, po in enumerate(p) if po > TOL_PROB]
+    return [(o, p[o], DensityMatrix.from_ket(rho.register, post / math.sqrt(p[o])))
+            for o, post in zip(kept, _restore(posts[kept], positions, rho))]
 
 
 def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:
     """Reduced state over the remaining qubits, order preserved; of a ket,
-    A A^dag with A the ket as a kept x traced matrix."""
+    A A^dag with A the ket's targets-first view, a kept x traced matrix."""
     traced = tuple(traced)
     if not traced:
         return rho
     gone = set(rho.register.positions(traced))
-    kept = [i for i in range(rho.num_qubits) if i not in gone]
+    kept = tuple(i for i in range(rho.num_qubits) if i not in gone)
     register = rho.register.without(traced)
     if rho.ket is None:
-        return DensityMatrix(register, _target_marginal(kept, rho), check=False)
-    n = rho.num_qubits
-    a = np.moveaxis(rho.ket.reshape((2,) * n), kept, list(range(len(kept))))
-    a = a.reshape(1 << len(kept), -1)
-    return DensityMatrix(register, a @ a.conj().T, check=False)
+        return DensityMatrix(register, _marginal(rho, kept), check=False)
+    view = _lead(rho, kept)
+    return DensityMatrix(register, view @ view.conj().T, check=False)
 
 
 def mix(rho: DensityMatrix, sigma: DensityMatrix, p: float) -> DensityMatrix:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,10 +202,14 @@ def test_local_contraction_matches_dense_embedding(case):
 
 
 def measure_all_outcomes(m, targets, rho):
-    """Reference for `measure`: build every outcome's post-state, then
-    drop the outcomes of probability at most TOL_PROB."""
+    """Reference for `measure`, built on `dense_embedding`: build every
+    outcome's post-state, then drop the outcomes of probability at most
+    TOL_PROB."""
+    positions = rho.register.positions(targets)
     results = []
-    for outcome, post in enumerate(qcore._conjugations(m.operators, targets, rho)):
+    for outcome, op in enumerate(m.operators):
+        big = dense_embedding(op, positions, rho.num_qubits)
+        post = big @ rho.mat @ big.conj().T
         p = post.trace().real
         if p > qcore.TOL_PROB:
             results.append((outcome, float(p), DensityMatrix(rho.register, post / p, check=False)))
@@ -243,21 +248,22 @@ def measured_states(draw):
 def test_measure_matches_building_every_outcome(case):
     m, targets, rho = case
     built = []
-    conjugations = qcore._conjugations
+    restore = qcore._restore
 
-    def counted(ops, targets, rho):
-        for post in conjugations(ops, targets, rho):
-            built.append(post)
-            yield post
+    def counted(out, positions, rho):
+        # every post-state leaves the kernel through `_restore`
+        posts = restore(out, positions, rho)
+        built.append(len(posts))
+        return posts
 
-    qcore._conjugations = counted
+    qcore._restore = counted
     try:
         got = measure(m, targets, rho)
     finally:
-        qcore._conjugations = conjugations
+        qcore._restore = restore
     want = measure_all_outcomes(m, targets, rho)
     # no post-state is built for an outcome that is then dropped
-    assert len(built) == len(got)
+    assert sum(built) == len(got)
     assert [outcome for outcome, _, _ in got] == [outcome for outcome, _, _ in want]
     for (_, p, post), (_, p_want, post_want) in zip(got, want):
         assert abs(p - p_want) <= qcore.TOL_PROB
@@ -446,6 +452,19 @@ class TestBuiltins:
             Measurement([projector(KET0), projector(KETP)])
 
 
+@pytest.mark.parametrize("family", [Superoperator, Measurement])
+@pytest.mark.parametrize("ops, message", [
+    ([], "empty"),
+    ([np.eye(3)], "must be 2\\^n x 2\\^n"),
+    ([I2, ident(4)], "mixed shape"),
+], ids=["empty", "not-a-power-of-two", "mixed-shapes"])
+def test_malformed_operator_family_is_refused(family, ops, message):
+    """Superoperators and measurements check their operators alike: a
+    nonempty list of 2^n x 2^n matrices of one shape, also unchecked."""
+    with pytest.raises(ValueError, match=message):
+        family(ops, check=False)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("build", [
     lambda m: DensityMatrix(("q",), m),
@@ -598,6 +617,150 @@ class TestKetTwin:
         second, second_dense = twins(random_ket(rng, len(names)), names)
         assert_twins(mix(ket, second, p), mix(dense, second_dense, p))
         assert_same_order([ket, second, both], [dense, second_dense, dense.tensor(other_dense)])
+
+
+@st.composite
+def kernel_cases(draw):
+    """(channel, measurement, target positions, state, traced qubits): 1-6
+    qubits held as a ket or as rho, the targets in any order; a random CPTP
+    map of 1, 2, 4 or 16 Kraus operators on 1-3 targets, or CNOT, SetPhiP
+    (4 Kraus operators) or SetMaxMix (16) on 2, so that channels with and
+    without a `transfer` both occur; a builtin or rotated measurement,
+    with the state confined to the span of a random nonempty set of its
+    outcomes, so that the others are dropped; any subset of the qubits."""
+    kind = draw(st.sampled_from(["random", "CNOT", "SetPhiP", "SetMaxMix"]))
+    k = draw(st.integers(1, 3)) if kind == "random" else 2
+    n = draw(st.integers(k, 6))
+    positions = tuple(draw(st.permutations(range(n)))[:k])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        e = Superoperator(random_kraus(rng, 1 << k, draw(st.sampled_from([1, 2, 4, 16]))))
+    else:
+        e = resolve_operator(kind, k)
+    mkind = draw(st.sampled_from(["M01", "Mpm", "rotated"] + (["MBell"] if k == 2 else [])))
+    if mkind == "rotated":
+        v = random_unitary(rng, 1 << k)
+        m = Measurement([np.diag(row) @ v for row in np.eye(1 << k)])
+    else:
+        m = resolve_measurement(mkind, k)
+    kept = draw(st.lists(st.booleans(), min_size=len(m), max_size=len(m)).filter(any))
+    span = sum(op.conj().T @ op for op, keep in zip(m.operators, kept) if keep)
+    big = dense_embedding(span, positions, n)
+    traced = tuple(draw(st.lists(st.sampled_from(register(n)), unique=True)))
+    if draw(st.booleans()):
+        return e, m, positions, pure_state(big @ random_ket(rng, n), register(n)), traced
+    rho = big @ random_state(rng, n) @ big.conj().T
+    return e, m, positions, DensityMatrix(register(n), rho / rho.trace(), check=False), traced
+
+
+def reference_partial_trace(rho, traced_positions):
+    """Oracle for `partial_trace`: re-index rho with `bit_permutation` so
+    that the kept qubits lead, then trace the rest out of the blocks."""
+    n = rho.shape[0].bit_length() - 1
+    kept = [q for q in range(n) if q not in traced_positions]
+    inv = np.argsort(bit_permutation(kept + list(traced_positions), n))
+    dk, dt = 1 << len(kept), 1 << len(traced_positions)
+    return np.einsum("atbt->ab", rho[np.ix_(inv, inv)].reshape(dk, dt, dk, dt))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(kernel_cases())
+@example((resolve_operator("CNOT", 2), resolve_measurement("MBell", 2), (2, 0),
+          pure_state(random_ket(np.random.default_rng(6), 3), register(3)), ("q1",)))
+@example((resolve_operator("CNOT", 2), resolve_measurement("M01", 2), (1, 0),
+          DensityMatrix(register(2), random_state(np.random.default_rng(8), 2), check=False),
+          ("q0",)))
+def test_kernel_matches_dense_embedding(case):
+    """The targets-first kernel against full `kron` matrices, which share
+    no numerics with it: `apply_superop`, `measure` and `partial_trace`
+    agree within 1e-12, with the same outcome lists."""
+    e, m, positions, state, traced = case
+    names, n, rho = state.register.names, state.num_qubits, state.mat
+    targets = tuple(names[p] for p in positions)
+
+    bigs = [dense_embedding(k, positions, n) for k in e.kraus]
+    want = sum(big @ rho @ big.conj().T for big in bigs)
+    got = apply_superop(e, targets, state)
+    assert (got.ket is not None) == (state.ket is not None and len(e.kraus) == 1)
+    assert np.max(np.abs(got.mat - want)) < 1e-12
+
+    posts = [big @ rho @ big.conj().T
+             for big in (dense_embedding(op, positions, n) for op in m.operators)]
+    want = [(i, post.trace().real) for i, post in enumerate(posts)]
+    want = [(i, p) for i, p in want if p > qcore.TOL_PROB]
+    results = measure(m, targets, state)
+    assert [outcome for outcome, _, _ in results] == [i for i, _ in want]
+    for (outcome, p, post), (_, p_want) in zip(results, want):
+        assert abs(p - p_want) < 1e-12
+        assert np.max(np.abs(post.mat - posts[outcome] / p_want)) < 1e-12
+
+    want = reference_partial_trace(rho, [names.index(q) for q in traced])
+    assert np.max(np.abs(partial_trace(state, traced).mat - want)) < 1e-12
+
+
+def peak_bytes(call):
+    """`call()` and the peak of the memory it allocates, as tracemalloc
+    sees it."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dense_state(n):
+    return DensityMatrix(register(n), random_state(np.random.default_rng(3), n), check=False)
+
+
+def test_dense_channel_holds_no_state_per_kraus_operator():
+    """SetMaxMix, 16 Kraus operators, on a dense 9-qubit state: the new
+    allocations peak below three 2^n x 2^n complex matrices, where one
+    per Kraus operator would be sixteen."""
+    n = 9
+    e, rho = resolve_operator("SetMaxMix", 2), dense_state(n)
+    out, peak = peak_bytes(lambda: apply_superop(e, ("q6", "q2"), rho))
+    assert abs(out.trace() - 1.0) < 1e-9
+    assert peak < 3 * 16 * (1 << n) ** 2
+
+
+def test_transfer_only_when_no_larger_than_the_kraus_operators():
+    """A channel on k qubits keeps its 4^k x 4^k transfer matrix only if
+    it has at least 4^k Kraus operators, which then hold as many entries."""
+    for name, k in [("SetMaxMix", 1), ("SetMaxMix", 2), ("PauliMix", 1)]:
+        assert resolve_operator(name, k).transfer is not None
+    for name, k in [("H", 1), ("H", 3), ("CNOT", 2), ("SetPhiP", 2), ("Set0", 1)]:
+        assert resolve_operator(name, k).transfer is None
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_dense_unitary_on_many_qubits_holds_nothing_operator_squared(k):
+    """H on all k qubits of a dense k-qubit state, targets reversed: the
+    allocations peak below five 2^k x 2^k matrices (the state's view, the
+    operator's conjugate and two products), where the transfer matrix
+    alone would be 4^k of them."""
+    e = resolve_operator("H", k)
+    rho = dense_state(k)
+    targets = register(k)[::-1]
+    out, peak = peak_bytes(lambda: apply_superop(e, targets, rho))
+    big = dense_embedding(e.kraus[0], tuple(range(k))[::-1], k)
+    assert np.max(np.abs(out.mat - big @ rho.mat @ big.conj().T)) < 1e-12
+    assert peak < 5 * 16 * 4 ** k
+
+
+def test_dense_measurement_holds_nothing_per_outcome_beyond_its_post_state():
+    """M01 on all 6 qubits of a dense 6-qubit state, 64 outcomes: the
+    allocations peak below five times the 64 post-states returned, where
+    M_m (x) conj(M_m) per outcome would take 16 GiB."""
+    n = 6
+    m, rho = resolve_measurement("M01", n), dense_state(n)
+    results, peak = peak_bytes(lambda: measure(m, register(n), rho))
+    assert [outcome for outcome, _, _ in results] == list(range(1 << n))
+    diag = rho.mat.diagonal().real
+    for outcome, p, post in results:
+        assert abs(p - diag[outcome]) < 1e-12
+        assert abs(post.mat[outcome, outcome] - 1.0) < 1e-9
+    assert peak < 5 * len(results) * 16 * 4 ** n
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
