@@ -35,13 +35,12 @@ from .osem import (
 )
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, TOL_STATE, DensityMatrix, partial_trace
-from .rewrite import normalize, substitute
+from .rewrite import close_scopes, normalize, substitute
 from .semantics import (
     BOT,
     DEFAULT_CHOICE_CAP,
     Configuration,
     Distribution,
-    _rebuild,
     at_index,
     barb_mismatch,
     dist_barbs,
@@ -683,7 +682,7 @@ def _input_certificate(dl: Distribution, dr: Distribution, mode: str, bounds, si
     ref, inp = fresh_names("choi", 2, _all_names(dl) | _all_names(dr))
     rho = cl.rho.tensor(qcore.pure_state(qcore.PHI_P, (ref, inp)))
     pair = tuple(
-        Distribution.point(Configuration(rho, _rebuild(
+        Distribution.point(Configuration(rho, close_scopes(
             [*others, substitute(recv.cont, recv.vars[0], QubitLit(inp))], restricted), cl.obs))
         for recv, others, restricted in views)
     for steps in range(1, bounds.depth + 8):

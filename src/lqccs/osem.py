@@ -11,7 +11,7 @@ deadlock point.
 from __future__ import annotations
 
 from .errors import LqccsError, TypingError
-from .rewrite import normalize, normalize_observer
+from .rewrite import close_scopes, normalize, normalize_observer
 from .semantics import (
     BOT,
     DEFAULT_CHOICE_CAP,
@@ -19,7 +19,6 @@ from .semantics import (
     TAU,
     Configuration,
     Distribution,
-    _rebuild,
     communications,
     exec_view,
     fire,
@@ -90,10 +89,10 @@ def _observer_schemas(proc, obs, leaf, idx):
             for g in sum_guards(leaf):
                 for _, j, cont in communications([(-1, g)], live, restricted):
                     rest = [c for k, c in live if k != j]
-                    yield idx, _rebuild(rest + [cont], restricted), (TAU, _place(NIL, obs, idx))
+                    yield idx, close_scopes(rest + [cont], restricted), (TAU, _place(NIL, obs, idx))
                 for i, _, cont in communications(live, [(-1, g)], restricted):
-                    new_obs = _place(cont, obs, idx)
-                    yield idx, _rebuild([c for k, c in live if k != i], restricted), (TAU, new_obs)
+                    rest = [c for k, c in live if k != i]
+                    yield idx, close_scopes(rest, restricted), (TAU, _place(cont, obs, idx))
     except LqccsError as exc:
         yield idx, proc, (ERROR, exc)
 

@@ -2,15 +2,18 @@
 
 `normalize` computes the canonical representative of a process term's
 congruence class: closed classical expressions are evaluated, literal
-conditionals resolved, parallel and sum children flattened and sorted in
-a fixed total order, inert components dropped, discard tuples sorted, and
-the scopes of each chain of restrictions closed under its set of channels
-(`close_scopes`): renamed apart where they clash (`extend_scopes`) and
-pushed inward past components that do not use the channel (and dropped
-when it is not free at all). A normal form is marked as one, so
-normalizing it again is a cache lookup. `normalize_observer`, which
-neither reads nor sets the mark, does the same for the observer
-congruence, which keeps the shape of parallel composition intact.
+conditionals resolved, sum children flattened and sorted in a fixed
+total order, discard tuples sorted, and every parallel composition taken
+as a chain of restrictions, possibly of none, with one rule
+(`close_scopes`): its components flattened and sorted, inert ones
+dropped, and its scopes closed under the chain's set of channels,
+renamed apart where they clash (`extend_scopes`) and pushed inward past
+components that do not use the channel (and dropped when it is not free
+at all). The semantics builds every residual with the same rule. A
+normal form is marked as one, so normalizing it again is a cache
+lookup. `normalize_observer`, which neither reads nor sets the mark,
+shares the discard, conditional and prefix cases (`_normal_node`) but
+has no rules for parallel composition, whose shape it keeps intact.
 `substitute` is memoized like `normalize`, on interned terms.
 """
 
@@ -173,20 +176,29 @@ def mark_normal(t):
 
 
 def _normal_form(t):
+    if isinstance(t, Sum):
+        parts = sorted(flat_parts(sum_guards(t), sum_guards, normalize), key=pretty)
+        return sum_all(parts) if parts else NIL
+    if isinstance(t, (Par, Restrict)):  # a Par is a chain of no restrictions
+        chans = set()
+        while isinstance(t, Restrict):
+            chans.add(t.chan)
+            t = t.body
+        return close_scopes(par_components(t), chans)
+    return _normal_node(t, normalize)
+
+
+def _normal_node(t, norm):
+    """The discard, conditional and prefix cases of both congruences, with
+    `norm` the congruence's own normalization of a child."""
     if isinstance(t, Nil):
         return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_expr)))
-    if isinstance(t, (Sum, Par)):
-        split, join = (sum_guards, sum_all) if isinstance(t, Sum) else (par_components, par_all)
-        parts = sorted(flat_parts(split(t), split, normalize), key=pretty)
-        return join(parts) if parts else NIL
-    if isinstance(t, Restrict):
-        return _normalize_restrict(t)
     if isinstance(t, Ite):
         cond = _norm_expr(t.cond)
         if isinstance(cond, BoolLit):
-            return normalize(t.then if cond.value else t.els)
-        return Ite(cond, normalize(t.then), normalize(t.els))
-    return map_term(t, lambda c, bound: normalize(c), _norm_expr)
+            return norm(t.then if cond.value else t.els)
+        return Ite(cond, norm(t.then), norm(t.els))
+    return map_term(t, lambda c, bound: norm(c), _norm_expr)
 
 
 def extend_scopes(comps, chans):
@@ -196,8 +208,9 @@ def extend_scopes(comps, chans):
     components under its chain of restrictions, whose channels join
     `chans`; the components spliced in are examined next, so none is left
     a restriction. A chain channel free in another component is first
-    renamed to a `syntax.fresh_channel` that neither `chans` nor any
-    component names, free or bound, and the body normalized again. One in
+    renamed to a `syntax.fresh_channel` that no component names, free or
+    bound, and the body normalized again; a channel of `chans` that no
+    component names binds nothing, so the fresh name may be one. One in
     `chans` but free in no other component keeps its name, as the outer
     restriction binds nothing else. This is the one place that decides a
     restriction's scope."""
@@ -215,7 +228,7 @@ def extend_scopes(comps, chans):
             body = body.body
         clash = {c for j, x in enumerate(comps) if j != i for c in chain & free_channels(x)}
         if clash:
-            taken = chans.union(*map(channels, comps))
+            taken = frozenset().union(*map(channels, comps))
             for c in sorted(clash):
                 fresh = fresh_channel(c, taken)
                 taken |= {fresh}
@@ -237,23 +250,15 @@ def _rename_channel(t, old, new):
     return Recv(new, t.vars, t.cont) if isinstance(t, Recv) and t.chan == old else t
 
 
-def _normalize_restrict(t):
-    """The normal form of the chain of restrictions `t`, taken whole, as in
-    Milner's standard form: the chain's channels are one set, the body is
-    normalized once and its scopes closed under the set, so a fresh name
-    avoids every channel of the chain, whatever order it is written in."""
-    chans = set()
-    while isinstance(t, Restrict):
-        chans.add(t.chan)
-        t = t.body
-    return close_scopes(par_components(normalize(t)), chans)
-
-
-def close_scopes(comps, chans):
-    """The normal form of the normal components `comps` under restrictions
-    on `chans`, marked: the scopes of restricted components are extended
-    over their siblings (`extend_scopes`), then each channel is pushed back
-    inward in a fixed order, so congruent nestings canonicalize alike."""
+def close_scopes(parts, chans):
+    """The normal form of `parts` in parallel under restrictions on
+    `chans`, marked: each part normalized (a cache hit on a residual's
+    siblings, which are normal already) and flattened, the scopes of
+    restricted components extended over their siblings (`extend_scopes`),
+    then each channel pushed back inward in a fixed order, so congruent
+    nestings canonicalize alike. A parallel composition is the case of no
+    `chans`, and a residual is built by the same rule."""
+    comps = sorted(flat_parts(parts, par_components, normalize), key=pretty)
     comps, chans = extend_scopes(comps, chans)
     for c in sorted(chans):
         rest, using = [], []
@@ -261,7 +266,8 @@ def close_scopes(comps, chans):
             (using if c in free_channels(x) else rest).append(x)
         if using:  # else no component uses c: the restriction is inert
             comps = rest + [Restrict(par_all(sorted(using, key=pretty)), c)]
-    comps.sort(key=pretty)
+    if chans:
+        comps.sort(key=pretty)
     return mark_normal(par_all(comps))
 
 
@@ -278,16 +284,9 @@ def normalize_observer(t):
     """Observer congruence has no rules for parallel composition, so the
     Par tree keeps its shape; only sums, conditionals, and expressions
     are canonicalized."""
-    if isinstance(t, Nil):
-        return Nil(tuple(sorted((_norm_expr(e) for e in t.discards), key=pretty_expr)))
     if isinstance(t, Sum):
         guards = sorted(set(flat_parts(sum_guards(t), sum_guards, normalize_observer)), key=pretty)
         return sum_all(guards) if guards else NIL
-    if isinstance(t, Ite):
-        cond = _norm_expr(t.cond)
-        if isinstance(cond, BoolLit):
-            return normalize_observer(t.then if cond.value else t.els)
-        return Ite(cond, normalize_observer(t.then), normalize_observer(t.els))
     if isinstance(t, (Tau, Restrict, RandBit)):
         raise TypeError(f"not an observer term: {t!r}")
-    return map_term(t, lambda c, bound: normalize_observer(c), _norm_expr)
+    return _normal_node(t, normalize_observer)

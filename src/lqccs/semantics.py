@@ -15,8 +15,8 @@ from .errors import ChoiceExplosion, EvalError, LqccsError
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
-from .rewrite import (close_scopes, eval_expr, extend_scopes, flat_parts, mark_normal, normalize,
-                      normalize_observer, substitute_many, value_to_expr)
+from .rewrite import (close_scopes, eval_expr, extend_scopes, normalize, normalize_observer,
+                      substitute_many, value_to_expr)
 from .syntax import (
     NIL,
     ApplyOp,
@@ -28,7 +28,6 @@ from .syntax import (
     Tau,
     cached,
     cached_beside,
-    par_all,
     par_components,
     sum_guards,
 )
@@ -183,19 +182,12 @@ def mixture(d1: Distribution, d2: Distribution, p: float) -> Distribution:
 def exec_view(proc):
     """The parallel components of a normalized process and the channels
     restricted over all of them: `rewrite.extend_scopes` on its top-level
-    components, none of which is a restriction: a restricted channel that
-    clashes with a name beside it is renamed apart, so `(d?w.nil ||
-    e?y.d!y) \\ d || d!5` has the components d#0?w.nil, e?y.d#0!y and d!5
-    under d#0 (README, scope notes)."""
+    components, none of which is a restriction. A normal form's scopes are
+    already extended, so this only splices: `(d?w.nil || e?y.d!y) \\ d ||
+    d!5` normalizes to `(d#0?w.nil || e?y.d#0!y) \\ d#0 || d!5`, whose
+    components are d#0?w.nil, e?y.d#0!y and d!5 under d#0 (README, scope
+    notes)."""
     return extend_scopes(par_components(proc), ())
-
-
-def _rebuild(comps, restricted) -> object:
-    """`normalize` of `comps` in parallel under the chain of `restricted`,
-    marked: each component normalized (a cache hit on a continuation's
-    siblings), then the scopes closed under the whole chain at once."""
-    comps = sorted(flat_parts(comps, par_components, normalize), key=pretty)
-    return close_scopes(comps, restricted) if restricted else mark_normal(par_all(comps))
 
 
 def _payload_values(payload):
@@ -322,7 +314,7 @@ def schemas(proc) -> tuple:
 
 def _beside(others, restricted):
     """The process frame: a continuation put back beside `others`, under `restricted`."""
-    return lambda cont: _rebuild([*others, cont], restricted)
+    return lambda cont: close_scopes([*others, cont], restricted)
 
 
 def _proc_schemas(proc):
@@ -338,7 +330,7 @@ def _proc_schemas(proc):
         live = list(enumerate(comps))
         for i, j, cont in communications(live, live):
             rest = [c for k, c in enumerate(comps) if k not in (i, j)]
-            yield (TAU, _rebuild([*rest, cont], restricted))
+            yield (TAU, close_scopes([*rest, cont], restricted))
     except LqccsError as exc:
         yield (ERROR, exc)
 

@@ -12,12 +12,11 @@ from lqccs.ops import resolve_measurement, resolve_operator
 from lqccs.osem import DIAMOND, L, R, estep_genuine
 from lqccs.parser import parse_process
 from lqccs.qcore import apply_superop, measure
-from lqccs.rewrite import normalize, normalize_observer, substitute_many
+from lqccs.rewrite import close_scopes, normalize, normalize_observer, substitute_many
 from lqccs.semantics import (
     Configuration,
     Distribution,
     _qubit_args,
-    _rebuild,
     communications,
     exec_view,
     make_config,
@@ -45,7 +44,7 @@ def reference_proc_moves(rho, proc, sig) -> list:
     moves = []
 
     def succ(new_rho, new_comps):
-        return Distribution.point(Configuration(new_rho, _rebuild(new_comps, restricted)))
+        return Distribution.point(Configuration(new_rho, close_scopes(new_comps, restricted)))
 
     for i, comp in enumerate(comps):
         others = comps[:i] + comps[i + 1 :]
@@ -62,13 +61,15 @@ def reference_proc_moves(rho, proc, sig) -> list:
                 branches = []
                 for outcome, p, post in measure(m, targets, rho):
                     cont = substitute_many(g.cont, [(g.var, outcome)])
-                    branches.append((Configuration(post, _rebuild(others + [cont], restricted)), p))
+                    new_proc = close_scopes(others + [cont], restricted)
+                    branches.append((Configuration(post, new_proc), p))
                 moves.append(Distribution(branches))
             elif isinstance(g, RandBit):
                 branches = []
                 for bit in (0, 1):
                     cont = substitute_many(g.cont, [(g.var, bit)])
-                    branches.append((Configuration(rho, _rebuild(others + [cont], restricted)), 0.5))
+                    new_proc = close_scopes(others + [cont], restricted)
+                    branches.append((Configuration(rho, new_proc), 0.5))
                 moves.append(Distribution(branches))
     live = list(enumerate(comps))
     for i, j, cont in communications(live, live):
@@ -111,14 +112,14 @@ def reference_observer_moves(rho, proc, obs, sig) -> list:
         for _, j, cont in communications([(-1, obs)], list(enumerate(comps)), restricted):
             rest = [c for k, c in enumerate(comps) if k != j]
             moves.append(("", Distribution.point(
-                Configuration(rho, _rebuild(rest + [cont], restricted), NIL))))
+                Configuration(rho, close_scopes(rest + [cont], restricted), NIL))))
     elif isinstance(obs, (Recv, Sum)):
         comps, restricted = exec_view(proc)
         for g in sum_guards(obs):
             if not isinstance(g, Recv):
                 continue
             for i, _, cont in communications(enumerate(comps), [(-1, g)], restricted):
-                new_proc = _rebuild([c for k, c in enumerate(comps) if k != i], restricted)
+                new_proc = close_scopes([c for k, c in enumerate(comps) if k != i], restricted)
                 moves.append(("", Distribution.point(
                     Configuration(rho, new_proc, normalize_observer(cont)))))
     return moves

@@ -15,7 +15,7 @@ from lqccs.rewrite import (
     substitute,
 )
 from lqccs.syntax import (NIL, BinOp, BoolLit, NatLit, Par, QubitLit, Recv, Restrict, Send, Sum,
-                          Tau, Var, channels, par_all)
+                          Tau, Var, channels, free_channels, par_all)
 
 
 def P(text):
@@ -130,13 +130,13 @@ class TestNormalize:
         assert pretty(n) == "b?x.nil || tau.(b#0?y.nil \\ b#0 || b#1!1) \\ b#1"
 
     def test_a_chain_of_restrictions_is_one_set(self):
-        # k#0 is restricted outside k but named by no component: the k that
-        # clashes with k?x.c!q1 is renamed against the whole chain, so to
-        # k#1 in either order
+        # k#0 is restricted outside k but named by no component, so it binds
+        # nothing: the k that clashes with k?x.c!q1 is renamed against the
+        # components' channels only, so to k#0 in either order
         p = P("k!6 \\ k || k?x.c!q1")
         a, b = Restrict(Restrict(p, "k"), "k#0"), Restrict(Restrict(p, "k#0"), "k")
         assert congruent(a, b)
-        assert pretty(normalize(a)) == "k#1!6 \\ k#1 || k?x.c!q1 \\ k"
+        assert pretty(normalize(a)) == "k#0!6 \\ k#0 || k?x.c!q1 \\ k"
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(min_value=0, max_value=1_000_000))
@@ -166,6 +166,29 @@ class TestNormalize:
                     term = Restrict(term, c)
                 terms.append(term)
             assert congruent(*terms), [pretty(t) for t in terms]
+
+    def test_a_parallel_composition_closes_scopes_as_a_restriction_does(self):
+        # a fresh name chosen beneath a parallel composition sees the outer
+        # chain, and a plain Par extends the scope of a restricted component
+        # as an unused restriction around it does
+        p = P("k!6 \\ k || k?x.c!q1")
+        disc = P("disc(q2)")
+        assert congruent(Restrict(Par(disc, Restrict(p, "k")), "k#0"),
+                         Restrict(Par(disc, Restrict(p, "k#0")), "k"))
+        q = P("k!1 || (k?x.k!x) \\ k")
+        assert congruent(q, Restrict(q, "c"))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=1_000_000))
+    def test_a_restriction_on_a_channel_not_free_is_dropped(self, seed):
+        # P \ ch ≡ P for twelve generated (p || q \ ch1) \ ch2 || r terms P
+        # and each ch of c, k, c#0 and k#0 not free in P
+        gen = TermGen(seed, make_signature(chans="ck"))
+        for _ in range(12):
+            p = gen.restricted_par((frozenset({"q1"}), frozenset({"q2"}), frozenset()))
+            for ch in ("c", "k", "c#0", "k#0"):
+                if ch not in free_channels(p):
+                    assert congruent(Restrict(p, ch), p), (pretty(p), ch)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(min_value=0, max_value=1_000_000))

@@ -10,7 +10,8 @@ from lqccs.claims import typing_preserved
 from lqccs.errors import ChoiceExplosion
 from lqccs.parser import parse_process
 from lqccs.parser import pretty
-from lqccs.rewrite import _rename_channel, normalize, normalize_observer, substitute_many
+from lqccs.rewrite import (_rename_channel, close_scopes, normalize, normalize_observer,
+                           substitute_many)
 from lqccs.syntax import NIL, Restrict, channels, children, par_all
 from lqccs.semantics import (
     BOT,
@@ -19,7 +20,6 @@ from lqccs.semantics import (
     Distribution,
     dist_barbs,
     _proc_schemas,
-    _rebuild,
     exec_view,
     lift_step,
     make_config,
@@ -233,7 +233,22 @@ class TestExecView:
             assert not any(isinstance(comp, Restrict) for comp in comps), pretty(proc)
 
 
-def _rebuild_reference(comps, restricted):
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=1_000_000))
+    def test_a_normal_form_is_only_spliced(self, seed):
+        # a normal form's scopes are already extended: for sixteen generated
+        # (p || q \ ch1) \ ch2 || r terms, exec_view renames no channel,
+        # so every channel of its components and of its restricted set is
+        # a channel of the normal form
+        gen = TermGen(seed, make_signature(chans="ck"))
+        for _ in range(16):
+            owned = [frozenset(gen.rng.choice(((), ("q1",), ("q2",), ("o1",)))) for _ in range(3)]
+            proc = normalize(gen.restricted_par(owned))
+            comps, restricted = exec_view(proc)
+            assert restricted.union(*map(channels, comps)) <= channels(proc), pretty(proc)
+
+
+def _close_scopes_reference(comps, restricted):
     """The residual as the whole term's normal form: the components in
     parallel under a chain of restrictions, normalized as one term."""
     term = par_all(comps)
@@ -243,30 +258,30 @@ def _rebuild_reference(comps, restricted):
 
 
 class TestRebuild:
-    """`_rebuild` normalizes each component, a cache hit on the siblings,
-    then closes the scopes once; its residual must be the very node that
-    normalizing the whole rebuilt term gives. (`tests/test_merged_rules.py`
-    builds its reference residuals with `_rebuild` itself, so it cannot
-    catch a fault here.)"""
+    """`close_scopes` normalizes each component, a cache hit on the
+    siblings, then closes the scopes once; its residual must be the very
+    node that normalizing the whole rebuilt term gives.
+    (`tests/test_merged_rules.py` builds its reference residuals with
+    `close_scopes` itself, so it cannot catch a fault here.)"""
 
     @staticmethod
     def check(comps, restricted):
-        got = _rebuild(comps, restricted)
-        assert got is _rebuild_reference(comps, restricted), (comps, sorted(restricted))
+        got = close_scopes(comps, restricted)
+        assert got is _close_scopes_reference(comps, restricted), (comps, sorted(restricted))
         return got
 
     @staticmethod
     def recorded(monkeypatch):
         """Lists of the (components, restricted) arguments of every
-        `_rebuild` call the process rules and the observer rules make from
+        `close_scopes` call the process rules and the observer rules make from
         now on, in that order."""
         calls = ([], [])
         for module, seen in zip((semantics, osem), calls):
             def record(comps, restricted, seen=seen):
                 seen.append((list(comps), frozenset(restricted)))
-                return _rebuild(comps, restricted)
+                return close_scopes(comps, restricted)
 
-            monkeypatch.setattr(module, "_rebuild", record)
+            monkeypatch.setattr(module, "close_scopes", record)
         return calls
 
     @staticmethod
@@ -283,10 +298,11 @@ class TestRebuild:
                 out += [r for r in schema[1:] if not isinstance(r, (str, tuple))]
         return out
 
-    def test_without_restrictions_a_restricted_continuation_stays_one(self):
-        # under a plain Par, (k?x.k!x) \ k beside k!1 keeps its k
+    def test_without_restrictions_a_clashing_continuation_is_renamed_apart(self):
+        # a plain Par is a chain of no restrictions: (k?x.k!x) \ k beside
+        # k!1 has its scope extended as under any chain, so its k is k#0
         got = self.check([normalize(P("k!1")), P("(k?x.k!x) \\ k")], frozenset())
-        assert pretty(got) == "k!1 || k?x.k!x \\ k"
+        assert pretty(got) == "k!1 || k#0?x.k#0!x \\ k#0"
 
     def test_a_clashing_continuation_is_renamed_apart_under_restrictions(self):
         # the continuation's k is free in k!2 beside it, so it becomes k#0
@@ -294,11 +310,12 @@ class TestRebuild:
         got = self.check([*sibs, P("(k?x.d!x) \\ k")], {"d"})
         assert pretty(got) == "(d?y.nil || k#0?x.d!x) \\ d \\ k#0 || k!2"
 
-    def test_a_fresh_name_avoids_every_channel_of_the_chain(self):
-        # k#0 is restricted outside but named by no component: the chain is
-        # one set, so the clashing k avoids k#0 too and becomes k#1
+    def test_a_fresh_name_may_be_a_channel_of_the_chain_no_component_names(self):
+        # k#0 is restricted outside but named by no component, so it binds
+        # nothing: the clashing k avoids only the components' channels and
+        # becomes k#0
         got = self.check([P("(k!6) \\ k"), normalize(P("k?x.c!q1"))], {"k", "k#0"})
-        assert pretty(got) == "k#1!6 \\ k#1 || k?x.c!q1 \\ k"
+        assert pretty(got) == "k#0!6 \\ k#0 || k?x.c!q1 \\ k"
 
     def test_a_continuation_that_normalizes_to_nil_is_dropped(self):
         sib, nil_cont = normalize(P("k!1")), P("if true then nil else k!1")
