@@ -1,9 +1,9 @@
 """Resolution of operator and measurement names used in terms.
 
 Single-qubit gates resolve at any arity as tensor powers; Set-prefixed
-names prepare a fixed state; PauliMix is the uniform probabilistic
-combination of I, X, Z, ZX. A Signature may register extra named
-operators which take precedence.
+names prepare a fixed state; PauliMix, the uniform mixture of I, X, Z,
+ZX, is the channel SetMaxMix on one qubit and resolves to that object.
+A Signature may register extra named operators which take precedence.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ def _builtin_operator(name: str, arity: int):
     if name == "PauliMix":
         if arity != 1:
             raise ArityError(f"PauliMix takes 1 qubit, got {arity}")
-        return qcore.Superoperator.probabilistic(
-            [(0.25, qcore.I2), (0.25, qcore.X), (0.25, qcore.Z), (0.25, qcore.ZX)]
-        )
+        return _builtin_operator("SetMaxMix", 1)
     return None
 
 

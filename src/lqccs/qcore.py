@@ -10,7 +10,9 @@ product of two kets keep them kets. Operators act on k target qubits
 through a targets-first view (the state's axes permuted once so that the
 targets lead, and back once), never extended to the whole register: on a
 ket as one product with the stacked operators (Kraus operators K_i give
-rho = Phi Phi^dag, Phi's columns the K_i psi), on rho as M rho M^dag.
+rho = Phi Phi^dag, Phi's columns the K_i psi), on rho as M rho M^dag. A
+constant channel, which prepares a state sigma on its targets, acts on
+rho as its state: rho -> sigma (x) tr_T rho.
 """
 
 from __future__ import annotations
@@ -253,18 +255,15 @@ def _operator_stack(ops, check: bool, what: str):
 class Superoperator:
     """Completely positive map given by its Kraus decomposition, a
     (r, 2^k, 2^k) stack; `check` requires it to be trace preserving.
-    `transfer`, sum_i K_i (x) conj(K_i) on the targets' (row, column)
-    entries of rho, is built only if r >= 4^k, when it is no larger than
-    the stack and cheaper on rho than the K_i one at a time; else None."""
+    `state` is sigma, a 2^k x 2^k matrix, for the constant map
+    rho -> sigma (x) tr_T rho that `constant` builds, and None for every
+    other map."""
 
-    __slots__ = ("arity", "kraus", "transfer")
+    __slots__ = ("arity", "kraus", "state")
 
     def __init__(self, kraus, check: bool = True):
         self.kraus, self.arity = _operator_stack(kraus, check, "Kraus")
-        d = 1 << self.arity
-        a = self.kraus.reshape(-1, d * d)
-        self.transfer = None if len(a) < d * d else (
-            (a.T @ a.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1))
+        self.state = None
 
     @staticmethod
     def unitary(u) -> "Superoperator":
@@ -277,21 +276,18 @@ class Superoperator:
 
     @staticmethod
     def constant(rho: np.ndarray) -> "Superoperator":
-        """Map sending every input state to `rho`."""
+        """Map sending every input state to `rho`, which must be a state:
+        Hermitian, PSD and, by the Kraus completeness check, of unit trace.
+        Its Kraus operators are sqrt(lam_j) |v_j><i| over rho's eigenpairs
+        (lam_j, v_j) with lam_j > 0 and the basis states |i>."""
         rho = _as_array(rho)
         dim = rho.shape[0]
-        eigvals, eigvecs = np.linalg.eigh(rho)
-        kraus = []
-        for k in range(dim):
-            lam = eigvals[k].real
-            if lam <= TOL_MAT:
-                continue
-            col = eigvecs[:, k].reshape(dim, 1)
-            for i in range(dim):
-                basis_row = np.zeros((1, dim), dtype=complex)
-                basis_row[0, i] = 1.0
-                kraus.append(math.sqrt(lam) * (col @ basis_row))
-        return Superoperator(kraus)
+        rho = DensityMatrix(range(dim.bit_length() - 1), rho).mat
+        lam, vecs = np.linalg.eigh(rho)
+        cols = vecs[:, lam > TOL_MAT] * np.sqrt(lam[lam > TOL_MAT])
+        e = Superoperator(np.einsum("aj,ib->jiab", cols, np.eye(dim)).reshape(-1, dim, dim))
+        e.state = rho
+        return e
 
 
 class Measurement:
@@ -384,15 +380,16 @@ def apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatri
 
 def _apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatrix:
     positions = _target_positions(e, targets, rho)
+    view = _lead(rho, positions)
     if rho.ket is not None:
         # the rows of phi are the K_i psi, all from one product
-        phi = _restore(e.kraus.reshape(-1, 1 << e.arity) @ _lead(rho, positions), positions, rho)
+        phi = _restore(e.kraus.reshape(-1, 1 << e.arity) @ view, positions, rho)
         if len(phi) == 1:
             return DensityMatrix.from_ket(rho.register, phi[0])
         return DensityMatrix(rho.register, phi.T @ phi.conj(), check=False)
-    view = _lead(rho, positions)
-    if e.transfer is not None:
-        out = e.transfer @ view
+    if e.state is not None:
+        # sigma (x) tr_T rho, tr_T rho the sum of the view's rows (i, i)
+        out = e.state.reshape(-1, 1) * view[:: (1 << e.arity) + 1].sum(0)
     else:
         # one K_i at a time: at most four 2^n x 2^n arrays, whatever r is
         out = _sandwich(e.kraus[:1], view)

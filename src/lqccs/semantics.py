@@ -169,6 +169,8 @@ class Distribution:
 
 
 def mixture(d1: Distribution, d2: Distribution, p: float) -> Distribution:
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"mixing weight {p} outside [0, 1]")
     if p >= 1.0 - TOL_PROB:
         return d1
     if p <= TOL_PROB:

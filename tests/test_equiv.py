@@ -104,6 +104,12 @@ class TestDensityQuotient:
             mixed_r = mixture(dr1, dr2, p)
             assert isinstance(density_quotient_equiv(mixed_l, mixed_r), CertifiedBisimilar)
 
+    def test_a_support_on_two_registers_is_inconclusive(self):
+        d = mixture(point(pure(qcore.KET0, "q"), "c!q"), point(pure(qcore.KET0, "q1"), "c!q1"), 0.5)
+        v = density_quotient_equiv(d, d)
+        assert isinstance(v, InconclusiveAtBounds)
+        assert v.reason == "support elements on different registers"
+
     def test_group_state_keeps_the_register(self):
         d = Distribution.point(make_config(qcore.pure_state(qcore.KET0, ("q",)),
                                            parse_process("M01(q |> x).(k!x || d!x)")))
@@ -749,6 +755,13 @@ class TestCheckCandidate:
         assert isinstance(v, Distinguished)
         assert isinstance(distinguish(dl, dr, mode, SearchBounds(), sig), Distinguished)
 
+    @pytest.mark.parametrize("mode", [CONSTRAINED, SATURATED])
+    def test_a_choice_cap_overrun_is_inconclusive(self, mode):
+        d = point(pure(qcore.KET0, "q"), "tau.(k!0 || disc(q)) + tau.(k!1 || disc(q))")
+        v = check_candidate([(d, d)], mode, SearchBounds(choice_cap=1), sig=SIG)
+        assert isinstance(v, InconclusiveAtBounds)
+        assert "exceed the cap 1" in v.reason
+
 
 GATE_PAIR_SRC = """
 channel c : qubit;
@@ -757,6 +770,21 @@ qubit a0;
 process L = c?x.H(x).d!x;
 process R = c?x.I(x).d!x;
 """
+
+
+@pytest.mark.parametrize("mode", [CONSTRAINED, SATURATED])
+def test_a_hint_on_an_owned_qubit_is_skipped(mode):
+    # X(q).c!q cannot run beside disc(q), which owns q; the search skips
+    # it and tells H from I with a frame on the free ancilla
+    dl, dr, sig = _pair("channel c : qubit;\nchannel d : qubit;\nqubit q;\n"
+                        "process L = c?x.H(x).d!x || disc(q);\n"
+                        "process R = c?x.I(x).d!x || disc(q);\n", "L", "R")
+    hint = parse_process("X(q).c!q", sig)
+    bounds = SearchBounds(hint_contexts=(hint,))
+    assert candidate_frames(dl, dr, mode, bounds, sig)[0] == hint
+    v = distinguish(dl, dr, mode, bounds, sig)
+    assert isinstance(v, Distinguished)
+    assert v.witness.context not in (None, hint)
 
 
 def _pair(src, left, right, state=""):

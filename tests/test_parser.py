@@ -149,6 +149,15 @@ def test_observer_sort_errors():
     parse_observer("c?x.disc(x) + d?y.disc(y)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("c?x.disc(x) + a!1", "observer sums may only contain receptions, found Send"),
+    ("c?x.tau.disc(x)", "tau is not allowed in observers"),
+], ids=["send-in-a-sum", "below-a-reception"])
+def test_observer_sort_errors_inside_a_term(text, message):
+    with pytest.raises(SortError, match=message):
+        parse_observer(text)
+
+
 def test_sum_of_parallel_is_rejected():
     with pytest.raises(SortError):
         parse_process("(a!1 || b!1) + tau.nil")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from lqccs import qcore
 from lqccs.cli import build_state
-from lqccs.errors import RegisterError, TargetError
-from lqccs.ops import resolve_measurement, resolve_operator
+from lqccs.errors import ArityError, RegisterError, TargetError
+from lqccs.ops import STATES, resolve_measurement, resolve_operator
 from lqccs.qcore import (
     CNOT,
     H,
@@ -36,6 +36,7 @@ from lqccs.qcore import (
     projector,
     pure_state,
 )
+from lqccs.syntax import Signature
 
 
 def ident(n):
@@ -452,6 +453,40 @@ class TestBuiltins:
             Measurement([projector(KET0), projector(KETP)])
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: qcore.QubitRegister(("a", "a")), RegisterError, "duplicate qubit names"),
+    (lambda: DensityMatrix(("a",), ident(4) / 4), RegisterError, "does not fit register of 1"),
+    (lambda: DensityMatrix(("a",), [[0.5, 0.5], [0, 0.5]]), ValueError, "not Hermitian"),
+    (lambda: DensityMatrix(("a",), np.diag([1.2, -0.2])), ValueError, "not PSD"),
+    (lambda: DensityMatrix(("a",), np.diag([1.0, 0.5])), ValueError, "trace 1.5 outside"),
+    (lambda: DensityMatrix.from_ket(("a",), np.full(4, 0.5 + 0j)), RegisterError, "ket shape"),
+    (lambda: pure_state(KET0, ("a",)).tensor(pure_state(KET1, ("a",))), RegisterError,
+     "share qubit names"),
+    (lambda: mix(pure_state(KET0, ("a",)), pure_state(KET1, ("a",)), 1.5), ValueError,
+     "mixing weight 1.5 outside"),
+], ids=["duplicate-names", "shape", "not-hermitian", "not-psd", "trace-above-one",
+        "ket-shape", "overlapping-tensor", "mix-weight"])
+def test_malformed_states_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize("resolve, name, arity, error, message", [
+    (resolve_operator, "SetPhiP", 1, ArityError, "SetPhiP takes 2 qubits, got 1"),
+    (resolve_operator, "PauliMix", 2, ArityError, "PauliMix takes 1 qubit, got 2"),
+    (resolve_measurement, "MBell", 3, ArityError, "MBell takes 2 qubits, got 3"),
+    (resolve_operator, "U", 2, ArityError, "U has arity 1, applied to 2 qubits"),
+    (resolve_measurement, "Mz", 2, ArityError, "Mz has arity 1, applied to 2 qubits"),
+    (resolve_measurement, "Mzz", 1, NameError, "unknown measurement 'Mzz'"),
+], ids=["set-arity", "paulimix-arity", "mbell-arity", "registered-operator-arity",
+        "registered-measurement-arity", "unknown-measurement"])
+def test_operator_names_and_arities_are_checked(resolve, name, arity, error, message):
+    sig = Signature(operators={"U": Superoperator.unitary(H)},
+                    measurements={"Mz": resolve_measurement("M01", 1)})
+    with pytest.raises(error, match=message):
+        resolve(name, arity, sig)
+
+
 @pytest.mark.parametrize("family", [Superoperator, Measurement])
 @pytest.mark.parametrize("ops, message", [
     ([], "empty"),
@@ -724,13 +759,50 @@ def test_dense_channel_holds_no_state_per_kraus_operator():
     assert peak < 3 * 16 * (1 << n) ** 2
 
 
-def test_transfer_only_when_no_larger_than_the_kraus_operators():
-    """A channel on k qubits keeps its 4^k x 4^k transfer matrix only if
-    it has at least 4^k Kraus operators, which then hold as many entries."""
-    for name, k in [("SetMaxMix", 1), ("SetMaxMix", 2), ("PauliMix", 1)]:
-        assert resolve_operator(name, k).transfer is not None
-    for name, k in [("H", 1), ("H", 3), ("CNOT", 2), ("SetPhiP", 2), ("Set0", 1)]:
-        assert resolve_operator(name, k).transfer is None
+def test_a_constant_channel_is_its_state():
+    """Every state preparation, and PauliMix, which is SetMaxMix on one
+    qubit, holds the state it prepares; unitaries and a registered channel
+    hold none, and no channel holds an array larger than its Kraus stack."""
+    prepared = [(name, projector(vec)) for name, (_, vec) in STATES.items()]
+    prepared += [("SetMaxMix", ident(1 << k) / (1 << k)) for k in (1, 2, 3)]
+    prepared.append(("PauliMix", ident(2) / 2))
+    constants = [resolve_operator(name, len(sigma).bit_length() - 1) for name, sigma in prepared]
+    for e, (_, sigma) in zip(constants, prepared):
+        assert np.allclose(e.state, sigma, atol=1e-12)
+    assert resolve_operator("PauliMix", 1) is resolve_operator("SetMaxMix", 1)
+    sig = Signature(operators={"Flip": Superoperator.probabilistic([(0.5, I2), (0.5, X)])})
+    others = [resolve_operator(name, k) for name, k in [("H", 1), ("H", 3), ("CNOT", 2)]]
+    for e in others + [resolve_operator("Flip", 1, sig)]:
+        assert e.state is None
+    for e in others + constants:
+        held = [getattr(e, slot) for slot in Superoperator.__slots__]
+        assert all(a.nbytes <= e.kraus.nbytes for a in held if isinstance(a, np.ndarray))
+
+
+def test_dense_constant_channel_holds_two_states():
+    """SetPhiP on two qubits of a dense 9-qubit state, sigma (x) tr_T rho:
+    the new allocations peak below three 2^n x 2^n complex matrices, where
+    the Kraus operators one at a time peak at four."""
+    n = 9
+    e, rho = resolve_operator("SetPhiP", 2), dense_state(n)
+    out, peak = peak_bytes(lambda: apply_superop(e, ("q6", "q2"), rho))
+    rest = tuple(q for q in register(n) if q not in ("q6", "q2"))
+    assert np.allclose(partial_trace(out, rest).mat, projector(PHI_P), atol=1e-12)
+    assert np.allclose(partial_trace(out, ("q6", "q2")).mat,
+                       partial_trace(rho, ("q6", "q2")).mat, atol=1e-12)
+    assert peak < 3 * 16 * (1 << n) ** 2
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ([[0.5, 0.5], [0, 0.5]], "not Hermitian"),
+    (np.diag([1.0, -0.2]), "not PSD"),
+    (np.diag([0.5, 0.3]), "sum M\\^dag M = I"),
+], ids=["not-hermitian", "not-psd", "trace-0.8"])
+def test_constant_refuses_a_non_state(sigma, message):
+    """A constant channel is defined by the state it prepares, so that
+    state is checked as a state: Hermitian, PSD and of unit trace."""
+    with pytest.raises(ValueError, match=message):
+        Superoperator.constant(sigma)
 
 
 @pytest.mark.parametrize("k", [6, 8])

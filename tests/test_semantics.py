@@ -114,6 +114,30 @@ class TestStep:
             for d in step(c, SIG):
                 assert abs(sum(p for _, p in d.items()) - 1.0) < 1e-9
 
+    def test_a_send_of_an_unbound_var_never_communicates(self):
+        # a declared var has a type but no value: its send has no payload
+        # to pass, while the same send of a literal communicates
+        from lqccs.parser import parse_program
+
+        sig, defs = parse_program("channel c : nat;\nchannel d : nat;\nvar x : nat;\n"
+                                  "process Open = c!x || c?y.d!y;\n"
+                                  "process Closed = c!0 || c?y.d!y;\n")
+        assert step_genuine(make_config(k0("q"), defs["Open"]), sig) == []
+        assert len(step_genuine(make_config(k0("q"), defs["Closed"]), sig)) == 1
+
+
+class TestMixture:
+    def test_a_weight_outside_the_unit_interval_is_refused(self):
+        d1, d2 = Distribution.point(cfg(k0("q"), "k!0 || disc(q)")), Distribution.point(BOT)
+        for p in (1.7, -0.1):
+            with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+                mixture(d1, d2, p)
+
+    def test_a_weight_within_tolerance_of_an_end_snaps_to_it(self):
+        d1, d2 = Distribution.point(cfg(k0("q"), "k!0 || disc(q)")), Distribution.point(BOT)
+        assert mixture(d1, d2, 1.0) is mixture(d1, d2, 1 - 1e-12) is d1
+        assert mixture(d1, d2, 0.0) is mixture(d1, d2, 1e-12) is d2
+
 
 class TestLift:
     def test_lift_of_point_is_step(self):

@@ -116,3 +116,22 @@ def test_polyadic_channels():
     assert typecheck(sig, parse_process("mix?(n, y).disc(y)", sig)) == frozenset()
     with pytest.raises(LinearityError):
         typecheck(sig, parse_process("mix?(n, y).nil", sig))
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("a!y", TypingError, "undeclared variable 'y'"),
+    ("a!(not 3)", TypingError, "'not' expects a boolean"),
+    ("a!(1 and 2)", TypingError, "'and' expects booleans, got nat, nat"),
+    ("a!(1 = true)", TypingError, "'=' expects equal classical types, got nat, bool"),
+    ("a!(true + 1)", TypingError, "'\\+' expects naturals, got bool, nat"),
+    ("M01(q |> x).disc(q1)", LinearityError, "M01 measures \\['q'\\] not owned"),
+    ("pair?(x, x).nil", LinearityError, "duplicate names in reception pattern"),
+    ("if 3 then nil else nil", TypingError, "conditional guard must be boolean"),
+], ids=["undeclared", "not-nat", "and-nats", "equal-mixed", "plus-bool",
+        "measure-unowned", "duplicate-pattern", "nat-guard"])
+def test_ill_typed_expressions_and_prefixes_are_refused(text, error, message):
+    sig = ql_signature()
+    sig.channels["pair"] = ("nat", "nat")
+    with pytest.raises(error, match=message) as exc:
+        typecheck(sig, parse_process(text, sig))
+    assert type(exc.value) is error
