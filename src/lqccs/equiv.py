@@ -17,6 +17,7 @@ else is inconclusive at the given bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import Counter
@@ -375,21 +376,29 @@ def _measure_flag_body(meas: str, targets: tuple, outcome: int, flag_a: str, fla
 
 
 def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
-                     bounds: SearchBounds, sig=None) -> list:
+                     bounds: SearchBounds, sig=None) -> tuple:
     """Grammar-bounded frames: receivers that measure and flag, senders
     that prepare and emit free qubits, reception sums, and two-component
     parallels, pruned by node count and (for the constrained mode) the
-    observer discipline."""
+    observer discipline; hint contexts come first. The frames depend on
+    the pair only through its grammar: the channels it sends and
+    receives on, the fresh flag names and its first free qubit. They are
+    symbolic, so each grammar's frames are built once and shared."""
     sends, recvs = _channel_usage((dl, dr), sig)
     taken = _used_channels(dl) | _used_channels(dr)
     flags = fresh_names("flag", max(bounds.fresh_channels, 2), taken)
-    free_qubits = _free_qubits(dl, dr)
+    return _grammar_frames(tuple(sorted(sends.items())), tuple(sorted(recvs.items())),
+                           tuple(flags), tuple(_free_qubits(dl, dr)[:1]), mode, bounds)
 
+
+@functools.lru_cache
+def _grammar_frames(sends: tuple, recvs: tuple, flags: tuple, free_qubits: tuple,
+                    mode: str, bounds: SearchBounds) -> tuple:
     pieces = []
-    q_send_chans = [c for c, (ar, q) in sorted(sends.items()) if q and ar == 1]
-    c_send_chans = [c for c, (ar, q) in sorted(sends.items()) if not q and ar == 1]
-    q_recv_chans = [c for c, (ar, q) in sorted(recvs.items()) if q and ar == 1]
-    c_recv_chans = [c for c, (ar, q) in sorted(recvs.items()) if not q and ar == 1]
+    q_send_chans = [c for c, (ar, q) in sends if q and ar == 1]
+    c_send_chans = [c for c, (ar, q) in sends if not q and ar == 1]
+    q_recv_chans = [c for c, (ar, q) in recvs if q and ar == 1]
+    c_recv_chans = [c for c, (ar, q) in recvs if not q and ar == 1]
 
     for c in q_send_chans:
         x = Var("x")
@@ -424,7 +433,7 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
                          Send(flags[0], (NatLit(0),)), Send(flags[1], (NatLit(0),))))
             )
     for c in q_recv_chans:
-        for a in free_qubits[:1]:
+        for a in free_qubits:
             q = QubitLit(a)
             pieces.append(Send(c, (q,)))
             for g in ("H", "X"):
@@ -460,7 +469,7 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
                 and not qubit_atoms(a) & qubit_atoms(b):
             frames.append(Par(a, b))
 
-    return list(dict.fromkeys(
+    return tuple(dict.fromkeys(
         f for f in list(bounds.hint_contexts) + sorted(frames, key=_node_count)
         if _node_count(f) <= bounds.context_size
         and not (mode == CONSTRAINED and observer_violation(f))))
@@ -707,8 +716,19 @@ def _lone_reception(proc):
 
 
 def _search(dl, dr, mode, bounds, sig, stats):
-    contexts = candidate_frames(dl, dr, mode, bounds, sig)
+    """The attacker's search from (dl, dr): a strategy tree, or None. The
+    root tries no frame first, then every candidate frame. The search
+    keeps a memo of its pairs and a table of each distribution's lifted
+    moves, computed once; both are emptied when it returns, also by an
+    exception, so no visited state outlives it."""
+    root_frames = [None, *candidate_frames(dl, dr, mode, bounds, sig)]
     memo: dict = {}
+    moves: dict = {}
+
+    def lifted(d: Distribution) -> list:
+        if d not in moves:
+            moves[d] = _lifted_moves(d, mode, sig, bounds.choice_cap)
+        return moves[d]
 
     def attack(a: Distribution, b: Distribution, depth: int):
         stats.states_visited += 1
@@ -718,8 +738,6 @@ def _search(dl, dr, mode, bounds, sig, stats):
         if depth == 0:
             return None
         at_root = depth == bounds.depth
-        # keyed on `key()`s: a memo keyed on the distributions would keep
-        # every visited state, its matrices and configurations, alive
         key = (a.key(), b.key(), depth)
         if key in memo:
             return memo[key]
@@ -727,8 +745,7 @@ def _search(dl, dr, mode, bounds, sig, stats):
         if not at_root and _certificate(a, b, mode, bounds, sig) is not None:
             return None
         result = None
-        frame_options = [None] + contexts if at_root else [None]
-        for frame in frame_options:
+        for frame in root_frames if at_root else [None]:
             if frame is not None:
                 stats.contexts_tried += 1
                 try:
@@ -746,8 +763,7 @@ def _search(dl, dr, mode, bounds, sig, stats):
 
     def _attack_with(fa, fb, frame, depth):
         # saturated moves all carry index None, so they form one group
-        moves_a = _lifted_moves(fa, mode, sig, bounds.choice_cap)
-        moves_b = _lifted_moves(fb, mode, sig, bounds.choice_cap)
+        moves_a, moves_b = lifted(fa), lifted(fb)
         for idx in dict.fromkeys(idx for idx, _ in moves_a + moves_b):
             at_a = at_index(moves_a, idx)
             at_b = at_index(moves_b, idx)
@@ -768,7 +784,13 @@ def _search(dl, dr, mode, bounds, sig, stats):
                         return AttackStep(side, frame, idx, mv, tuple(refutations))
         return None
 
-    return attack(dl, dr, bounds.depth)
+    try:
+        return attack(dl, dr, bounds.depth)
+    finally:
+        # attack and _attack_with refer to each other, so the tables
+        # would otherwise live until the cyclic collector runs
+        memo.clear()
+        moves.clear()
 
 
 def replay_witness(dl, dr, witness, mode, bounds, sig=None) -> bool:

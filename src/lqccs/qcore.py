@@ -245,11 +245,15 @@ def _operator_stack(ops, check: bool, what: str):
     if k < 0 or shape != (1 << k, 1 << k):
         raise ValueError(f"{what} operators must be 2^n x 2^n, not {shape}")
     stack = np.stack(ops)
-    if check:
-        acc = np.einsum("mba,mbc->ac", stack.conj(), stack)
-        if np.max(np.abs(acc - np.eye(1 << k))) > TOL_CHECK:
-            raise ValueError(f"{what} operators do not satisfy sum M^dag M = I")
+    if check and np.max(np.abs(_gram(stack) - np.eye(1 << k))) > TOL_CHECK:
+        raise ValueError(f"{what} operators do not satisfy sum M^dag M = I")
     return stack, k
+
+
+def _gram(stack) -> np.ndarray:
+    """sum_m M_m^dag M_m of a (q, d, d) stack, as one matrix product."""
+    d = stack.shape[-1]
+    return stack.conj().reshape(-1, d).T @ stack.reshape(-1, d)
 
 
 class Superoperator:

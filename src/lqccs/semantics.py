@@ -110,7 +110,7 @@ def make_config(rho: DensityMatrix, proc, obs=NIL) -> Configuration:
 class Distribution:
     """Finite-support probability distribution over configurations."""
 
-    __slots__ = ("support", "_key")
+    __slots__ = ("support", "_key", "_barbs")
 
     def __init__(self, pairs):
         acc: dict = {}
@@ -125,7 +125,7 @@ class Distribution:
         if abs(total - 1.0) > TOL_MASS:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self.support = acc
-        self._key = None
+        self._key = self._barbs = None
 
     @staticmethod
     def point(cfg: Configuration) -> "Distribution":
@@ -341,9 +341,19 @@ def lift(dist: Distribution, moves_of, cap: int = DEFAULT_CHOICE_CAP) -> list:
     """Lift indexed moves to a distribution: for each index that some
     element enables, in order of first appearance, every per-element
     choice of moves at that index, linearly combined; an element that
-    lacks the index contributes the BOT point."""
+    lacks the index contributes the BOT point. A point of weight 1 lifts
+    to its element's own moves, grouped by index in the same order, with
+    no product: each choice is the move itself."""
     elems = list(dist.items())
     per_elem = [moves_of(c) for c, _ in elems]
+    if len(elems) == 1 and elems[0][1] == 1.0:
+        groups: dict = {}
+        for idx, d in per_elem[0]:
+            groups.setdefault(idx, []).append(d)
+        for ds in groups.values():
+            if len(ds) > cap:
+                raise ChoiceExplosion(f"{len(ds)}+ move combinations exceed the cap {cap}")
+        return unique([(idx, d) for idx, ds in groups.items() for d in ds])
     indices = dict.fromkeys(idx for mv in per_elem for idx, _ in mv)
     out = []
     for idx in indices:
@@ -406,12 +416,15 @@ def _barbs(proc, obs) -> frozenset:
 
 def dist_barbs(dist: Distribution) -> dict:
     """Per-channel probability mass of elements exhibiting the barb, with
-    the deadlock mass under BOT_BARB."""
-    out: dict = {}
-    for cfg, p in dist.items():
-        for b in (BOT_BARB,) if cfg.is_bot else config_barbs(cfg):
-            out[b] = out.get(b, 0.0) + p
-    return out
+    the deadlock mass under BOT_BARB. Kept on the distribution after the
+    first call: callers must not mutate it."""
+    if dist._barbs is None:
+        out: dict = {}
+        for cfg, p in dist.items():
+            for b in (BOT_BARB,) if cfg.is_bot else config_barbs(cfg):
+                out[b] = out.get(b, 0.0) + p
+        dist._barbs = out
+    return dist._barbs
 
 
 def barb_mismatch(b1: dict, b2: dict):

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genterms import TermGen, make_signature, mirror, random_config, random_density
-from lqccs import qcore
+from lqccs import equiv, qcore
 from lqccs.claims import (
     check_nondet_vs_ite,
     crossvalidate_semantics,
@@ -795,6 +797,61 @@ def _pair(src, left, right, state=""):
     rho = build_state(state, sig.qubits)
     return (Distribution.point(make_config(rho, defs[left])),
             Distribution.point(make_config(rho, defs[right])), sig)
+
+
+# a gate before a measurement, as in tests/test_memo.py: Z before M01
+# and X before Mpm commute with the measurement, so those pairs are
+# never distinguished and the search tries every frame
+PHASE_SRC = ("channel c : qubit;\nchannel d : qubit;\nchannel k : nat;\nqubit a0;\n"
+             "process L = c?x.I(x).{1}(x |> y).d!x || k!0;\n"
+             "process R = c?x.{0}(x).{1}(x |> y).d!x || k!0;\n")
+
+
+@pytest.mark.parametrize("mode", [CONSTRAINED, SATURATED])
+def test_one_grammar_builds_its_frames_once(mode):
+    # the Z and X pairs send, receive and leave a0 free alike, so they
+    # share one tuple of frames; a hint context still comes first
+    zl, zr, sig = _pair(PHASE_SRC.format("Z", "M01"), "L", "R")
+    xl, xr, _ = _pair(PHASE_SRC.format("X", "M01"), "L", "R")
+    frames = candidate_frames(zl, zr, mode, SearchBounds(), sig)
+    assert frames and candidate_frames(xl, xr, mode, SearchBounds(), sig) is frames
+    hint = parse_process("H(a0).c!a0", sig)
+    hinted = SearchBounds(hint_contexts=(hint,))
+    with_hint = candidate_frames(xl, xr, mode, hinted, sig)
+    assert candidate_frames(zl, zr, mode, hinted, sig) is with_hint
+    assert with_hint[0] == hint and set(with_hint) == set(frames) | {hint}
+
+
+@pytest.mark.parametrize("mode", [CONSTRAINED, SATURATED])
+def test_a_search_lifts_each_distribution_once(mode, monkeypatch):
+    dl, dr, sig = _pair(PHASE_SRC.format("X", "Mpm"), "L", "R")
+    counts = Counter()
+    lifted_moves = equiv._lifted_moves
+
+    def counting(dist, *args):
+        counts[dist] += 1
+        return lifted_moves(dist, *args)
+
+    monkeypatch.setattr(equiv, "_lifted_moves", counting)
+    v = distinguish(dl, dr, mode, SearchBounds(), sig)
+    assert v.verdict == "inconclusive-at-bounds"
+    assert len(counts) > 100 and max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("mode", [CONSTRAINED, SATURATED])
+def test_a_search_leaves_no_table_to_the_cyclic_collector(mode):
+    # attack and _attack_with refer to each other; the search empties its
+    # pair memo and moves table when it returns, so only a few objects
+    # are left for the collector, not the thousands the tables hold
+    dl, dr, sig = _pair(PHASE_SRC.format("Z", "M01"), "L", "R")
+    gc.collect()
+    gc.disable()
+    try:
+        distinguish(dl, dr, mode, SearchBounds(), sig)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left < 300
 
 
 class TestOneCertificatePath:

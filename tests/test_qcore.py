@@ -805,6 +805,28 @@ def test_constant_refuses_a_non_state(sigma, message):
         Superoperator.constant(sigma)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 6))
+def test_completeness_check_is_the_einsum_as_one_product(seed, k, count):
+    """The completeness check sums M_m^dag M_m as one matrix product, which
+    equals the einsum over the stack on random complete Kraus and
+    measurement families, on the built-in ones and on arbitrary stacks;
+    a family passes the check exactly when it is complete."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << k
+    complete = [np.stack(random_kraus(rng, dim, count)),
+                resolve_operator("SetMaxMix", k).kraus, resolve_measurement("M01", k).operators]
+    arbitrary = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    for stack in complete + [arbitrary]:
+        want = np.einsum("mba,mbc->ac", stack.conj(), stack)
+        assert np.allclose(qcore._gram(stack), want, rtol=1e-12, atol=1e-12)
+    for family in (Superoperator, Measurement):
+        for stack in complete:
+            family(list(stack))
+        with pytest.raises(ValueError, match="sum M\\^dag M = I"):
+            family(list(arbitrary))
+
+
 @pytest.mark.parametrize("k", [6, 8])
 def test_dense_unitary_on_many_qubits_holds_nothing_operator_squared(k):
     """H on all k qubits of a dense k-qubit state, targets reversed: the

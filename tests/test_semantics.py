@@ -1,6 +1,10 @@
+import functools
+import itertools
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genterms import TermGen, make_signature, random_config, random_density
@@ -12,7 +16,7 @@ from lqccs.parser import parse_process
 from lqccs.parser import pretty
 from lqccs.rewrite import (_rename_channel, close_scopes, normalize, normalize_observer,
                            substitute_many)
-from lqccs.syntax import NIL, Restrict, channels, children, par_all
+from lqccs.syntax import NIL, Restrict, Sum, Tau, channels, children, par_all
 from lqccs.semantics import (
     BOT,
     BOT_BARB,
@@ -193,7 +197,83 @@ class TestLift:
             lift_step(d, cap=3)
 
 
+def _lift_by_product(dist, moves_of, cap):
+    """The lifting by its definition: for each index, in order of first
+    appearance, every per-element choice of moves at that index (BOT for
+    an element without one), combined with the elements' weights; the
+    cap is checked on the running product of the numbers of choices."""
+    elems = list(dist.items())
+    per_elem = [moves_of(c) for c, _ in elems]
+    out = []
+    for idx in dict.fromkeys(idx for mv in per_elem for idx, _ in mv):
+        options = [[d for i, d in mv if i == idx] or [Distribution.point(BOT)] for mv in per_elem]
+        total = 1
+        for here in options:
+            total *= len(here)
+            if total > cap:
+                raise ChoiceExplosion(f"{total}+ move combinations exceed the cap {cap}")
+        for combo in itertools.product(*options):
+            out.append((idx, Distribution.convex([(p, d) for (_, p), d in zip(elems, combo)])))
+    return list(dict.fromkeys(out))
+
+
+def _branching_config(seed: int, branches: int):
+    """A random configuration whose process is a choice among `branches`
+    silent branches, the first its own process: several moves at one index."""
+    c, sig = random_config(seed)
+    gen = TermGen(seed + 1)
+    extra = [gen.process(frozenset({"q1"}), {}, 2) for _ in range(branches - 1)]
+    proc = functools.reduce(Sum, [Tau(t) for t in [c.proc, *extra]])
+    return make_config(c.rho, proc, c.obs), sig
+
+
+DRAWN_MOVES = st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 3)), max_size=7)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(0, 1_000_000), st.integers(0, 1_000_000), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([None, 1.0, 0.3]), st.integers(1, 4),
+       st.sampled_from(["step", "estep", "drawn"]), DRAWN_MOVES, DRAWN_MOVES)
+# a point whose first index b has two moves and whose second, a, three:
+# grouped b before a, and over a cap of 1 at b
+@example(0, 1, 1, 1, None, 4, "drawn", [("b", 0), ("a", 1), ("b", 2), ("a", 3), ("a", 0)], [])
+@example(0, 1, 1, 1, None, 1, "drawn", [("b", 0), ("a", 1), ("b", 2), ("a", 3), ("a", 0)], [])
+def test_lift_matches_the_product_definition(seed1, seed2, n1, n2, p, cap, rule, drawn1, drawn2):
+    """`semantics.lift` on one-element distributions (a point when p is
+    None, weight 1 - 1e-10 otherwise) and on two-element ones gives the
+    moves of the product definition, in the same order, or raises the
+    same ChoiceExplosion. The moves are those of `step` or `estep`, or
+    drawn: (index, successor) lists over indices a and b."""
+    c1, sig = _branching_config(seed1, n1)
+    c2, _ = _branching_config(seed2, n2)
+    if p is None:
+        dist = Distribution.point(c1)
+    elif p == 1.0:
+        dist = Distribution([(c1, 1.0 - 1e-10)])
+    else:
+        dist = mixture(Distribution.point(c1), Distribution.point(c2), p)
+    pool = [Distribution.point(c1), Distribution.point(c2), Distribution.point(BOT),
+            mixture(Distribution.point(c1), Distribution.point(c2), 0.5)]
+    moves_of = {
+        "step": lambda c: [(None, d) for d in step(c, sig)],
+        "estep": lambda c: osem.estep(c, sig),
+        "drawn": lambda c: [(i, pool[j]) for i, j in (drawn1 if c == c1 else drawn2)],
+    }[rule]
+    try:
+        want = _lift_by_product(dist, moves_of, cap)
+    except ChoiceExplosion as exc:
+        with pytest.raises(ChoiceExplosion, match=f"^{re.escape(str(exc))}$"):
+            semantics.lift(dist, moves_of, cap)
+        return
+    assert semantics.lift(dist, moves_of, cap) == want
+
+
 class TestBarbs:
+    def test_barbs_are_kept_on_the_distribution(self):
+        d = mixture(Distribution.point(cfg(k0("q"), "k!1 || disc(q)")), Distribution.point(BOT), 0.5)
+        assert dist_barbs(d) is dist_barbs(d)
+        assert dist_barbs(d) == {"k": 0.5, BOT_BARB: 0.5}
+
     def test_simple_send(self):
         assert proc_barbs(P("k!1 || disc(q)")) == frozenset({"k"})
 
