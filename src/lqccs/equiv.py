@@ -220,8 +220,9 @@ def _determinism_probes(dist: Distribution) -> list:
         if not c.is_bot:
             chans |= set(proc_barbs(c.proc))
     chans = sorted(chans)
-    flags = fresh_names("probe", 2, _used_channels(dist))
-    sends, _ = _channel_usage((dist,), None)
+    used = _used_channels(dist)
+    flags = fresh_names("probe", 2, used)
+    sends, _ = _channel_usage((dist,), used, None)
     arities = {c: arity for c, (arity, _) in sends.items()}
     frames = [_probe_recv(a, arities.get(a, 1), flags[0]) for a in chans]
     for a, b in itertools.combinations(chans, 2):
@@ -337,30 +338,30 @@ def _used_channels(dist: Distribution) -> set:
     return used
 
 
-def _channel_usage(dists, sig):
+def _channel_usage(dists, free: set, sig):
     """-> (sends, recvs): channel -> (arity, is_qubit) as seen in the terms,
-    for the channels free in some element: no context reaches a restricted one."""
-    free = set().union(*map(_used_channels, dists))
+    for the channels in `free`, those free in some element of `dists`: no
+    context reaches a restricted one."""
     sends: dict = {}
     recvs: dict = {}
-
-    def walk(t):
-        if isinstance(t, (Send, Recv)) and t.chan in free:
-            declared = sig.channel_type(t.chan) if sig is not None else None
-            if isinstance(t, Send):
-                qubit = any(isinstance(e, QubitLit) for e in t.payload)
-                sends[t.chan] = (len(t.payload), qubit if declared is None else "qubit" in declared)
-            else:
-                recvs[t.chan] = (len(t.vars), declared is None or "qubit" in declared)
-        for c in children(t):
-            walk(c)
-
     for d in dists:
         for c, _ in d.items():
             if not c.is_bot:
-                walk(c.proc)
-                walk(c.obs)
+                _note_usage(c.proc, free, sig, sends, recvs)
+                _note_usage(c.obs, free, sig, sends, recvs)
     return sends, recvs
+
+
+def _note_usage(t, free: set, sig, sends: dict, recvs: dict):
+    if isinstance(t, (Send, Recv)) and t.chan in free:
+        declared = sig.channel_type(t.chan) if sig is not None else None
+        if isinstance(t, Send):
+            qubit = any(isinstance(e, QubitLit) for e in t.payload)
+            sends[t.chan] = (len(t.payload), qubit if declared is None else "qubit" in declared)
+        else:
+            recvs[t.chan] = (len(t.vars), declared is None or "qubit" in declared)
+    for c in children(t):
+        _note_usage(c, free, sig, sends, recvs)
 
 
 def _measure_flag_body(meas: str, targets: tuple, outcome: int, flag_a: str, flag_b):
@@ -384,8 +385,8 @@ def candidate_frames(dl: Distribution, dr: Distribution, mode: str,
     the pair only through its grammar: the channels it sends and
     receives on, the fresh flag names and its first free qubit. They are
     symbolic, so each grammar's frames are built once and shared."""
-    sends, recvs = _channel_usage((dl, dr), sig)
     taken = _used_channels(dl) | _used_channels(dr)
+    sends, recvs = _channel_usage((dl, dr), taken, sig)
     flags = fresh_names("flag", max(bounds.fresh_channels, 2), taken)
     return _grammar_frames(tuple(sorted(sends.items())), tuple(sorted(recvs.items())),
                            tuple(flags), tuple(_free_qubits(dl, dr)[:1]), mode, bounds)

@@ -5,14 +5,14 @@ qubit i of the register is the i-th tensor factor (most significant bit
 of the basis index). A pure state is held as its ket psi, a flat 2^n
 vector, and mixed states as the 2^n x 2^n matrix rho; rho = psi psi^dag
 of a ket is built only when a reader asks for it. `pure_state` builds
-kets, and a one-Kraus superoperator, a measurement branch and the tensor
-product of two kets keep them kets. Operators act on k target qubits
-through a targets-first view (the state's axes permuted once so that the
-targets lead, and back once), never extended to the whole register: on a
-ket as one product with the stacked operators (Kraus operators K_i give
-rho = Phi Phi^dag, Phi's columns the K_i psi), on rho as M rho M^dag. A
-constant channel, which prepares a state sigma on its targets, acts on
-rho as its state: rho -> sigma (x) tr_T rho.
+kets; a measurement branch and the tensor product of two kets keep them
+kets. Operators act on k target qubits through a targets-first view (the
+state's axes permuted once so that the targets lead, and back once),
+never extended to the whole register. A superoperator's kind picks its
+rule: a non-constant one-Kraus map keeps a ket a ket; a constant channel,
+which prepares a state sigma on its targets, is its state, rho -> sigma
+(x) tr_T rho with tr_T from `partial_trace`; any other map adds up
+K_i rho K_i^dag one at a time. A ket meeting the last two is made rho.
 """
 
 from __future__ import annotations
@@ -259,9 +259,10 @@ def _gram(stack) -> np.ndarray:
 class Superoperator:
     """Completely positive map given by its Kraus decomposition, a
     (r, 2^k, 2^k) stack; `check` requires it to be trace preserving.
-    `state` is sigma, a 2^k x 2^k matrix, for the constant map
-    rho -> sigma (x) tr_T rho that `constant` builds, and None for every
-    other map."""
+    `state` is sigma, 2^k x 2^k, for the constant map rho -> sigma (x)
+    tr_T rho that `constant` builds, and None for every other map; a
+    constant is applied as its state (the module docstring's rules), its
+    stack kept only as the reference the tests and the bench tracer read."""
 
     __slots__ = ("arity", "kraus", "state")
 
@@ -282,8 +283,8 @@ class Superoperator:
     def constant(rho: np.ndarray) -> "Superoperator":
         """Map sending every input state to `rho`, which must be a state:
         Hermitian, PSD and, by the Kraus completeness check, of unit trace.
-        Its Kraus operators are sqrt(lam_j) |v_j><i| over rho's eigenpairs
-        (lam_j, v_j) with lam_j > 0 and the basis states |i>."""
+        Its Kraus operators, a reference only, are sqrt(lam_j) |v_j><i|
+        over rho's eigenpairs (lam_j, v_j) with lam_j > 0 and basis |i>."""
         rho = _as_array(rho)
         dim = rho.shape[0]
         rho = DensityMatrix(range(dim.bit_length() - 1), rho).mat
@@ -384,22 +385,21 @@ def apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatri
 
 def _apply_superop(e: Superoperator, targets, rho: DensityMatrix) -> DensityMatrix:
     positions = _target_positions(e, targets, rho)
-    view = _lead(rho, positions)
     if rho.ket is not None:
-        # the rows of phi are the K_i psi, all from one product
-        phi = _restore(e.kraus.reshape(-1, 1 << e.arity) @ view, positions, rho)
-        if len(phi) == 1:
-            return DensityMatrix.from_ket(rho.register, phi[0])
-        return DensityMatrix(rho.register, phi.T @ phi.conj(), check=False)
+        if e.state is None and len(e.kraus) == 1:
+            psi = _restore(e.kraus[0] @ _lead(rho, positions), positions, rho)[0]
+            return DensityMatrix.from_ket(rho.register, psi)
+        rho = DensityMatrix(rho.register, rho.mat, check=False)
     if e.state is not None:
-        # sigma (x) tr_T rho, tr_T rho the sum of the view's rows (i, i)
-        out = e.state.reshape(-1, 1) * view[:: (1 << e.arity) + 1].sum(0)
+        # sigma (x) tr_T rho, in the targets-first view's (row, column) order
+        out = e.state.reshape(-1, 1) * partial_trace(rho, targets)._mat.reshape(1, -1)
     else:
         # one K_i at a time: at most four 2^n x 2^n arrays, whatever r is
+        view = _lead(rho, positions)
         out = _sandwich(e.kraus[:1], view)
         for k in e.kraus[1:]:
             out += _sandwich(k[None], view)
-    del view
+        del view
     return DensityMatrix(rho.register, _restore(out, positions, rho)[0], check=False)
 
 

@@ -319,25 +319,23 @@ def map_term(term: Term, on_child, on_expr) -> Term:
 
 def map_free_vars(term: Term, f) -> Term:
     """Rewrite every free Var leaf with f; binders shadow."""
+    return _map_free(term, f, frozenset())
 
-    def mappers(bound):
-        def on_expr(e):
-            if isinstance(e, Var):
-                return e if e.name in bound else f(e)
-            if isinstance(e, Not):
-                return Not(on_expr(e.arg))
-            if isinstance(e, BinOp):
-                return BinOp(e.op, on_expr(e.left), on_expr(e.right))
-            return e
 
-        def on_child(t, binds):
-            if binds:
-                return map_term(t, *mappers(bound.union(binds)))
-            return map_term(t, on_child, on_expr)
+# module-level, so that a walk leaves no reference cycle of closures
+def _map_free(term: Term, f, bound: frozenset) -> Term:
+    return map_term(term, lambda t, binds: _map_free(t, f, bound.union(binds) if binds else bound),
+                    lambda e: _map_free_expr(e, f, bound))
 
-        return on_child, on_expr
 
-    return map_term(term, *mappers(frozenset()))
+def _map_free_expr(e, f, bound: frozenset):
+    if isinstance(e, Var):
+        return e if e.name in bound else f(e)
+    if isinstance(e, Not):
+        return Not(_map_free_expr(e.arg, f, bound))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _map_free_expr(e.left, f, bound), _map_free_expr(e.right, f, bound))
+    return e
 
 
 def as_qubits(term: Term, names) -> Term:

@@ -779,18 +779,49 @@ def test_a_constant_channel_is_its_state():
         assert all(a.nbytes <= e.kraus.nbytes for a in held if isinstance(a, np.ndarray))
 
 
-def test_dense_constant_channel_holds_two_states():
-    """SetPhiP on two qubits of a dense 9-qubit state, sigma (x) tr_T rho:
-    the new allocations peak below three 2^n x 2^n complex matrices, where
-    the Kraus operators one at a time peak at four."""
+@pytest.mark.parametrize("name, targets, sigma", [
+    ("SetPhiP", ("q6", "q2"), projector(PHI_P)), ("SetMaxMix", ("q6", "q2"), ident(4) / 4),
+    ("PauliMix", ("q6",), ident(2) / 2)], ids=["SetPhiP", "SetMaxMix", "PauliMix"])
+def test_dense_constant_channel_holds_two_states(name, targets, sigma):
+    """A constant on a dense 9-qubit state, sigma (x) tr_T rho: the new
+    allocations peak below 2.1 2^n x 2^n complex matrices, the result and
+    its permuted copy, with tr_T rho read in place (a copy of the
+    targets-first view would add a quarter state for PauliMix)."""
     n = 9
-    e, rho = resolve_operator("SetPhiP", 2), dense_state(n)
-    out, peak = peak_bytes(lambda: apply_superop(e, ("q6", "q2"), rho))
-    rest = tuple(q for q in register(n) if q not in ("q6", "q2"))
-    assert np.allclose(partial_trace(out, rest).mat, projector(PHI_P), atol=1e-12)
-    assert np.allclose(partial_trace(out, ("q6", "q2")).mat,
-                       partial_trace(rho, ("q6", "q2")).mat, atol=1e-12)
-    assert peak < 3 * 16 * (1 << n) ** 2
+    e, rho = resolve_operator(name, len(targets)), dense_state(n)
+    out, peak = peak_bytes(lambda: apply_superop(e, targets, rho))
+    rest = tuple(q for q in register(n) if q not in targets)
+    assert np.allclose(partial_trace(out, rest).mat, sigma, atol=1e-12)
+    assert np.allclose(partial_trace(out, targets).mat,
+                       partial_trace(rho, targets).mat, atol=1e-12)
+    assert peak < 2.1 * 16 * (1 << n) ** 2
+
+
+@pytest.mark.parametrize("held", ["ket", "dense"])
+@pytest.mark.parametrize("positions", [(0, 2), (2, 0)], ids=["in-order", "reversed"])
+@pytest.mark.parametrize("name, k", [
+    ("SetPhiP", 2), ("SetMaxMix", 2), ("PauliMix", 1), ("Set0", 1)],
+    ids=["SetPhiP", "SetMaxMix", "PauliMix", "Set0"])
+def test_a_constant_never_reads_its_kraus_stack(name, k, positions, held):
+    """A constant is applied as its state, to a ket as to rho: with its
+    Kraus stack taken away it gives the map that a fresh constant's
+    Kraus operators give, each embedded with `dense_embedding`; a
+    one-qubit constant acts on the first qubit of `positions`."""
+    n, positions = 3, positions[:k]
+    rng = np.random.default_rng(sum(positions) + 7 * k)
+    sigma = resolve_operator(name, k).state
+    e = Superoperator.constant(sigma)
+    e.kraus = None
+    if held == "ket":
+        state = pure_state(random_ket(rng, n), register(n))
+    else:
+        state = DensityMatrix(register(n), random_state(rng, n), check=False)
+    rho = state.mat
+    bigs = [dense_embedding(op, positions, n) for op in Superoperator.constant(sigma).kraus]
+    want = sum(big @ rho @ big.conj().T for big in bigs)
+    got = apply_superop(e, tuple(register(n)[p] for p in positions), state)
+    assert got.ket is None
+    assert np.max(np.abs(got.mat - want)) < 1e-12
 
 
 @pytest.mark.parametrize("sigma, message", [

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +251,22 @@ class TestSubstitute:
         for _ in range(2):  # the memo must not remember a call that raised
             with pytest.raises(QubitCaptureError):
                 substitute(t, "x", QubitLit("q"))
+
+    def test_a_substitution_leaves_no_cycle_to_the_collector(self):
+        # the walk is module-level functions, not closures that refer to
+        # themselves, so what a substitution builds and drops is freed by
+        # reference counting alone
+        t = P("k?y.(if x = y then k!x else k!1) + randbit(z).(if z then k!x else k!0)")
+        gc.collect()
+        gc.disable()
+        try:
+            for value in range(50):
+                rewrite._substitute.cache_clear()
+                substitute(t, "x", value)
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left == 0
 
     @pytest.mark.parametrize("first, second", [(True, 1), (1, True), (False, 0), (0, False)])
     def test_the_memo_tells_a_boolean_from_a_number(self, first, second):
