@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -364,14 +363,15 @@ def _note_usage(t, free: set, sig, sends: dict, recvs: dict):
         _note_usage(c, free, sig, sends, recvs)
 
 
-def _measure_flag_body(meas: str, targets: tuple, outcome: int, flag_a: str, flag_b):
-    """M(targets |> y).((if y = outcome then a!0 else b!0/nil) || disc targets)"""
+def _measure_flag_body(meas: str, targets: tuple, outcome: int, flag_a: str, flag_b,
+                       var: str = "y"):
+    """M(targets |> var).((if var = outcome then a!0 else b!0/nil) || disc targets)"""
     els = Send(flag_b, (NatLit(0),)) if flag_b else Nil()
     return Measure(
         meas,
         targets,
-        "y",
-        Par(Ite(BinOp("=", Var("y"), NatLit(outcome)), Send(flag_a, (NatLit(0),)), els),
+        var,
+        Par(Ite(BinOp("=", Var(var), NatLit(outcome)), Send(flag_a, (NatLit(0),)), els),
             Nil(targets)),
     )
 
@@ -412,19 +412,9 @@ def _grammar_frames(sends: tuple, recvs: tuple, flags: tuple, free_qubits: tuple
                     Recv(c, ("x",), _measure_flag_body(meas, (x,), outcome, flags[0], None))
                 )
         # two receptions on the same channel, then a joint measurement
-        x2, y2 = Var("x"), Var("y")
         for meas in ("M01", "MBell"):
             for outcome in range(4):
-                body = Measure(
-                    meas,
-                    (x2, y2),
-                    "z",
-                    Par(
-                        Ite(BinOp("=", Var("z"), NatLit(outcome)),
-                            Send(flags[0], (NatLit(0),)), Nil()),
-                        Nil((x2, y2)),
-                    ),
-                )
+                body = _measure_flag_body(meas, (x, Var("y")), outcome, flags[0], None, "z")
                 pieces.append(Recv(c, ("x",), Recv(c, ("y",), body)))
     for c in c_send_chans:
         for v in (0, 1):
@@ -518,39 +508,32 @@ def distinguish(
     being returned; a certificate after forced silent steps (`_certify`:
     equality, the density quotient in constrained mode only, or the input
     certificate at a pair of qubit receptions) may certify bisimilarity;
-    anything else is inconclusive. The verdict is computed under one memo
-    (`memo.scope`); the replay runs after it is closed, so it recomputes
-    the backend but reads the same move schemas."""
-    t0 = time.monotonic()
+    anything else is inconclusive. The verdict is computed in one scope
+    (`memo.scope`); the replay runs after it, with no memo (`memo.closed`),
+    so it recomputes the backend but reads the same move schemas."""
     stats = Stats()
     with memo.scope(stats):
         bm = barb_mismatch(dist_barbs(dl), dist_barbs(dr))
         if bm is not None:
-            stats.wall_ms = int((time.monotonic() - t0) * 1000)
             return Distinguished(BarbLeaf(*bm), stats)
         cert = _certify(dl, dr, mode, bounds, sig)
         if cert is not None:
-            stats.wall_ms = int((time.monotonic() - t0) * 1000)
             return CertifiedBisimilar(cert, stats)
         reg_names = _all_names(dl) | _all_names(dr)
         pl = pad_ancillas(dl, bounds.ancillas, reg_names)
         pr = pad_ancillas(dr, bounds.ancillas, reg_names)
         witness = _search(pl, pr, mode, bounds, sig, stats)
-    stats.wall_ms = int((time.monotonic() - t0) * 1000)
     if witness is not None:
-        if not replay_witness(pl, pr, witness, mode, bounds, sig):
-            raise AssertionError("distinguishing witness failed to replay")
+        with memo.closed():
+            if not replay_witness(pl, pr, witness, mode, bounds, sig):
+                raise AssertionError("distinguishing witness failed to replay")
         return Distinguished(witness, stats)
     return InconclusiveAtBounds(bounds, "no distinguishing strategy within bounds", stats)
 
 
 def _all_names(dist: Distribution) -> set:
-    out = set()
-    for c, _ in dist.items():
-        if not c.is_bot:
-            out |= set(c.rho.register.names)
-            out |= free_channels(c.proc) | free_channels(c.obs)
-    return out
+    return _used_channels(dist).union(*(c.rho.register.names for c, _ in dist.items()
+                                        if not c.is_bot))
 
 
 def certify(
@@ -562,12 +545,10 @@ def certify(
     """Certificate-only entry point, constrained semantics: equality or
     the density quotient, after forced silent steps that stop at barbs,
     receptions and free qubits, or the input certificate at a pair of
-    qubit receptions (`_certify`)."""
-    t0 = time.monotonic()
+    qubit receptions (`_certify`), computed in one scope (`memo.scope`)."""
     stats = Stats()
     with memo.scope(stats):
         cert = _certify(dl, dr, CONSTRAINED, bounds, sig)
-    stats.wall_ms = int((time.monotonic() - t0) * 1000)
     if cert is not None:
         return CertifiedBisimilar(cert, stats)
     return InconclusiveAtBounds(bounds, "no certificate applies", stats)
@@ -849,39 +830,32 @@ def check_candidate(
     convex hull when `upto_cv`). Obligations are generated from the pairs
     as given, so closure under contexts is not proved: before certifying,
     each pair of two unequal sides is searched with `distinguish` at
-    `bounds`, and the first replayed witness found is returned instead."""
+    `bounds`, and the first replayed witness found is returned instead,
+    with its search's stats. The check runs in one scope (`memo.scope`)."""
     pairs = list(pairs)
-    for n, (a, b) in enumerate(pairs):
-        bm = barb_mismatch(dist_barbs(a), dist_barbs(b))
-        if bm is not None:
-            w = BarbLeaf(*bm)
-            if replay_witness(a, b, w, mode, bounds, sig):
-                return Distinguished(w)
-            return InconclusiveAtBounds(bounds, f"pair {n}: barb check failed to replay")
-        try:
-            moves_a = _lifted_moves(a, mode, sig, bounds.choice_cap)
-            moves_b = _lifted_moves(b, mode, sig, bounds.choice_cap)
-        except ChoiceExplosion as exc:
-            return InconclusiveAtBounds(bounds, str(exc))
-        for here, there, label in ((moves_a, moves_b, "left"), (moves_b, moves_a, "right")):
-            for idx, succ in here:
-                matched = False
-                for cand in at_index(there, idx):
-                    pair = (succ, cand) if label == "left" else (cand, succ)
-                    if _pair_in_relation(pair, pairs, upto_cv):
-                        matched = True
-                        break
-                if not matched:
-                    return InconclusiveAtBounds(
-                        bounds,
-                        f"pair {n}: {label} move at index {idx!r} has no match in the relation",
-                    )
-    for a, b in pairs:
-        if a != b:
-            v = distinguish(a, b, mode, bounds, sig)
-            if isinstance(v, Distinguished):
-                return v
-    return CertifiedBisimilar(("candidate-relation", len(pairs)))
+    stats = Stats()
+    with memo.scope(stats):
+        for n, (a, b) in enumerate(pairs):
+            bm = barb_mismatch(dist_barbs(a), dist_barbs(b))
+            if bm is not None:
+                return Distinguished(BarbLeaf(*bm), stats)
+            try:
+                moves_a = _lifted_moves(a, mode, sig, bounds.choice_cap)
+                moves_b = _lifted_moves(b, mode, sig, bounds.choice_cap)
+            except ChoiceExplosion as exc:
+                return InconclusiveAtBounds(bounds, str(exc), stats)
+            for here, there, label in ((moves_a, moves_b, "left"), (moves_b, moves_a, "right")):
+                for idx, succ in here:
+                    if not any(_pair_in_relation((succ, cand) if label == "left" else (cand, succ),
+                                                 pairs, upto_cv) for cand in at_index(there, idx)):
+                        return InconclusiveAtBounds(bounds, f"pair {n}: {label} move at index "
+                                                    f"{idx!r} has no match in the relation", stats)
+        for a, b in pairs:
+            if a != b:
+                v = distinguish(a, b, mode, bounds, sig)
+                if isinstance(v, Distinguished):
+                    return v
+    return CertifiedBisimilar(("candidate-relation", len(pairs)), stats)
 
 
 def _pair_in_relation(pair, pairs, upto_cv: bool) -> bool:

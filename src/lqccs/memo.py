@@ -1,14 +1,16 @@
-"""One memo per verdict.
+"""A verdict's scope: one memo, its counters and its clock.
 
-While a verdict is computed (`equiv.distinguish`, `equiv.certify`), the
-backend results (`qcore.apply_superop`, `qcore.measure`) are computed
-once and then returned from the memo; these two are the only memoized
-functions. A term's move schemas (`semantics.schemas`) are symbolic,
-independent of `sig` and kept on the terms across verdicts. The memo
-opens with the verdict and closes when it returns or raises. Every
-scope opens a memo of its own, also inside another, so no entry
-outlives the verdict that stored it. Outside a verdict nothing is
-stored and every backend call computes afresh.
+While a verdict is computed (`equiv.distinguish`, `equiv.certify`,
+`equiv.check_candidate`), the backend results (`qcore.apply_superop`,
+`qcore.measure`) are computed once and then returned from the memo;
+these two are the only memoized functions. A term's move schemas
+(`semantics.schemas`) are symbolic, independent of `sig` and kept on the
+terms across verdicts. The scope opens with the verdict and closes when
+it returns or raises; it counts the memo's hits and misses and the
+verdict's wall time into its `Stats`. Every scope opens a memo of its
+own, also inside another, so no entry outlives the verdict that stored
+it. Outside a scope, or inside `closed`, nothing is stored and every
+backend call computes afresh.
 
 A backend call is keyed by its operator's identity, its targets and its
 state's `DensityMatrix.key()`: the register names and the entries of rho
@@ -21,40 +23,40 @@ caller's below that rounding.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
+from time import monotonic
 
+# (entries, stats) of the open memo, or None
 _open: ContextVar = ContextVar("lqccs_verdict_memo", default=None)
-
-
-class _Table:
-    __slots__ = ("entries", "hits", "misses")
-
-    def __init__(self):
-        self.entries: dict = {}
-        # per memoized function: results returned from the memo, computed
-        self.hits: Counter = Counter()
-        self.misses: Counter = Counter()
 
 
 @contextmanager
 def scope(stats):
     """Open a memo of its own for the calls made inside the block, and
     close it on exit, also by an exception; the memo open before the
-    block, if any, is open again after it. On exit, add the block's hits
-    and misses to the Counters `stats.memo_hits` and `stats.memo_misses`,
-    by the name of the public function that was called (`apply_superop`
-    or `measure`)."""
-    table = _Table()
-    token = _open.set(table)
+    block, if any, is open again after it. Each hit and miss is counted
+    into the Counters `stats.memo_hits` and `stats.memo_misses`, by the
+    name of the public function that was called (`apply_superop` or
+    `measure`); on exit `stats.wall_ms` is the block's wall time."""
+    t0 = monotonic()
+    token = _open.set(({}, stats))
     try:
         yield
     finally:
         _open.reset(token)
-        for counts, out in ((table.hits, stats.memo_hits), (table.misses, stats.memo_misses)):
-            for compute, n in counts.items():
-                out[compute.__name__.lstrip("_")] += n
+        stats.wall_ms = int((monotonic() - t0) * 1000)
+
+
+@contextmanager
+def closed():
+    """No memo for the calls made inside the block, also inside a scope:
+    a witness's replay recomputes every backend result it reads."""
+    token = _open.set(None)
+    try:
+        yield
+    finally:
+        _open.reset(token)
 
 
 def is_open() -> bool:
@@ -69,12 +71,14 @@ def recall(compute, key, *args):
     table = _open.get()
     if table is None:
         return compute(*args)
+    entries, stats = table
     k = (compute, key(*args))
-    entry = table.entries.get(k)
+    entry = entries.get(k)
+    name = compute.__name__.lstrip("_")
     if entry is not None:
-        table.hits[compute] += 1
+        stats.memo_hits[name] += 1
         return entry[1]
-    table.misses[compute] += 1
+    stats.memo_misses[name] += 1
     result = compute(*args)
-    table.entries[k] = (args, result)
+    entries[k] = (args, result)
     return result

@@ -39,6 +39,8 @@ TOL_STATE = 1e-8
 # granularity used when hashing states: coarser than TOL_MAT so that
 # states equal up to tolerance do not split across hash buckets
 HASH_DECIMALS = 7
+# granularity of TOL_PROB, used when keying a distribution's masses
+PROB_DECIMALS = 9
 # entries further apart than this round to different keys, with a wide
 # margin for the float error of computing them two ways
 KEY_APART = 10.0 ** (1 - HASH_DECIMALS)

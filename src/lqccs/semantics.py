@@ -14,7 +14,7 @@ import itertools
 from .errors import ChoiceExplosion, EvalError, LqccsError
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
-from .qcore import TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
+from .qcore import PROB_DECIMALS, TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
 from .rewrite import (close_scopes, eval_expr, extend_scopes, normalize, normalize_observer,
                       substitute_many, value_to_expr)
 from .syntax import (
@@ -140,7 +140,7 @@ class Distribution:
     def key(self):
         if self._key is None:
             self._key = tuple(
-                sorted((c.key(), round(p, 9)) for c, p in self.support.items())
+                sorted((c.key(), round(p, PROB_DECIMALS)) for c, p in self.support.items())
             )
         return self._key
 

@@ -3,7 +3,9 @@ package imports must be used in that module, every function or class a
 module defines must be named somewhere else in the repository, every
 parameter of a function must be read by its body, every defaulted
 parameter must be passed by some call, and by a call outside the tests
-unless allowlisted, and no module but `claims` itself imports `claims`."""
+unless allowlisted, no module but `claims` itself imports `claims`, and
+no module but `qcore` writes a tolerance or a rounding granularity as a
+literal."""
 
 import ast
 import re
@@ -241,3 +243,47 @@ def test_claims_import_is_reported():
         "from .equiv import distinguish\nfrom lqccs import corpus\n"
     )
     assert claims_imports(src) == [1, 2, 3]
+
+
+def tolerance_literals(source: str) -> list:
+    """(line, text) for each float literal written with a negative
+    exponent (`1e-9`) and each `round(x, n)` or `np.round(x, n)` whose
+    digits `n` are a literal: a tolerance or a rounding granularity
+    written in place instead of named."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            text = ast.get_source_segment(source, node)
+            if re.search(r"[eE]-", text):
+                out.append((node.lineno, text))
+        elif isinstance(node, ast.Call) and "round" in (getattr(node.func, "id", None),
+                                                        getattr(node.func, "attr", None)):
+            digits = node.args[1:] + [kw.value for kw in node.keywords
+                                      if kw.arg in ("ndigits", "decimals")]
+            if any(isinstance(d, ast.Constant) for d in digits):
+                out.append((node.lineno, ast.get_source_segment(source, node)))
+    return sorted(out)
+
+
+# literal roundings outside `qcore`, each with its reason
+TOLERANCE_LITERALS = {
+    # display precision of the barb masses in printed JSON, not a
+    # comparison: no verdict reads it
+    "cli.py": ["round(v, 12)"],
+}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "qcore.py"],
+                         ids=lambda p: p.name)
+def test_tolerances_are_named_in_qcore(path):
+    found = [text for _, text in tolerance_literals(path.read_text())]
+    assert found == TOLERANCE_LITERALS.get(path.name, [])
+
+
+def test_tolerance_literal_is_reported():
+    src = (
+        "TOL = 1e-9\nBIG = 1.5E-3 + 2e3 + 0.001\nk = round(p, 9)\nm = np.round(a, decimals=7)\n"
+        "n = round(p, DIGITS)\no = round(p)\n"
+    )
+    assert tolerance_literals(src) == [
+        (1, "1e-9"), (2, "1.5E-3"), (3, "round(p, 9)"), (4, "np.round(a, decimals=7)")]

@@ -2,13 +2,25 @@
 keys every result on all that the result depends on, and the replay of a
 witness does not read it."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
 
-from lqccs import memo, qcore
+from lqccs import equiv, memo, qcore
 from lqccs.cli import build_state
-from lqccs.equiv import SATURATED, SearchBounds, Stats, certify, distinguish
+from lqccs.equiv import (
+    CONSTRAINED,
+    SATURATED,
+    AttackStep,
+    BarbLeaf,
+    CertifiedBisimilar,
+    SearchBounds,
+    Stats,
+    certify,
+    check_candidate,
+    distinguish,
+)
 from lqccs.errors import ChoiceExplosion
 from lqccs.ops import resolve_operator
 from lqccs.osem import DIAMOND, estep, estep_genuine
@@ -37,6 +49,9 @@ qubit q1, q2;
 process L = X(q1).(c!q1 || d!q2);
 process R = I(q1).(c!q1 || d!q2);
 """
+
+# a barb on one side only
+BARB_SRC = "channel k : nat;\nqubit q;\nprocess L = k!0 || disc(q);\nprocess R = disc(q);\n"
 
 
 def pair(src, state_spec=""):
@@ -262,3 +277,64 @@ def test_the_phase_pair_computes_each_backend_result_once():
     backend = v.stats.memo_misses["apply_superop"] + v.stats.memo_misses["measure"]
     assert 0 < backend <= 40
     assert v.stats.memo_hits["apply_superop"] > 0
+
+
+class TestVerdictScope:
+    """A verdict's clock and memo counters come from its `memo.scope`."""
+
+    STEP_S = 2.5
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        # each reading of the memo's clock is STEP_S later than the one
+        # before, so a scope with no scope inside it lasts exactly STEP_S
+        ticks = itertools.count()
+        monkeypatch.setattr(memo, "monotonic", lambda: next(ticks) * self.STEP_S)
+        return int(self.STEP_S * 1000)
+
+    def test_each_exit_of_distinguish_is_timed(self, clock):
+        barbs = pair(BARB_SRC)
+        same = pair("qubit q;\nprocess L = tau.disc(q);\nprocess R = tau.disc(q);\n")
+        searched = pair(FLIP_SRC, "ket0,ket0")
+        verdicts = [distinguish(dl, dr, SATURATED, SearchBounds(), sig)
+                    for dl, dr, sig in (barbs, same, searched)]
+        assert isinstance(verdicts[0].witness, BarbLeaf)
+        assert isinstance(verdicts[1], CertifiedBisimilar)
+        assert isinstance(verdicts[2].witness, AttackStep)
+        assert [v.stats.wall_ms for v in verdicts] == [clock] * 3
+
+    def test_certify_is_timed(self, clock):
+        dl, dr, sig = pair(PHASE_SRC)
+        assert certify(dl, dr, SearchBounds(), sig).stats.wall_ms == clock
+
+    def test_check_candidate_is_timed_and_counts_its_backend_calls(self, clock):
+        # the pair's one move applies H, computed under check_candidate's memo
+        d, _, sig = pair("qubit q;\nprocess L = H(q).disc(q);\nprocess R = disc(q);\n")
+        v = check_candidate([(d, d)], CONSTRAINED, SearchBounds(), sig=sig)
+        assert isinstance(v, CertifiedBisimilar)
+        assert v.stats.wall_ms == clock
+        assert v.stats.memo_misses["apply_superop"] > 0
+
+    def test_check_candidate_reports_a_barb_mismatch_in_its_scope(self, clock):
+        dl, dr, sig = pair(BARB_SRC)
+        v = check_candidate([(dl, dr)], CONSTRAINED, SearchBounds(), sig=sig)
+        assert v.witness == BarbLeaf("k", 1.0, 0.0)
+        assert v.stats.wall_ms == clock
+
+
+def test_a_replay_inside_check_candidate_reads_no_memo(monkeypatch):
+    # check_candidate's scope is open around the search it runs, but the
+    # search's replay must recompute every backend result
+    replay = equiv.replay_witness
+    opened = []
+
+    def spy(*args):
+        opened.append(memo.is_open())
+        return replay(*args)
+
+    monkeypatch.setattr(equiv, "replay_witness", spy)
+    dl, dr, sig = pair("channel c : qubit;\nchannel d : qubit;\nqubit a0;\n"
+                       "process L = c?x.H(x).d!x;\nprocess R = c?x.I(x).d!x;\n")
+    v = check_candidate([(dl, dr)], CONSTRAINED, SearchBounds(), sig=sig)
+    assert isinstance(v.witness, AttackStep)
+    assert opened and not any(opened)
