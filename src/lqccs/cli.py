@@ -183,13 +183,13 @@ def main(argv=None) -> int:
     p.add_argument("--right", required=True)
     p.add_argument("--state", default="")
 
-    p = sub.add_parser("check-candidate", help="verify a candidate relation")
+    p = sub.add_parser("check-candidate", help="certify a relation of pairs closed to contexts")
     p.add_argument("file")
     p.add_argument("--pair", action="append", required=True,
                    help="LEFT:RIGHT process names (repeatable)")
     p.add_argument("--state", default="")
     p.add_argument("--mode", choices=["saturated", "constrained"], default="constrained")
-    p.add_argument("--upto-cv", action="store_true")
+    p.add_argument("--upto-cv", action="store_true", help="up to convex hull (constrained)")
 
     p = sub.add_parser("corpus", help="run the bundled example corpus")
     p.add_argument("--suite", default="all")

@@ -3,16 +3,15 @@ constrained semantics, the certificates that end them (equality, the
 density quotient for deterministic processes, and the input certificate
 for qubit receptions), bisimulation-candidate checking (plain and up to
 convex hull), discard-trace reduction, and the forced-run drivers the
-corpus shares. The paper's side claims are checked in `claims`, on top
-of this module.
+corpus shares. The paper's side claims are checked on top, in `claims`.
 
-Soundness contract: every Distinguished verdict carries a strategy tree
-that is replayed from scratch before it is returned; certificates are
-equality in both modes, the density quotient in constrained mode only,
-and the input certificate: equality reached by the two continuations of
-a qubit reception fed half of a Bell pair, in both modes, with the
-saturated run stepping only from pure states (`_certify`); everything
-else is inconclusive at the given bounds.
+Soundness contract: every Distinguished verdict carries a barb leaf or a
+strategy tree replayed from scratch before it is returned; certificates
+are equality in both modes, the density quotient in constrained mode
+only, the input certificate in both modes (equality reached by the two
+continuations of a qubit reception fed half of a Bell pair, `_certify`),
+and a candidate relation whose unequal pairs are closed to contexts
+(`check_candidate`); everything else is inconclusive at the given bounds.
 """
 
 from __future__ import annotations
@@ -509,8 +508,8 @@ def distinguish(
     equality, the density quotient in constrained mode only, or the input
     certificate at a pair of qubit receptions) may certify bisimilarity;
     anything else is inconclusive. The verdict is computed in one scope
-    (`memo.scope`); the replay runs after it, with no memo (`memo.closed`),
-    so it recomputes the backend but reads the same move schemas."""
+    (`memo.scope`); the replay runs after it has closed, so it recomputes
+    the backend but reads the same move schemas."""
     stats = Stats()
     with memo.scope(stats):
         bm = barb_mismatch(dist_barbs(dl), dist_barbs(dr))
@@ -524,9 +523,8 @@ def distinguish(
         pr = pad_ancillas(dr, bounds.ancillas, reg_names)
         witness = _search(pl, pr, mode, bounds, sig, stats)
     if witness is not None:
-        with memo.closed():
-            if not replay_witness(pl, pr, witness, mode, bounds, sig):
-                raise AssertionError("distinguishing witness failed to replay")
+        if not replay_witness(pl, pr, witness, mode, bounds, sig):
+            raise AssertionError("distinguishing witness failed to replay")
         return Distinguished(witness, stats)
     return InconclusiveAtBounds(bounds, "no distinguishing strategy within bounds", stats)
 
@@ -574,12 +572,12 @@ def _certify(dl: Distribution, dr: Distribution, mode: str, bounds, sig):
     the run stops at a pair of qubit receptions, the input certificate
     (`_input_certificate`).
 
-    Soundness. A side steps only when closed to contexts: no barb, no
-    reception on an unrestricted channel, every register qubit owned, one
-    genuine move, the diamond, with no deadlock mass. No context can
-    communicate with it or touch its qubits, so context moves commute with
-    the forced step and reach pairs of the same shape: with the certified
-    pair, closed under contexts, these form a bisimulation.
+    Soundness. A side steps only when closed to contexts
+    (`_closed_to_contexts`), by its one genuine move, the diamond, with no
+    deadlock mass. No context can communicate with it or touch its
+    qubits, so context moves commute with the forced step and reach pairs
+    of the same shape: with the certified pair, closed under contexts,
+    these form a bisimulation.
     - Constrained: a lifted move fires one index in all elements, and an
       observer has at most one move per index (no tau, no random bit, and
       its receptions need a barb), so both sides move alike. Equality and
@@ -627,30 +625,34 @@ def _certify(dl: Distribution, dr: Distribution, mode: str, bounds, sig):
     return None
 
 
-def _forced_successor(dist: Distribution, mode: str, sig, bounds, shared: bool = False):
-    """The forced step of a side closed to contexts (see `_certify`), or
-    None. The deadlock point counts as a barb. In an input run (`shared`)
-    the register qubits the process does not own are the context's, and
-    a saturated step starts from a pure state."""
+def _closed_to_contexts(dist: Distribution, mode: str, shared: bool = False) -> bool:
+    """Whether no context can communicate with `dist` or touch its qubits
+    (see `_certify`): no barb (the deadlock point counts), no reception on
+    an unrestricted channel, every register qubit owned, and in saturated
+    mode a point. In an input run (`shared`) unowned register qubits are
+    the context's, and a saturated point's state is pure instead."""
     if dist_barbs(dist) or (mode == SATURATED and len(dist) > 1):
-        return None
+        return False
     if shared:
         if mode == SATURATED and not next(iter(dist.support)).rho.is_pure():
-            return None
+            return False
     elif _free_qubits(dist, dist):
-        return None
-    if any(isinstance(g, Recv) for c, _ in dist.items() for g in open_guards(c.proc)):
+        return False
+    return not any(isinstance(g, Recv) for c, _ in dist.items() for g in open_guards(c.proc))
+
+
+def _forced_successor(dist: Distribution, mode: str, sig, bounds, shared: bool = False):
+    """The one genuine move, the diamond, with no deadlock mass, of a side
+    closed to contexts (`_closed_to_contexts`), or None."""
+    if not _closed_to_contexts(dist, mode, shared):
         return None
     try:
         moves = lift_estep(dist, sig, bounds.choice_cap)
     except ChoiceExplosion:
         return None
-    if len(moves) != 1 or moves[0][0] != DIAMOND:
+    if len(moves) != 1 or moves[0][0] != DIAMOND or moves[0][1].bot_mass() > TOL_PROB:
         return None
-    succ = moves[0][1]
-    if succ.bot_mass() > TOL_PROB:
-        return None
-    return succ
+    return moves[0][1]
 
 
 def _input_certificate(dl: Distribution, dr: Distribution, mode: str, bounds, sig):
@@ -824,14 +826,23 @@ def check_candidate(
     upto_cv: bool = False,
     sig=None,
 ):
-    """Verify the transfer conditions of a candidate relation on its own
-    moves: barb equality per pair, and every lifted (indexed) move of one
-    side matched by the other with successors inside the relation (or its
-    convex hull when `upto_cv`). Obligations are generated from the pairs
-    as given, so closure under contexts is not proved: before certifying,
-    each pair of two unequal sides is searched with `distinguish` at
-    `bounds`, and the first replayed witness found is returned instead,
-    with its search's stats. The check runs in one scope (`memo.scope`)."""
+    """Certify a candidate relation from its transfer conditions on its
+    own moves: barb equality per pair, and every lifted (indexed) move of
+    one side matched by the other with successors inside the relation (or
+    its convex hull when `upto_cv`). Sides that differ in a barb are
+    distinguished. Unequal sides not both closed to contexts
+    (`_closed_to_contexts`) are inconclusive, and named: no context is
+    searched here, `distinguish` does that. One scope (`memo.scope`).
+
+    Soundness. Equal sides stay equal in every context. Closed sides move
+    alone, so, as in `_certify`, context moves commute with the pair's
+    own: the relation, closed under contexts, is a bisimulation once its
+    own moves match within it.
+    - Constrained: observers move both sides alike. A choice made per
+      element tells apart mixtures that merge elements on one side only,
+      so with `upto_cv` each side has one move per index.
+    - Saturated: a parallel context chooses per element, so unequal sides
+      are points, and `upto_cv`, whose hull pairs are not, is inconclusive."""
     pairs = list(pairs)
     stats = Stats()
     with memo.scope(stats):
@@ -839,46 +850,39 @@ def check_candidate(
             bm = barb_mismatch(dist_barbs(a), dist_barbs(b))
             if bm is not None:
                 return Distinguished(BarbLeaf(*bm), stats)
+            if a != b and not (_closed_to_contexts(a, mode) and _closed_to_contexts(b, mode)):
+                return InconclusiveAtBounds(bounds, f"pair {n} is open to contexts", stats)
             try:
-                moves_a = _lifted_moves(a, mode, sig, bounds.choice_cap)
-                moves_b = _lifted_moves(b, mode, sig, bounds.choice_cap)
+                moves_a, moves_b = (_lifted_moves(d, mode, sig, bounds.choice_cap) for d in (a, b))
             except ChoiceExplosion as exc:
                 return InconclusiveAtBounds(bounds, str(exc), stats)
+            if upto_cv and (mode == SATURATED
+                            or any(len(dict(m)) < len(m) for m in (moves_a, moves_b))):
+                return InconclusiveAtBounds(bounds, f"pair {n}: the convex hull needs one move "
+                                            "per index, in constrained mode", stats)
             for here, there, label in ((moves_a, moves_b, "left"), (moves_b, moves_a, "right")):
                 for idx, succ in here:
-                    if not any(_pair_in_relation((succ, cand) if label == "left" else (cand, succ),
-                                                 pairs, upto_cv) for cand in at_index(there, idx)):
+                    if not any(_in_relation((succ, cand) if label == "left" else (cand, succ),
+                                            pairs, upto_cv) for cand in at_index(there, idx)):
                         return InconclusiveAtBounds(bounds, f"pair {n}: {label} move at index "
                                                     f"{idx!r} has no match in the relation", stats)
-        for a, b in pairs:
-            if a != b:
-                v = distinguish(a, b, mode, bounds, sig)
-                if isinstance(v, Distinguished):
-                    return v
     return CertifiedBisimilar(("candidate-relation", len(pairs)), stats)
 
 
-def _pair_in_relation(pair, pairs, upto_cv: bool) -> bool:
-    a, b = pair
-    # identity pairs are always sound to close under
-    return pair in pairs or a == b or (upto_cv and _in_convex_hull(a, b, pairs))
-
-
-def _in_convex_hull(a: Distribution, b: Distribution, pairs) -> bool:
-    """Feasibility of weights p_i with sum p_i (x_i, y_i) = (a, b)."""
+def _in_relation(pair, pairs, upto_cv: bool) -> bool:
+    """Whether `pair` is listed, an identity pair (always sound to close
+    under) or, when `upto_cv`, in the convex hull of the listed pairs:
+    weights p_i >= 0 with sum p_i (x_i, y_i) = pair and sum p_i = 1."""
+    listed = pair in pairs or pair[0] == pair[1]
+    if listed or not upto_cv:
+        return listed
     base = list(pairs) + [(Distribution.point(BOT), Distribution.point(BOT))]
-    configs_a = sorted({c.key() for d, _ in base for c, _ in d.items()}
-                       | {c.key() for c, _ in a.items()})
-    configs_b = sorted({c.key() for _, d in base for c, _ in d.items()}
-                       | {c.key() for c, _ in b.items()})
-    a_eq = []
-    b_eq = []
-    for ck in configs_a:
-        a_eq.append([sum(p for c, p in x.items() if c.key() == ck) for x, _ in base])
-        b_eq.append(sum(p for c, p in a.items() if c.key() == ck))
-    for ck in configs_b:
-        a_eq.append([sum(p for c, p in y.items() if c.key() == ck) for _, y in base])
-        b_eq.append(sum(p for c, p in b.items() if c.key() == ck))
+    a_eq, b_eq = [], []
+    for side, target in enumerate(pair):
+        dists = [listed_pair[side] for listed_pair in base]
+        for ck in sorted({c.key() for d in dists + [target] for c, _ in d.items()}):
+            a_eq.append([sum(p for c, p in d.items() if c.key() == ck) for d in dists])
+            b_eq.append(sum(p for c, p in target.items() if c.key() == ck))
     a_eq.append([1.0] * len(base))
     b_eq.append(1.0)
     return _feasible(a_eq, b_eq)

@@ -9,8 +9,9 @@ terms across verdicts. The scope opens with the verdict and closes when
 it returns or raises; it counts the memo's hits and misses and the
 verdict's wall time into its `Stats`. Every scope opens a memo of its
 own, also inside another, so no entry outlives the verdict that stored
-it. Outside a scope, or inside `closed`, nothing is stored and every
-backend call computes afresh.
+it. Outside a scope nothing is stored and every backend call computes
+afresh, as the replay of a witness does: `equiv.distinguish` runs it
+after its scope has closed, and no library scope encloses that call.
 
 A backend call is keyed by its operator's identity, its targets and its
 state's `DensityMatrix.key()`: the register names and the entries of rho
@@ -46,17 +47,6 @@ def scope(stats):
     finally:
         _open.reset(token)
         stats.wall_ms = int((monotonic() - t0) * 1000)
-
-
-@contextmanager
-def closed():
-    """No memo for the calls made inside the block, also inside a scope:
-    a witness's replay recomputes every backend result it reads."""
-    token = _open.set(None)
-    try:
-        yield
-    finally:
-        _open.reset(token)
 
 
 def is_open() -> bool:

@@ -162,7 +162,7 @@ def test_check_candidate_cli(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "certified-bisimilar"
 
 
-def test_check_candidate_cli_refutes_a_pair_open_to_contexts(tmp_path, capsys):
+def test_check_candidate_cli_does_not_certify_a_pair_open_to_contexts(tmp_path, capsys):
     p = tmp_path / "gates.lq"
     p.write_text(
         """
@@ -174,7 +174,9 @@ def test_check_candidate_cli_refutes_a_pair_open_to_contexts(tmp_path, capsys):
         """
     )
     assert main(["check-candidate", str(p), "--pair", "L:R"]) == 1
-    assert json.loads(capsys.readouterr().out)["verdict"] == "distinguished"
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "inconclusive-at-bounds"
+    assert out["reason"] == "pair 0 is open to contexts"
 
 
 def test_a_received_phase_is_certified_without_a_search(tmp_path, capsys):

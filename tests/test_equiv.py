@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 from collections import Counter
 
@@ -38,11 +39,12 @@ from lqccs.equiv import (
     is_deterministic,
     replay_witness,
 )
-from lqccs.errors import ShapeError
+from lqccs.errors import ChoiceExplosion, ShapeError
 from lqccs.ops import resolve_operator
 from lqccs.parser import parse_process
 from lqccs.rewrite import normalize
-from lqccs.semantics import BOT, Distribution, dist_barbs, make_config, mixture
+from lqccs.semantics import (BOT, DEFAULT_CHOICE_CAP, Distribution, dist_barbs, make_config,
+                             mixture)
 from lqccs.syntax import (NAT, QUBIT, ApplyOp, Measure, NatLit, Nil, Par, QubitLit, Recv,
                           Restrict, Send, Sum, Tau, Var, channels, free_channels, map_term)
 
@@ -682,45 +684,44 @@ class TestCheckCandidate:
         assert isinstance(v, InconclusiveAtBounds)
         assert "no match" in v.reason
 
-    def test_quantum_lottery_relation(self):
-        ql = P("H(q).M01(q |> x).((if x = 0 then k!0 else k!1) || disc(q))")
-        mid = P("M01(q |> x).((if x = 0 then k!0 else k!1) || disc(q))")
+    @staticmethod
+    def _lottery(proc):
+        """The quantum lottery against its specification, each process
+        text parsed by `proc`."""
+        ql = proc("H(q).M01(q |> x).((if x = 0 then k!0 else k!1) || disc(q))")
+        mid = proc("M01(q |> x).((if x = 0 then k!0 else k!1) || disc(q))")
         k0s = pure(qcore.KET0, "q")
         k1s = pure(qcore.KET1, "q")
         kps = pure(qcore.KETP, "q")
-        spec = mixture(
-            Distribution.point(make_config(k0s, P("tau.tau.k!0 || disc(q)"))),
-            Distribution.point(make_config(k0s, P("tau.tau.k!1 || disc(q)"))),
-            0.5,
-        )
-        spec1 = mixture(
-            Distribution.point(make_config(k0s, P("tau.k!0 || disc(q)"))),
-            Distribution.point(make_config(k0s, P("tau.k!1 || disc(q)"))),
-            0.5,
-        )
-        spec2 = mixture(
-            Distribution.point(make_config(k0s, P("k!0 || disc(q)"))),
-            Distribution.point(make_config(k0s, P("k!1 || disc(q)"))),
-            0.5,
-        )
-        impl2 = mixture(
-            Distribution.point(make_config(k0s, P("k!0 || disc(q)"))),
-            Distribution.point(make_config(k1s, P("k!1 || disc(q)"))),
-            0.5,
-        )
-        rel = [
-            (Distribution.point(make_config(k0s, ql)), spec),
-            (Distribution.point(make_config(kps, mid)), spec1),
-            (impl2, spec2),
+
+        def half(s0, t0, s1, t1):
+            return mixture(Distribution.point(make_config(s0, proc(t0))),
+                           Distribution.point(make_config(s1, proc(t1))), 0.5)
+
+        return [
+            (Distribution.point(make_config(k0s, ql)),
+             half(k0s, "tau.tau.k!0 || disc(q)", k0s, "tau.tau.k!1 || disc(q)")),
+            (Distribution.point(make_config(kps, mid)),
+             half(k0s, "tau.k!0 || disc(q)", k0s, "tau.k!1 || disc(q)")),
+            (half(k0s, "k!0 || disc(q)", k1s, "k!1 || disc(q)"),
+             half(k0s, "k!0 || disc(q)", k0s, "k!1 || disc(q)")),
             (Distribution.point(BOT), Distribution.point(BOT)),
         ]
-        v = check_candidate(rel, CONSTRAINED, SearchBounds(), sig=SIG)
+
+    def test_quantum_lottery_relation(self):
+        # the third pair shows the barbs k!0 and k!1, so a context can
+        # receive on k; with k restricted in every process, none can
+        v = check_candidate(self._lottery(P), CONSTRAINED, SearchBounds(), sig=SIG)
+        assert isinstance(v, InconclusiveAtBounds)
+        assert v.reason == "pair 2 is open to contexts"
+        hidden = self._lottery(lambda text: P(f"({text}) \\ k"))
+        v = check_candidate(hidden, CONSTRAINED, SearchBounds(), sig=SIG)
         assert isinstance(v, CertifiedBisimilar)
 
     def test_mixture_relation_needs_convex_hull(self):
         # the aggregate-state pair with a measuring observer: successors
-        # decompose only inside the convex hull of the relation
-        send = P("c!q")
+        # decompose only inside the convex hull of the relation; a pair
+        # that sends q on a free c is open to contexts
         obs_m = P("M01(o1 |> y).disc(o1)")
         obs_d = P("disc(o1)")
         anc_p = pure(qcore.KETP, "o1")
@@ -729,33 +730,91 @@ class TestCheckCandidate:
         rho0 = pure(qcore.KET0, "q")
         rho1 = pure(qcore.KET1, "q")
 
-        def pair(anc, obs):
-            mixed = Distribution.point(
-                make_config(HALF_I.tensor(anc), send, obs)
-            )
-            split = mixture(
-                Distribution.point(make_config(rho0.tensor(anc), send, obs)),
-                Distribution.point(make_config(rho1.tensor(anc), send, obs)),
-                0.5,
-            )
-            return (mixed, split)
+        def relation(send):
+            def pair(anc, obs):
+                mixed = Distribution.point(make_config(HALF_I.tensor(anc), send, obs))
+                split = mixture(
+                    Distribution.point(make_config(rho0.tensor(anc), send, obs)),
+                    Distribution.point(make_config(rho1.tensor(anc), send, obs)),
+                    0.5,
+                )
+                return (mixed, split)
 
-        rel = [pair(anc_p, obs_m), pair(anc0, obs_d), pair(anc1, obs_d),
-               (Distribution.point(BOT), Distribution.point(BOT))]
+            return [pair(anc_p, obs_m), pair(anc0, obs_d), pair(anc1, obs_d),
+                    (Distribution.point(BOT), Distribution.point(BOT))]
+
+        for upto_cv in (True, False):
+            v = check_candidate(relation(P("c!q")), CONSTRAINED, SearchBounds(),
+                                upto_cv=upto_cv, sig=SIG)
+            assert isinstance(v, InconclusiveAtBounds)
+            assert v.reason == "pair 0 is open to contexts"
+        rel = relation(P("(c!q) \\ c"))
         with_cv = check_candidate(rel, CONSTRAINED, SearchBounds(), upto_cv=True, sig=SIG)
         assert isinstance(with_cv, CertifiedBisimilar)
         without = check_candidate(rel, CONSTRAINED, SearchBounds(), upto_cv=False, sig=SIG)
         assert isinstance(without, InconclusiveAtBounds)
+        assert "no match" in without.reason
 
     @pytest.mark.parametrize("mode", [CONSTRAINED, SATURATED])
-    def test_pair_told_apart_by_a_context_is_distinguished(self, mode):
+    def test_pair_told_apart_by_a_context_is_not_certified(self, mode):
         # both sides wait on c, so they have no moves of their own and the
         # transfer conditions hold vacuously; a context that sends a0 on c
         # and measures what comes back on d tells H from I
         dl, dr, sig = _pair(GATE_PAIR_SRC, "L", "R")
         v = check_candidate([(dl, dr)], mode, SearchBounds(), sig=sig)
-        assert isinstance(v, Distinguished)
+        assert isinstance(v, InconclusiveAtBounds)
+        assert v.reason == "pair 0 is open to contexts"
         assert isinstance(distinguish(dl, dr, mode, SearchBounds(), sig), Distinguished)
+
+    @staticmethod
+    def _hull_relation(x, y1, y2):
+        """(u, v), (x, y1), (x, y2) and the pairs of their next step, on q:
+        u steps to x as a point and v measures |+> into (y1 + y2)/2, so
+        that only the convex hull of the relation matches u's move."""
+        sig = make_signature(("q",), chans=())
+        sig.channels.update({c: (NAT,) for c in "abfg"})
+
+        def at(ket, text):
+            return Distribution.point(make_config(pure(ket, "q"), parse_process(text, sig)))
+
+        k0, k1 = qcore.KET0, qcore.KET1
+        u = at(k1, f"tau.({x('I')})")
+        v = at(qcore.KETP, f"M01(q |> m).(if m = 0 then ({y1('X')}) else ({y2('Z')}))")
+        rel = [(u, v), (at(k1, x("I")), at(k0, y1("X"))), (at(k1, x("I")), at(k1, y2("Z")))]
+        for tail in ("(a!0 || disc(q))", "(b!0 || disc(q))"):
+            rel += [(at(k1, f"I(q).{tail}"), at(k0, f"X(q).{tail}")),
+                    (at(k1, f"I(q).{tail}"), at(k1, f"Z(q).{tail}"))]
+        return rel, sig
+
+    @pytest.mark.parametrize("mode", [CONSTRAINED, SATURATED])
+    def test_a_convex_hull_needs_one_move_per_index(self, mode):
+        # x, y1 and y2 each choose between two branches; a choice made per
+        # element takes y1's a-branch and y2's b-branch, which x, one
+        # element, cannot match
+        def choose(g):
+            return f"tau.{g}(q).(a!0 || disc(q)) + tau.{g}(q).(b!0 || disc(q))"
+
+        rel, sig = self._hull_relation(choose, choose, choose)
+        v = check_candidate(rel, mode, SearchBounds(), upto_cv=True, sig=sig)
+        assert isinstance(v, InconclusiveAtBounds)
+        assert "convex hull" in v.reason
+        assert isinstance(distinguish(*rel[0], mode, SearchBounds(), sig), Distinguished)
+
+    def test_a_saturated_relation_is_not_closed_under_convex_hull(self):
+        # with no choice in the processes, the constrained hull certifies;
+        # in saturated mode a parallel tau.f!0 + tau.g!0 fires f beside y1
+        # and g beside y2, which x, one element, cannot match
+        def gate(g):
+            return f"{g}(q).(a!0 || disc(q))"
+
+        rel, sig = self._hull_relation(gate, gate, gate)
+        v = check_candidate(rel, CONSTRAINED, SearchBounds(), upto_cv=True, sig=sig)
+        assert isinstance(v, CertifiedBisimilar)
+        v = check_candidate(rel, SATURATED, SearchBounds(), upto_cv=True, sig=sig)
+        assert isinstance(v, InconclusiveAtBounds)
+        assert "convex hull" in v.reason
+        bounds = SearchBounds(hint_contexts=(parse_process("tau.f!0 + tau.g!0", sig),))
+        assert isinstance(distinguish(*rel[0], SATURATED, bounds, sig), Distinguished)
 
     @pytest.mark.parametrize("mode", [CONSTRAINED, SATURATED])
     def test_a_choice_cap_overrun_is_inconclusive(self, mode):
@@ -972,12 +1031,12 @@ class TestInputCertificate:
         assert isinstance(v, Distinguished)
 
 
-def test_input_certified_pairs_have_no_witness():
+def test_input_certified_pairs_have_no_witness(monkeypatch):
     # c?x.P against c?x.Q, where P and Q are most often a gate before a
     # shared measurement and tail: whenever the input certificate
-    # certifies, the search on the padded pair finds no witness, and some
-    # of the certified pairs are unequal
-    from lqccs.equiv import Stats, _certify, _search, pad_ancillas
+    # certifies, the equality-only search finds no witness, and some of
+    # the certified pairs are unequal
+    from lqccs.equiv import _certify
 
     commuting = {"M01": ("I", "Z"), "Mpm": ("I", "X")}
     certified = []
@@ -1008,12 +1067,55 @@ def test_input_certified_pairs_have_no_witness():
             return
         # equality is tried first, so the two sides differ
         certified.append((seed, mode))
-        bounds = SearchBounds()
-        pl, pr = (pad_ancillas(d, bounds.ancillas, {"o1"}) for d in (dl, dr))
-        assert _search(pl, pr, mode, bounds, gen.sig, Stats()) is None
+        assert _equality_only_search(dl, dr, mode, gen.sig, monkeypatch) is None
 
     property_()
     assert certified
+
+
+def _hjw_ensembles(rho, rng):
+    """Two ensembles of the density matrix `rho`, as (probability, ket)
+    pairs: its eigen-decomposition, and that decomposition mixed by a
+    random unitary (Hughston, Jozsa and Wootters, Phys. Lett. A 183(1),
+    1993): with e_i = sqrt(w_i) v_i, the kets sum_i U_ji e_i, normalized."""
+    w, v = np.linalg.eigh(rho)
+    eigen = v * np.sqrt(np.clip(w, 0.0, None))
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    out = []
+    for vecs in (eigen, eigen @ u.T):
+        norms = np.linalg.norm(vecs, axis=0)
+        out.append([(n ** 2, vecs[:, j] / n) for j, n in enumerate(norms) if n > 1e-6])
+    return out
+
+
+def test_density_quotient_certified_pairs_have_no_witness(monkeypatch):
+    # one syntactically deterministic process on q1 over two ensembles of
+    # one random state: whenever the density quotient certifies, the
+    # equality-only constrained search finds no witness; the saturated
+    # search, which the certificate does not cover, tells some apart
+    seen = {"certified": 0, "told apart saturated": 0}
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def property_(seed):
+        gen = TermGen(seed)
+        proc = gen.process(frozenset({"q1"}), {}, 2)
+        if not equiv.syntactically_deterministic(proc):
+            return
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, ("q1",))
+        dl, dr = (Distribution([(make_config(qcore.pure_state(ket, ("q1",)), proc), p)
+                                for p, ket in ensemble])
+                  for ensemble in _hjw_ensembles(rho.mat, rng))
+        if not isinstance(density_quotient_equiv(dl, dr, sig=gen.sig), CertifiedBisimilar):
+            return
+        seen["certified"] += 1
+        assert _equality_only_search(dl, dr, CONSTRAINED, gen.sig, monkeypatch) is None
+        witness = _equality_only_search(dl, dr, SATURATED, gen.sig, monkeypatch)
+        seen["told apart saturated"] += witness is not None
+
+    property_()
+    assert seen["certified"] and seen["told apart saturated"], seen
 
 
 @pytest.mark.parametrize("mode", (SATURATED, CONSTRAINED))
@@ -1110,20 +1212,62 @@ def test_certified_reception_pairs_have_no_witness(seed):
     assert _search(pl, pr, CONSTRAINED, bounds, gen.sig, Stats()) is None
 
 
-def test_check_candidate_never_certifies_a_pair_distinguish_tells_apart():
-    # generated pairs over one random state of q1, in both modes: two
-    # processes, a process against its mirror image, or two receptions on
-    # k that wait for a context and go on at most one gate apart, so that only
-    # distinguish, run before certifying, can tell them apart
-    bounds = SearchBounds(context_size=6, depth=3, ancillas=0)
-    seen = {"certified unequal": 0, "distinguished": 0}
+# bounds of the certificate audits' search, which ends only at equal pairs
+AUDIT_BOUNDS = SearchBounds(context_size=8, depth=4, ancillas=1)
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+
+def _equality_only_search(dl, dr, mode, sig, monkeypatch):
+    """The attacker's search at AUDIT_BOUNDS from the pair padded with its
+    ancilla, with `_certificate` cut down to equality: a witness it finds
+    refutes any other certificate of the pair."""
+    from lqccs.equiv import Stats, _all_names, _search, pad_ancillas
+
+    taken = _all_names(dl) | _all_names(dr)
+    pl, pr = (pad_ancillas(d, AUDIT_BOUNDS.ancillas, taken) for d in (dl, dr))
+    with monkeypatch.context() as patched:
+        patched.setattr(equiv, "_certificate",
+                        lambda a, b, *_: ("equal-distributions", None) if a == b else None)
+        return _search(pl, pr, mode, AUDIT_BOUNDS, sig, Stats())
+
+
+def _lockstep_closure(dl, dr, mode, sig, limit=24):
+    """The unequal pairs reachable from (dl, dr) by one move of each side
+    at the same index, or None past `limit` pairs or the choice cap."""
+    rel, todo = [], [(dl, dr)]
+    while todo:
+        a, b = todo.pop()
+        if a == b or (a, b) in rel:
+            continue
+        if len(rel) == limit:
+            return None
+        rel.append((a, b))
+        try:
+            moves_a, moves_b = (equiv._lifted_moves(d, mode, sig, DEFAULT_CHOICE_CAP)
+                                for d in (a, b))
+        except ChoiceExplosion:
+            return None
+        todo += [(x, y) for i, x in moves_a for j, y in moves_b if i == j]
+    return rel
+
+
+def test_check_candidate_never_certifies_a_pair_distinguish_tells_apart(monkeypatch):
+    # generated pairs over one random state of q1, in both modes. Three
+    # shapes are open to contexts: two processes, a process against its
+    # mirror image, or two receptions on k that wait for a context and go
+    # on at most one gate apart; no unequal pair open to contexts is
+    # certified. The fourth is closed: two processes with every declared
+    # channel restricted, checked as the lockstep closure of the pair.
+    # Every unequal pair of a certified relation survives distinguish at
+    # its default bounds and the equality-only search.
+    bounds = SearchBounds(context_size=6, depth=3, ancillas=0)
+    seen = {"certified unequal": 0, "open unequal": 0}
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
     @given(st.integers(min_value=0, max_value=100_000), st.sampled_from((SATURATED, CONSTRAINED)))
     def property_(seed, mode):
         gen = TermGen(seed)
         owned = frozenset({"q1"})
-        shape = gen.rng.randrange(3)
+        shape = gen.rng.randrange(4)
         if shape == 2:
             var, tail = gen.fresh("x"), gen.process(owned, {}, 2)
             if gen.rng.random() < 0.5:
@@ -1133,16 +1277,42 @@ def test_check_candidate_never_certifies_a_pair_distinguish_tells_apart():
         else:
             p = gen.process(owned, {}, 2)
             q = mirror(p) if shape == 1 else gen.process(owned, {}, 2)
+        if shape == 3:
+            p, q = (functools.reduce(Restrict, sorted(gen.sig.channels), t) for t in (p, q))
         rho = random_density(np.random.default_rng(seed), ("q1",))
         dl, dr = (Distribution.point(make_config(rho, t)) for t in (p, q))
-        v = check_candidate([(dl, dr)], mode, bounds, sig=gen.sig)
+        rel = _lockstep_closure(dl, dr, mode, gen.sig) if shape == 3 else [(dl, dr)]
+        if not rel:
+            return
+        v = check_candidate(rel, mode, bounds, sig=gen.sig)
+        if shape < 3 and dl != dr and not all(equiv._closed_to_contexts(d, mode) for d in (dl, dr)):
+            seen["open unequal"] += 1
+            assert not isinstance(v, CertifiedBisimilar)
         if isinstance(v, CertifiedBisimilar):
-            seen["certified unequal"] += dl != dr
-            assert not isinstance(distinguish(dl, dr, mode, bounds, gen.sig), Distinguished)
-        seen["distinguished"] += isinstance(v, Distinguished)
+            for a, b in rel:
+                seen["certified unequal"] += a != b
+                assert not isinstance(distinguish(a, b, mode, SearchBounds(), gen.sig),
+                                      Distinguished)
+                assert _equality_only_search(a, b, mode, gen.sig, monkeypatch) is None
 
     property_()
-    assert seen["certified unequal"] and seen["distinguished"], seen
+    assert seen["certified unequal"] and seen["open unequal"], seen
+
+
+@pytest.mark.parametrize("mode", [CONSTRAINED, SATURATED])
+def test_a_gate_after_a_reception_is_not_certified(mode):
+    # k?x.H(q1).c!q1 against k?x.I(q1).c!q1 has no move of its own, so its
+    # transfer conditions hold vacuously; it waits on the free k, and a
+    # context that sends on k and measures what comes back on c tells it
+    # apart
+    sig = make_signature()
+    rho = random_density(np.random.default_rng(13), ("q1",))
+    dl, dr = (Distribution.point(make_config(rho, parse_process(f"k?x.{g}(q1).c!q1", sig)))
+              for g in "HI")
+    v = check_candidate([(dl, dr)], mode, SearchBounds(context_size=6, depth=3, ancillas=0),
+                        sig=sig)
+    assert not isinstance(v, CertifiedBisimilar)
+    assert isinstance(distinguish(dl, dr, mode, SearchBounds(), sig), Distinguished)
 
 
 def _branch_pair():

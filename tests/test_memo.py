@@ -322,9 +322,9 @@ class TestVerdictScope:
         assert v.stats.wall_ms == clock
 
 
-def test_a_replay_inside_check_candidate_reads_no_memo(monkeypatch):
-    # check_candidate's scope is open around the search it runs, but the
-    # search's replay must recompute every backend result
+def test_a_replay_reads_no_memo(monkeypatch):
+    # distinguish's scope is closed before its replay, so the replay
+    # recomputes every backend result
     replay = equiv.replay_witness
     opened = []
 
@@ -335,6 +335,6 @@ def test_a_replay_inside_check_candidate_reads_no_memo(monkeypatch):
     monkeypatch.setattr(equiv, "replay_witness", spy)
     dl, dr, sig = pair("channel c : qubit;\nchannel d : qubit;\nqubit a0;\n"
                        "process L = c?x.H(x).d!x;\nprocess R = c?x.I(x).d!x;\n")
-    v = check_candidate([(dl, dr)], CONSTRAINED, SearchBounds(), sig=sig)
+    v = distinguish(dl, dr, CONSTRAINED, SearchBounds(), sig)
     assert isinstance(v.witness, AttackStep)
     assert opened and not any(opened)
