@@ -30,7 +30,9 @@ from .osem import (
     apply_context,
     apply_process_context,
     estep_genuine,
+    first_schemas,
     lift_estep,
+    schema_move,
 )
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, TOL_STATE, DensityMatrix, partial_trace
@@ -923,19 +925,23 @@ def advance_unique(dist: Distribution, sig=None):
 
 
 def advance_scheduled(dist: Distribution, sig=None, max_steps: int = 64):
-    """Like advance_unique, but when independent redexes race it commits
-    each support element to its least move at the least enabled index: a
-    fixed schedule, linear in the support (no choice products), valid for
-    runs whose interleavings only reorder internal steps."""
+    """Like advance_unique, but when independent redexes race it takes the
+    least index that some element enables and commits each element to its
+    first move there (`osem.first_schemas`: at the diamond, the first
+    schema of its normal form), built alone; an element without the index
+    contributes the BOT point. Any fixed schedule is valid for the runs
+    this driver is for, whose racing moves are internal steps that commute:
+    every interleaving ends on the same distribution, so one checks them
+    all. Linear in the support, with no choice products."""
     trace = [dist]
     for _ in range(max_steps):
-        elems = list(dist.items())
-        per = [estep_genuine(c, sig) for c, _ in elems]
-        indices = sorted({i for mv in per for i, _ in mv})
+        elems = [(c, p, first_schemas(c)) for c, p in dist.items()]
+        indices = sorted({idx for _, _, first in elems for idx in first})
         if not indices:
             break
         idx = indices[0]
-        dist = Distribution.convex(
-            [(p, min(at_index(mv, idx), key=Distribution.key)) for (_, p), mv in zip(elems, per)])
+        dist = Distribution.convex([
+            (p, schema_move(c, *first[idx], sig) if idx in first else Distribution.point(BOT))
+            for c, p, first in elems])
         trace.append(dist)
     return trace

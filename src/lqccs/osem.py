@@ -19,6 +19,7 @@ from .semantics import (
     TAU,
     Configuration,
     Distribution,
+    _proc_schemas,
     communications,
     exec_view,
     fire,
@@ -60,9 +61,32 @@ def estep_genuine(config: Configuration, sig=None) -> list:
         return []
     moves = [(DIAMOND, d) for d in step_genuine(config, sig)]
     # observer indices are not the diamond, so only the observer's own moves can repeat
-    return moves + unique([(idx, Distribution(
-        [(Configuration(r, proc, obs), p) for p, r, obs in instantiate(s, config.rho, sig)]))
-        for idx, proc, s in observer_schemas(config.proc, config.obs)])
+    return moves + unique([(idx, schema_move(config, proc, s, sig))
+                           for idx, proc, s in observer_schemas(config.proc, config.obs)])
+
+
+def first_schemas(config: Configuration) -> dict:
+    """{index: (successor process, schema)}: the first schema at each index
+    the triple enables, in `estep_genuine`'s order; the diamond's is pulled
+    alone from its normal form's schema generator, with no process."""
+    if config.is_bot:
+        return {}
+    first = {}
+    schema = next(_proc_schemas(normalize(config.proc)), None)
+    if schema is not None:
+        first[DIAMOND] = (None, schema)
+    for idx, proc, schema in observer_schemas(config.proc, config.obs):
+        first.setdefault(idx, (proc, schema))
+    return first
+
+
+def schema_move(config: Configuration, proc, schema, sig=None) -> Distribution:
+    """The distribution `schema` moves `config` to: a process schema's
+    residuals (no `proc`) replace the process; an observer schema's
+    replace the observer, beside the successor process `proc`."""
+    return Distribution([(Configuration(r, res, config.obs) if proc is None
+                          else Configuration(r, proc, res), p)
+                         for p, r, res in instantiate(schema, config.rho, sig)])
 
 
 @cached_beside("_moves_beside")

@@ -15,8 +15,8 @@ from .errors import ChoiceExplosion, EvalError, LqccsError
 from .ops import resolve_measurement, resolve_operator
 from .parser import pretty
 from .qcore import PROB_DECIMALS, TOL_MASS, TOL_PROB, DensityMatrix, apply_superop, measure
-from .rewrite import (close_scopes, eval_expr, extend_scopes, normalize, normalize_observer,
-                      substitute_many, value_to_expr)
+from .rewrite import (close_scopes, eval_expr, normalize, normalize_observer, substitute_many,
+                      value_to_expr)
 from .syntax import (
     NIL,
     ApplyOp,
@@ -24,6 +24,7 @@ from .syntax import (
     QubitLit,
     RandBit,
     Recv,
+    Restrict,
     Send,
     Tau,
     cached,
@@ -182,14 +183,23 @@ def mixture(d1: Distribution, d2: Distribution, p: float) -> Distribution:
 
 
 def exec_view(proc):
-    """The parallel components of a normalized process and the channels
-    restricted over all of them: `rewrite.extend_scopes` on its top-level
-    components, none of which is a restriction. A normal form's scopes are
-    already extended, so this only splices: `(d?w.nil || e?y.d!y) \\ d ||
-    d!5` normalizes to `(d#0?w.nil || e?y.d#0!y) \\ d#0 || d!5`, whose
+    """The parallel components of `proc` and the channels restricted over
+    all of them. `proc` must be a normal form: its scopes are already
+    extended and renamed apart (`rewrite.close_scopes`), so this only
+    splices each nested restriction's components in its place, in order,
+    and collects its channel: `(d?w.nil || e?y.d!y) \\ d || d!5`
+    normalizes to `(d#0?w.nil || e?y.d#0!y) \\ d#0 || d!5`, whose
     components are d#0?w.nil, e?y.d#0!y and d!5 under d#0 (README, scope
     notes)."""
-    return extend_scopes(par_components(proc), ())
+    comps, chans = par_components(proc), set()
+    i = 0
+    while i < len(comps):
+        if isinstance(comps[i], Restrict):
+            chans.add(comps[i].chan)
+            comps[i:i + 1] = par_components(comps[i].body)
+        else:
+            i += 1
+    return comps, frozenset(chans)
 
 
 def _payload_values(payload):

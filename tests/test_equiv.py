@@ -1118,6 +1118,32 @@ def test_density_quotient_certified_pairs_have_no_witness(monkeypatch):
     assert seen["certified"] and seen["told apart saturated"], seen
 
 
+def test_equal_distribution_certified_pairs_have_no_witness(monkeypatch):
+    # a generated process and observer over a random state of q1 and o1,
+    # against the same over that state moved by 1e-10, well below
+    # HASH_DECIMALS: whenever the two sides are equal, so that equality
+    # certifies them, the equality-only search finds no witness in either
+    # mode
+    certified = []
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def property_(seed):
+        cfg, sig = random_config(seed)
+        other = random_density(np.random.default_rng(seed + 1), cfg.rho.register.names)
+        moved = qcore.DensityMatrix(cfg.rho.register.names,
+                                    (1 - 1e-10) * cfg.rho.mat + 1e-10 * other.mat)
+        dl, dr = (Distribution.point(make_config(rho, cfg.proc, cfg.obs)) for rho in (cfg.rho, moved))
+        if equiv._certificate(dl, dr, SATURATED, SearchBounds(), sig) is None:
+            return
+        certified.append(seed)
+        for mode in (CONSTRAINED, SATURATED):
+            assert _equality_only_search(dl, dr, mode, sig, monkeypatch) is None
+
+    property_()
+    assert certified
+
+
 @pytest.mark.parametrize("mode", (SATURATED, CONSTRAINED))
 def test_alpha_equivalent_restrictions_are_not_distinguished(mode):
     # R renames L's restricted d to f. In L, d is also free in d!5 beside

@@ -14,9 +14,9 @@ from lqccs.claims import typing_preserved
 from lqccs.errors import ChoiceExplosion
 from lqccs.parser import parse_process
 from lqccs.parser import pretty
-from lqccs.rewrite import (_rename_channel, close_scopes, normalize, normalize_observer,
-                           substitute_many)
-from lqccs.syntax import NIL, Restrict, Sum, Tau, channels, children, par_all
+from lqccs.rewrite import (_rename_channel, close_scopes, extend_scopes, normalize,
+                           normalize_observer, substitute_many)
+from lqccs.syntax import NIL, Restrict, Sum, Tau, channels, children, par_all, par_components
 from lqccs.semantics import (
     BOT,
     BOT_BARB,
@@ -341,14 +341,15 @@ class TestExecView:
     @given(st.integers(min_value=0, max_value=1_000_000))
     def test_a_normal_form_is_only_spliced(self, seed):
         # a normal form's scopes are already extended: for sixteen generated
-        # (p || q \ ch1) \ ch2 || r terms, exec_view renames no channel,
-        # so every channel of its components and of its restricted set is
-        # a channel of the normal form
+        # (p || q \ ch1) \ ch2 || r terms, exec_view, which only splices,
+        # gives what scope extension gives on the normal form's components,
+        # in the same order, and renames no channel
         gen = TermGen(seed, make_signature(chans="ck"))
         for _ in range(16):
             owned = [frozenset(gen.rng.choice(((), ("q1",), ("q2",), ("o1",)))) for _ in range(3)]
             proc = normalize(gen.restricted_par(owned))
             comps, restricted = exec_view(proc)
+            assert (comps, restricted) == extend_scopes(par_components(proc), ()), pretty(proc)
             assert restricted.union(*map(channels, comps)) <= channels(proc), pretty(proc)
 
 
