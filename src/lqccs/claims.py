@@ -32,7 +32,8 @@ from .errors import ChoiceExplosion, ShapeError, TypingError
 from .osem import DIAMOND, L, R, apply_context, estep_genuine, lift_estep
 from .qcore import TOL_MASS, TOL_PROB, TOL_STATE, partial_trace
 from .rewrite import normalize, normalize_observer
-from .semantics import Configuration, Distribution, at_index, config_barbs, dist_barbs, step_genuine
+from .semantics import (Configuration, Distribution, at_index, config_barbs, dist_barbs,
+                        exec_view, step_genuine)
 from .syntax import (
     NIL,
     ApplyOp,
@@ -45,12 +46,13 @@ from .syntax import (
     Recv,
     Send,
     Signature,
+    Std,
     Sum,
     children,
+    free_channels,
     fresh_names,
     is_guard,
     map_term,
-    par_components,
     qubit_atoms,
     sum_all,
     sum_guards,
@@ -63,8 +65,9 @@ from .typecheck import typecheck
 
 def refines_upto(p_small, p_big) -> bool:
     """Refinement modulo structural congruence (canonical forms rearrange
-    sums and parallels and drop inert units, so the plain syntactic
-    relation is matched through multiset alignments and guard subsets).
+    sums and parallels and drop inert units and restrictions, so the plain
+    syntactic relation is matched through multiset alignments, under both
+    sides' restrictions, and guard subsets).
     Sound for deciding the lifted relation on canonicalized terms.
 
     The recursion needs no cycle guard: every call is on a pair whose
@@ -80,10 +83,14 @@ def refines_upto(p_small, p_big) -> bool:
             # is a legal congruence step only when the sum types under the
             # empty qubit context
             return is_guard(pb) and not qubit_atoms(pb)
-        if isinstance(ps, Par) or isinstance(pb, Par):
-            # leftover components must collapse to nil
-            return match([c for c in par_components(ps) if c != NIL],
-                         [c for c in par_components(pb) if c != NIL], lambda b: rec(NIL, b))
+        if isinstance(ps, Std) or isinstance(pb, Std):
+            # both sides under both sides' restrictions, when neither hides a
+            # channel free on the other; leftover components must collapse to nil
+            (small, hid_s), (big, hid_b) = exec_view(ps), exec_view(pb)
+            if free_channels(pb) & hid_s or free_channels(ps) & hid_b:
+                return False
+            return match([c for c in small if c != NIL], [c for c in big if c != NIL],
+                         lambda b: rec(NIL, b))
         big_guards = sum_guards(pb) if isinstance(pb, Sum) else None
         if isinstance(ps, Ite) and (big_guards is not None or not isinstance(pb, Ite)):
             guards = big_guards if big_guards is not None else [pb]

@@ -27,8 +27,9 @@ from .equiv import (
 from .osem import apply_context, lift_estep
 from .parser import parse_process, parse_program
 from .qcore import TOL_MAT, TOL_PROB
-from .semantics import Distribution, at_index, barb_mismatch, config_barbs, dist_barbs, make_config
-from .syntax import Send, Signature, par_components
+from .semantics import (Distribution, at_index, barb_mismatch, config_barbs, dist_barbs,
+                        exec_view, make_config)
+from .syntax import Send, Signature
 
 
 @dataclass
@@ -466,11 +467,14 @@ def build_qcf(n: int = 1) -> CorpusEntry:
 
 
 def _outcome_payloads(proc) -> dict:
-    """Channel -> the number sent, for each single-value send in parallel."""
+    """Channel -> the number sent, for each single-value send in parallel
+    on a channel not restricted."""
+    comps, restricted = exec_view(proc)
     return {
         comp.chan: int(comp.payload[0].value)
-        for comp in par_components(proc)
-        if isinstance(comp, Send) and len(comp.payload) == 1 and hasattr(comp.payload[0], "value")
+        for comp in comps
+        if isinstance(comp, Send) and comp.chan not in restricted and len(comp.payload) == 1
+        and hasattr(comp.payload[0], "value")
     }
 
 

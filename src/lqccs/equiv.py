@@ -63,6 +63,7 @@ from .syntax import (
     QubitLit,
     Recv,
     Send,
+    Std,
     Sum,
     Var,
     cached,
@@ -70,8 +71,6 @@ from .syntax import (
     free_channels,
     fresh_names,
     observer_violation,
-    par_all,
-    par_components,
     qubit_atoms,
 )
 
@@ -182,8 +181,8 @@ def syntactically_deterministic(proc) -> bool:
 def _det_term(t) -> bool:
     if isinstance(t, Sum):
         return False
-    if isinstance(t, Par):
-        live = [c for c in par_components(t) if not isinstance(c, Nil)]
+    if isinstance(t, (Par, Std)):
+        live = [c for c in children(t) if not isinstance(c, Nil)]
         return len(live) <= 1 and all(_det_term(c) for c in live)
     return all(_det_term(c) for c in children(t))
 
@@ -310,12 +309,12 @@ def config_partial_trace(dist: Distribution, qubits) -> Distribution:
         return isinstance(x, Nil) and bool(qubit_atoms(x)) and qubit_atoms(x) <= qset
 
     def strip(c: Configuration) -> Configuration:
-        comps = par_components(normalize(c.proc))
+        comps, restricted = exec_view(normalize(c.proc))
         if sorted(q for x in comps if traced(x) for q in qubit_atoms(x)) != sorted(qset):
             raise ShapeError(
                 f"element {pretty(c.proc)} does not discard exactly {sorted(qset)}"
             )
-        new_proc = normalize(par_all([x for x in comps if not traced(x)]))
+        new_proc = close_scopes([x for x in comps if not traced(x)], restricted)
         return Configuration(partial_trace(c.rho, sorted(qset)), new_proc, c.obs)
 
     return dist.map(strip)

@@ -19,10 +19,10 @@ from .semantics import (
     TAU,
     Configuration,
     Distribution,
-    _proc_schemas,
     communications,
     exec_view,
     fire,
+    first_schema,
     instantiate,
     lift,
     step_genuine,
@@ -67,12 +67,13 @@ def estep_genuine(config: Configuration, sig=None) -> list:
 
 def first_schemas(config: Configuration) -> dict:
     """{index: (successor process, schema)}: the first schema at each index
-    the triple enables, in `estep_genuine`'s order; the diamond's is pulled
-    alone from its normal form's schema generator, with no process."""
+    the triple enables, in `estep_genuine`'s order; the diamond's is its
+    normal form's first schema (`semantics.first_schema`, kept on the
+    node), with no process."""
     if config.is_bot:
         return {}
     first = {}
-    schema = next(_proc_schemas(normalize(config.proc)), None)
+    schema = first_schema(normalize(config.proc))
     if schema is not None:
         first[DIAMOND] = (None, schema)
     for idx, proc, schema in observer_schemas(config.proc, config.obs):

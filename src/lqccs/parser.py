@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ParseError
 from .syntax import (
@@ -44,6 +45,7 @@ from .syntax import (
     Restrict,
     Send,
     Signature,
+    Std,
     Sum,
     Tau,
     Var,
@@ -51,6 +53,7 @@ from .syntax import (
     cached,
     check_observer,
     check_process_sorts,
+    free_channels,
     free_qubit_args,
 )
 
@@ -394,7 +397,7 @@ def pretty_expr(e) -> str:
 
 def _pretty_cont(t) -> str:
     # continuation of a prefix: parenthesize anything that is not a prefix
-    if isinstance(t, (Par, Sum, Restrict, Ite)):
+    if isinstance(t, (Par, Sum, Restrict, Std, Ite)):
         return f"({pretty(t)})"
     return pretty(t)
 
@@ -424,15 +427,42 @@ def pretty(t) -> str:
     if isinstance(t, Par):
         return f"{_pretty_par_side(t.left)} || {_pretty_par_side(t.right)}"
     if isinstance(t, Restrict):
-        body = pretty(t.body)
-        if isinstance(t.body, (Par, Ite)):
-            body = f"({body})"
-        return f"{body} \\ {t.chan}"
+        return f"{_pretty_par_side(t.body)} \\ {t.chan}"
+    if isinstance(t, Std):
+        return _pretty_std(t)
     if isinstance(t, Ite):
         return f"if {pretty_expr(t.cond)} then {_pretty_par_side(t.then)} else {_pretty_par_side(t.els)}"
     if isinstance(t, RandBit):
         return f"randbit({t.var}).{_pretty_cont(t.cont)}"
     raise TypeError(f"not a term: {t!r}")
+
+
+def _pretty_std(t) -> str:
+    """A standard form printed as the nested term it stands for, as
+    `syntax.par_all` and `Restrict` would build it: for each channel in
+    order, the pieces that have it free in parallel under a restriction on
+    it, beside the other pieces; then every piece in parallel. The pieces
+    start as the components; a piece is its text, the class of the node it
+    prints as, and its free channels, when there are channels to push.
+    The class of the whole is kept in the node's `_printed_as`."""
+    pieces = [(pretty(x), type(x), t.chans and free_channels(x)) for x in t.comps]
+    for c in sorted(t.chans):
+        using = [p for p in pieces if c in p[2]]
+        pieces = [p for p in pieces if c not in p[2]] + [(
+            f"{_par_side(*_pretty_par_all(using))} \\ {c}", Restrict,
+            frozenset().union(*(p[2] for p in using)) - {c})]
+    text, printed_as = _pretty_par_all(pieces)
+    object.__setattr__(t, "_printed_as", printed_as)
+    return text
+
+
+def _pretty_par_all(pieces) -> tuple:
+    """(text, class) of the pieces, sorted by text, in parallel, nested to
+    the left."""
+    (text, printed_as, _), *rest = sorted(pieces, key=itemgetter(0))
+    for piece in rest:
+        text, printed_as = f"{_par_side(text, printed_as)} || {_par_side(*piece[:2])}", Par
+    return text, printed_as
 
 
 def _pretty_payload(e) -> str:
@@ -444,12 +474,17 @@ def _pretty_payload(e) -> str:
 
 
 def _pretty_sum_side(t) -> str:
-    if isinstance(t, (Par, Restrict, Ite, Sum)):
+    if isinstance(t, (Par, Restrict, Std, Ite, Sum)):
         return f"({pretty(t)})"
     return pretty(t)
 
 
 def _pretty_par_side(t) -> str:
-    if isinstance(t, (Par, Ite)):
-        return f"({pretty(t)})"
-    return pretty(t)
+    text = pretty(t)
+    return _par_side(text, t._printed_as if isinstance(t, Std) else type(t))
+
+
+def _par_side(text: str, printed_as) -> str:
+    """The text of a side of a parallel composition, or of a restricted
+    body, that prints as a node of class `printed_as`."""
+    return f"({text})" if printed_as in (Par, Ite) else text

@@ -7,13 +7,15 @@ total order, discard tuples sorted, and every parallel composition taken
 as a chain of restrictions, possibly of none, with one rule
 (`close_scopes`): its components flattened and sorted, inert ones
 dropped, and its scopes closed under the chain's set of channels,
-renamed apart where they clash (`extend_scopes`) and pushed inward past
-components that do not use the channel (and dropped when it is not free
-at all). The semantics builds every residual with the same rule. A
-normal form is marked as one, so normalizing it again is a cache
-lookup. `normalize_observer`, which neither reads nor sets the mark,
-shares the discard, conditional and prefix cases (`_normal_node`) but
-has no rules for parallel composition, whose shape it keeps intact.
+renamed apart where they clash (`extend_scopes`). The result is one
+`syntax.Std` node, the standard form ν c̃ (P₁ || … || Pₙ): the sorted
+components and the restricted channels that some component has free.
+Only the printer nests the scopes again. The semantics builds every
+residual with the same rule. A normal form is marked as one, so
+normalizing it again is a cache lookup. `normalize_observer`, which
+neither reads nor sets the mark, shares the discard, conditional and
+prefix cases (`_normal_node`) but has no rules for parallel
+composition, whose shape it keeps intact.
 `substitute` is memoized like `normalize`, on interned terms.
 """
 
@@ -37,6 +39,7 @@ from .syntax import (
     Recv,
     Restrict,
     Send,
+    Std,
     Sum,
     Tau,
     Var,
@@ -46,7 +49,6 @@ from .syntax import (
     free_channels,
     map_free_vars,
     map_term,
-    par_all,
     par_components,
     qubit_atoms,
     sum_all,
@@ -156,10 +158,10 @@ def substitute_many(term, pairs):
 # --- process congruence -----------------------------------------------------
 
 
-def flat_parts(parts, split, norm) -> list:
-    """`parts`, each normalized by `norm`, nil dropped and the normalized
-    parts split again by `split`."""
-    return [p for c in parts if (n := norm(c)) != NIL for p in split(n)]
+def flat_guards(t, norm) -> list:
+    """The alternatives of the sum `t`, each normalized by `norm`, nil
+    dropped and the normalized ones split again into alternatives."""
+    return [g for c in sum_guards(t) if (n := norm(c)) != NIL for g in sum_guards(n)]
 
 
 @lru_cache(maxsize=None)
@@ -177,13 +179,15 @@ def mark_normal(t):
 
 def _normal_form(t):
     if isinstance(t, Sum):
-        parts = sorted(flat_parts(sum_guards(t), sum_guards, normalize), key=pretty)
+        parts = sorted(flat_guards(t, normalize), key=pretty)
         return sum_all(parts) if parts else NIL
-    if isinstance(t, (Par, Restrict)):  # a Par is a chain of no restrictions
+    if isinstance(t, (Par, Restrict, Std)):  # a Par is a chain of no restrictions
         chans = set()
         while isinstance(t, Restrict):
             chans.add(t.chan)
             t = t.body
+        if isinstance(t, Std):
+            return close_scopes(t.comps, chans | t.chans)
         return close_scopes(par_components(t), chans)
     return _normal_node(t, normalize)
 
@@ -203,13 +207,12 @@ def _normal_node(t, norm):
 
 def extend_scopes(comps, chans):
     """Scope extension, `(P \\ c) || Q ≡ (P || Q) \\ c` when c is not free
-    in Q, over the parallel components `comps` of a term restricted on
-    `chans`. Each restricted component is replaced, in place, by the
-    components under its chain of restrictions, whose channels join
-    `chans`; the components spliced in are examined next, so none is left
-    a restriction. A chain channel free in another component is first
-    renamed to a `syntax.fresh_channel` that no component names, free or
-    bound, and the body normalized again; a channel of `chans` that no
+    in Q, over the normal parallel components `comps` of a term restricted
+    on `chans`. Each standard form among them is replaced, in place, by its
+    components, and its channels join `chans`. A channel of the standard
+    form free in another component is first renamed to a
+    `syntax.fresh_channel` that no component names, free or bound, and the
+    renamed components normalized again; a channel of `chans` that no
     component names binds nothing, so the fresh name may be one. One in
     `chans` but free in no other component keeps its name, as the outer
     restriction binds nothing else. This is the one place that decides a
@@ -218,14 +221,11 @@ def extend_scopes(comps, chans):
     chans = frozenset(chans)
     i = 0
     while i < len(comps):
-        body = comps[i]
-        if not isinstance(body, Restrict):
+        std = comps[i]
+        if not isinstance(std, Std):
             i += 1
             continue
-        chain = set()
-        while isinstance(body, Restrict):
-            chain.add(body.chan)
-            body = body.body
+        inner, chain = std.comps, std.chans
         clash = {c for j, x in enumerate(comps) if j != i for c in chain & free_channels(x)}
         if clash:
             taken = frozenset().union(*map(channels, comps))
@@ -233,9 +233,9 @@ def extend_scopes(comps, chans):
                 fresh = fresh_channel(c, taken)
                 taken |= {fresh}
                 chain = chain - {c} | {fresh}
-                body = _rename_channel(body, c, fresh)
-            body = normalize(body)
-        comps[i:i + 1] = par_components(body)
+                inner = [_rename_channel(x, c, fresh) for x in inner]
+            inner = [normalize(x) for x in inner]
+        comps[i:i + 1] = inner
         chans |= chain
     return comps, chans
 
@@ -252,23 +252,24 @@ def _rename_channel(t, old, new):
 
 def close_scopes(parts, chans):
     """The normal form of `parts` in parallel under restrictions on
-    `chans`, marked: each part normalized (a cache hit on a residual's
-    siblings, which are normal already) and flattened, the scopes of
-    restricted components extended over their siblings (`extend_scopes`),
-    then each channel pushed back inward in a fixed order, so congruent
-    nestings canonicalize alike. A parallel composition is the case of no
-    `chans`, and a residual is built by the same rule."""
-    comps = sorted(flat_parts(parts, par_components, normalize), key=pretty)
-    comps, chans = extend_scopes(comps, chans)
-    for c in sorted(chans):
-        rest, using = [], []
-        for x in comps:
-            (using if c in free_channels(x) else rest).append(x)
-        if using:  # else no component uses c: the restriction is inert
-            comps = rest + [Restrict(par_all(sorted(using, key=pretty)), c)]
-    if chans:
+    `chans`: each part normalized (a cache hit on a residual's siblings,
+    which are normal already), inert ones dropped, the parts sorted by the
+    printed term, so that clashing names are renamed in a fixed order, and
+    the scopes of standard forms among them extended over their siblings
+    (`extend_scopes`), and sorted again. The channels that no component
+    has free are dropped: the result is the standard form of the
+    components, marked, or the one component, or nil, when it restricts
+    nothing. A parallel composition is the case of no `chans`, and a
+    residual is built by the same rule."""
+    comps = sorted((n for c in parts if (n := normalize(c)) != NIL), key=pretty)
+    if any(isinstance(x, Std) for x in comps):
+        comps, chans = extend_scopes(comps, chans)
         comps.sort(key=pretty)
-    return mark_normal(par_all(comps))
+    if chans:
+        chans = frozenset(chans) & frozenset().union(*map(free_channels, comps))
+    if not chans and len(comps) < 2:
+        return comps[0] if comps else NIL
+    return mark_normal(Std(tuple(comps), frozenset(chans)))
 
 
 def congruent(p, q) -> bool:
@@ -285,8 +286,8 @@ def normalize_observer(t):
     Par tree keeps its shape; only sums, conditionals, and expressions
     are canonicalized."""
     if isinstance(t, Sum):
-        guards = sorted(set(flat_parts(sum_guards(t), sum_guards, normalize_observer)), key=pretty)
+        guards = sorted(set(flat_guards(t, normalize_observer)), key=pretty)
         return sum_all(guards) if guards else NIL
-    if isinstance(t, (Tau, Restrict, RandBit)):
+    if isinstance(t, (Tau, Restrict, Std, RandBit)):
         raise TypeError(f"not an observer term: {t!r}")
     return _normal_node(t, normalize_observer)

@@ -24,12 +24,11 @@ from .syntax import (
     QubitLit,
     RandBit,
     Recv,
-    Restrict,
     Send,
+    Std,
     Tau,
     cached,
     cached_beside,
-    par_components,
     sum_guards,
 )
 
@@ -48,12 +47,15 @@ class Configuration:
     `key()`s agree. `key()` is the state's rounded key with the printed
     process and observer; it is built on first use, which is only when
     two configurations collide on their discrete structure or when a
-    support is sorted. It rests on `pretty` being injective on terms, so
-    equal keys mean the same interned process and observer, and so equal
-    hashes. Two colliding kets whose keys are not built yet are first
-    compared on their diagonals (`DensityMatrix.keys_differ`), which tells
-    most unequal pure states apart without building either key; equality
-    is still exactly that of the keys."""
+    support is sorted. It rests on `pretty` being injective on normal
+    forms (a process normal form holds standard forms, each printed as
+    the nested term it stands for, and no `Par` or `Restrict`; an
+    observer's holds no `Std`), so equal keys mean the same interned
+    process and observer, and so equal hashes. Two colliding kets whose
+    keys are not built yet are first compared on their diagonals
+    (`DensityMatrix.keys_differ`), which tells most unequal pure states
+    apart without building either key; equality is still exactly that of
+    the keys."""
 
     __slots__ = ("rho", "proc", "obs", "_key", "_hash")
 
@@ -183,23 +185,16 @@ def mixture(d1: Distribution, d2: Distribution, p: float) -> Distribution:
 
 
 def exec_view(proc):
-    """The parallel components of `proc` and the channels restricted over
-    all of them. `proc` must be a normal form: its scopes are already
-    extended and renamed apart (`rewrite.close_scopes`), so this only
-    splices each nested restriction's components in its place, in order,
-    and collects its channel: `(d?w.nil || e?y.d!y) \\ d || d!5`
-    normalizes to `(d#0?w.nil || e?y.d#0!y) \\ d#0 || d!5`, whose
-    components are d#0?w.nil, e?y.d#0!y and d!5 under d#0 (README, scope
-    notes)."""
-    comps, chans = par_components(proc), set()
-    i = 0
-    while i < len(comps):
-        if isinstance(comps[i], Restrict):
-            chans.add(comps[i].chan)
-            comps[i:i + 1] = par_components(comps[i].body)
-        else:
-            i += 1
-    return comps, frozenset(chans)
+    """The parallel components of the normal form `proc`, as a list, and
+    the channels restricted over all of them: the two fields of a
+    standard form (`syntax.Std`), whose scopes are already extended and
+    renamed apart (`rewrite.close_scopes`). `(d?w.nil || e?y.d!y) \\ d || d!5`
+    normalizes to the components d!5, d#0?w.nil and e?y.d#0!y under d#0
+    (README, scope notes). Any other normal form is its one component,
+    under no restriction."""
+    if isinstance(proc, Std):
+        return list(proc.comps), proc.chans
+    return [proc], frozenset()
 
 
 def _payload_values(payload):
@@ -324,6 +319,15 @@ def schemas(proc) -> tuple:
     return tuple(_proc_schemas(normalize(proc)))
 
 
+@cached("_first_schema")
+def first_schema(proc):
+    """The first schema of the normal form `proc`, or None: the first of
+    `schemas`' tuple when that is built, else pulled alone from the
+    schema generator."""
+    built = getattr(proc, "_schemas", None)
+    return next(_proc_schemas(proc) if built is None else iter(built), None)
+
+
 def _beside(others, restricted):
     """The process frame: a continuation put back beside `others`, under `restricted`."""
     return lambda cont: close_scopes([*others, cont], restricted)
@@ -420,7 +424,7 @@ def config_barbs(config: Configuration) -> frozenset:
 @cached_beside("_barbs_beside")
 def _barbs(proc, obs) -> frozenset:
     barbs = set(proc_barbs(proc))
-    barbs.update(c.chan for c in par_components(normalize(obs)) if isinstance(c, Send))
+    barbs.update(c.chan for c in exec_view(normalize(obs))[0] if isinstance(c, Send))
     return frozenset(barbs)
 
 

@@ -98,7 +98,8 @@ class _Node(metaclass=_Interned):
     `cached_beside` fill the other slots."""
 
     __slots__ = ("_hash", "_normal", "_free_channels", "_qubit_atoms", "_open_guards", "_size",
-                 "_pretty", "_schemas", "_moves_beside", "_barbs_beside", "__weakref__")
+                 "_pretty", "_printed_as", "_schemas", "_first_schema", "_moves_beside",
+                 "_barbs_beside", "__weakref__")
 
     def __hash__(self):
         return self._hash
@@ -207,6 +208,21 @@ class Restrict(_Node):
 
 
 @_node
+class Std(_Node):
+    """The standard form ν chans (comps₁ || … || compsₙ) of a parallel
+    composition under restrictions (Milner, *Communicating and Mobile
+    Systems: the π-calculus*, 1999): `comps` sorted by the printed term,
+    none a `Par`, `Restrict` or `Std`, and `chans` the frozenset of
+    restricted channels, each free in some component. It is a normal form,
+    built only by `rewrite.close_scopes`, and has no channels only when it
+    has two components or more; the printer renders it as nested
+    restrictions."""
+
+    comps: tuple
+    chans: frozenset
+
+
+@_node
 class Ite(_Node):
     cond: Expr
     then: "Term"
@@ -219,7 +235,7 @@ class RandBit(_Node):
     cont: "Term"
 
 
-Term = Union[Nil, Tau, ApplyOp, Measure, Recv, Send, Sum, Par, Restrict, Ite, RandBit]
+Term = Union[Nil, Tau, ApplyOp, Measure, Recv, Send, Sum, Par, Restrict, Std, Ite, RandBit]
 
 NIL = Nil()
 
@@ -269,6 +285,8 @@ def children(term: Term) -> tuple:
         return (term.left, term.right)
     if isinstance(term, Restrict):
         return (term.body,)
+    if isinstance(term, Std):
+        return term.comps
     if isinstance(term, Ite):
         return (term.then, term.els)
     return ()
@@ -290,9 +308,14 @@ def term_exprs(term: Term) -> tuple:
 def map_term(term: Term, on_child, on_expr) -> Term:
     """The node rebuilt with each sub-term s replaced by on_child(s, names
     the node binds in s) and each expression e by on_expr(e); every other
-    field is kept."""
+    field is kept. A `Std` is rebuilt as the standard form of its mapped
+    components under its channels (`rewrite.close_scopes`, the one
+    constructor of a `Std`)."""
     if isinstance(term, Par):
         return Par(on_child(term.left, ()), on_child(term.right, ()))
+    if isinstance(term, Std):
+        from .rewrite import close_scopes  # rewrite imports this module
+        return close_scopes([on_child(c, ()) for c in term.comps], term.chans)
     if isinstance(term, Send):
         return Send(term.chan, tuple(map(on_expr, term.payload)))
     if isinstance(term, Nil):
@@ -374,7 +397,7 @@ def observer_violation(term: Term) -> Optional[str]:
     """Reason the term is not a valid observer, or None."""
     if isinstance(term, (Tau, RandBit)):
         return f"{type(term).__name__.lower()} is not allowed in observers"
-    if isinstance(term, Restrict):
+    if isinstance(term, Restrict) or isinstance(term, Std) and term.chans:
         return "restriction is not allowed in observers"
     if isinstance(term, Sum):
         recvs = sum_guards(term)
@@ -414,6 +437,8 @@ def free_channels(term: Term) -> frozenset:
         out = frozenset({term.chan}) | free_channels(term.cont)
     elif isinstance(term, Restrict):
         out = free_channels(term.body) - {term.chan}
+    elif isinstance(term, Std):
+        out = frozenset().union(*map(free_channels, term.comps)) - term.chans
     else:
         out = frozenset().union(*map(free_channels, children(term)))
     return _SETS.setdefault(out, out)
@@ -421,7 +446,10 @@ def free_channels(term: Term) -> frozenset:
 
 def channels(term: Term) -> frozenset:
     """Every channel the term names, free or bound."""
-    own = {term.chan} if isinstance(term, (Send, Recv, Restrict)) else ()
+    if isinstance(term, Std):
+        own = term.chans
+    else:
+        own = {term.chan} if isinstance(term, (Send, Recv, Restrict)) else ()
     return frozenset(own).union(*map(channels, children(term)))
 
 

@@ -30,9 +30,11 @@ from .syntax import (
     Restrict,
     Send,
     Signature,
+    Std,
     Sum,
     Tau,
     Var,
+    children,
 )
 
 
@@ -162,12 +164,15 @@ def _check(term, env, sig) -> frozenset:
                 f"sum alternatives own different qubits: {sorted(s1)} vs {sorted(s2)}"
             )
         return s1
-    if isinstance(term, Par):
-        s1 = _check(term.left, env, sig)
-        s2 = _check(term.right, env, sig)
-        if s1 & s2:
-            raise LinearityError(f"qubits shared across parallel components: {sorted(s1 & s2)}")
-        return s1 | s2
+    if isinstance(term, (Par, Std)):  # a Std's channels own no qubits, as a Restrict's do not
+        owned = frozenset()
+        for comp in children(term):
+            s = _check(comp, env, sig)
+            if owned & s:
+                raise LinearityError(
+                    f"qubits shared across parallel components: {sorted(owned & s)}")
+            owned |= s
+        return owned
     if isinstance(term, Restrict):
         return _check(term.body, env, sig)
     if isinstance(term, Ite):

@@ -277,6 +277,15 @@ class TestRefinement:
     def test_components_match_across_a_sum(self):
         assert refines_upto(P("k!0 || c!q1"), P("c!q1 || k!0 + l!true"))
 
+    def test_a_restriction_binds_both_sides(self):
+        # P \ k ≡ P when k is not free in P, so both sides are read under
+        # both sides' restrictions; a channel one side hides is not one
+        # the other side may name free
+        assert refines_upto(P("X(q).c!q"), P("(X(q).(c!q + k?x.nil)) \\ k"))
+        assert refines_upto(P("(k!0) \\ k || c!q1"), P("(k!0 + l!true) \\ k || c!q1"))
+        assert not refines_upto(P("k!0"), P("(k!0 + l!true) \\ k"))
+        assert not refines_upto(P("(k!0) \\ k"), P("k!0 + l!true"))
+
     def test_congruence_compatible(self):
         # P' <= P lifts through normalization: the canonical forms are
         # related by the congruence-closed refinement

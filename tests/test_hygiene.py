@@ -3,9 +3,9 @@ package imports must be used in that module, every function or class a
 module defines must be named somewhere else in the repository, every
 parameter of a function must be read by its body, every defaulted
 parameter must be passed by some call, and by a call outside the tests
-unless allowlisted, no module but `claims` itself imports `claims`, and
-no module but `qcore` writes a tolerance or a rounding granularity as a
-literal."""
+unless allowlisted, no module but `claims` itself imports `claims`, no
+module but `qcore` writes a tolerance or a rounding granularity as a
+literal, and no module but `rewrite` constructs a standard form."""
 
 import ast
 import re
@@ -287,3 +287,27 @@ def test_tolerance_literal_is_reported():
     )
     assert tolerance_literals(src) == [
         (1, "1e-9"), (2, "1.5E-3"), (3, "round(p, 9)"), (4, "np.round(a, decimals=7)")]
+
+
+def std_constructions(source: str) -> list:
+    """Lines of `source` that call `Std`, by its name or as an attribute.
+    A standard form is a normal form, so only `rewrite.close_scopes`
+    builds one; every other module rebuilds one through it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and "Std" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "rewrite.py"],
+                         ids=lambda p: p.name)
+def test_only_rewrite_constructs_a_standard_form(path):
+    assert std_constructions(path.read_text()) == []
+
+
+def test_std_construction_is_reported():
+    src = (
+        "from .syntax import Std\nfrom . import syntax\n\n"
+        "a = Std((p, q), frozenset())\nb = syntax.Std(comps=(p,), chans=frozenset({'c'}))\n"
+        "c = isinstance(t, Std)\nd = t.comps if isinstance(t, syntax.Std) else (t,)\n"
+    )
+    assert std_constructions(src) == [4, 5]

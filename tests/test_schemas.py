@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from genterms import make_signature, random_config, random_density
 from lqccs import osem, qcore, semantics
 from lqccs.errors import EvalError, QubitCaptureError
+from lqccs.equiv import advance_scheduled
 from lqccs.osem import estep_genuine
 from lqccs.parser import parse_process
-from lqccs.semantics import Configuration, config_barbs, make_config, step_genuine
+from lqccs.semantics import Configuration, Distribution, config_barbs, make_config, step_genuine
 from lqccs.syntax import NIL, ApplyOp, NatLit, Par
 from test_merged_rules import OBSERVERS, keys, reference_estep_genuine, reference_step_genuine
 
@@ -105,3 +106,19 @@ def test_a_qubit_capture_raises_on_every_call(proc, obs):
     cfg = make_config(state(qcore.KET0), P(proc), P(obs))
     messages = {_raised(estep_genuine, cfg, SIG, QubitCaptureError) for _ in range(2)}
     assert messages == {"substituting qubit 'q' into a term that already uses it"}
+
+
+def test_elements_that_share_a_process_build_its_first_schema_once():
+    # the two elements differ in state only, so the scheduled step reads the
+    # first schema kept on their one process node; a process whose schemas
+    # are built already gives the first of them, with no build at all
+    proc = P("first_once?x.nil || tau.(first_once!3 || disc(q))")
+    shared = Distribution([(make_config(state(qcore.KET0), proc), 0.5),
+                           (make_config(state(qcore.KET1), proc), 0.5)])
+    other = make_config(state(qcore.KETP), P("tau.first_twice!4 || disc(q)"))
+    step_genuine(other, SIG)
+    with mock.patch.object(semantics, "_proc_schemas", wraps=semantics._proc_schemas) as built:
+        (_, shared_next) = advance_scheduled(shared, SIG, max_steps=1)
+        (_, other_next) = advance_scheduled(Distribution.point(other), SIG, max_steps=1)
+    assert built.call_count == 1
+    assert len(shared_next) == 2 and len(other_next) == 1

@@ -16,7 +16,7 @@ from lqccs.parser import parse_process
 from lqccs.parser import pretty
 from lqccs.rewrite import (_rename_channel, close_scopes, extend_scopes, normalize,
                            normalize_observer, substitute_many)
-from lqccs.syntax import NIL, Restrict, Sum, Tau, channels, children, par_all, par_components
+from lqccs.syntax import NIL, Restrict, Std, Sum, Tau, channels, children, par_all
 from lqccs.semantics import (
     BOT,
     BOT_BARB,
@@ -339,17 +339,21 @@ class TestExecView:
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(min_value=0, max_value=1_000_000))
-    def test_a_normal_form_is_only_spliced(self, seed):
+    def test_a_normal_form_is_only_read(self, seed):
         # a normal form's scopes are already extended: for sixteen generated
-        # (p || q \ ch1) \ ch2 || r terms, exec_view, which only splices,
-        # gives what scope extension gives on the normal form's components,
-        # in the same order, and renames no channel
+        # (p || q \ ch1) \ ch2 || r terms, exec_view gives the standard
+        # form's two fields, the components and channels that scope
+        # extension gives on the normal form, and renames no channel
         gen = TermGen(seed, make_signature(chans="ck"))
         for _ in range(16):
             owned = [frozenset(gen.rng.choice(((), ("q1",), ("q2",), ("o1",)))) for _ in range(3)]
             proc = normalize(gen.restricted_par(owned))
             comps, restricted = exec_view(proc)
-            assert (comps, restricted) == extend_scopes(par_components(proc), ()), pretty(proc)
+            if isinstance(proc, Std):
+                assert (comps, restricted) == (list(proc.comps), proc.chans), pretty(proc)
+            else:
+                assert (comps, restricted) == ([proc], frozenset()), pretty(proc)
+            assert (comps, restricted) == extend_scopes([proc], ()), pretty(proc)
             assert restricted.union(*map(channels, comps)) <= channels(proc), pretty(proc)
 
 
