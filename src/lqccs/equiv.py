@@ -32,7 +32,6 @@ from .osem import (
     estep_genuine,
     first_schemas,
     lift_estep,
-    schema_move,
 )
 from .parser import pretty
 from .qcore import TOL_MASS, TOL_PROB, TOL_STATE, DensityMatrix, partial_trace
@@ -50,6 +49,7 @@ from .semantics import (
     lift_step,
     open_guards,
     proc_barbs,
+    schema_move,
 )
 from .syntax import (
     QUBIT,

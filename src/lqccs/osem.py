@@ -23,8 +23,8 @@ from .semantics import (
     exec_view,
     fire,
     first_schema,
-    instantiate,
     lift,
+    schema_move,
     step_genuine,
     unique,
 )
@@ -79,15 +79,6 @@ def first_schemas(config: Configuration) -> dict:
     for idx, proc, schema in observer_schemas(config.proc, config.obs):
         first.setdefault(idx, (proc, schema))
     return first
-
-
-def schema_move(config: Configuration, proc, schema, sig=None) -> Distribution:
-    """The distribution `schema` moves `config` to: a process schema's
-    residuals (no `proc`) replace the process; an observer schema's
-    replace the observer, beside the successor process `proc`."""
-    return Distribution([(Configuration(r, res, config.obs) if proc is None
-                          else Configuration(r, proc, res), p)
-                         for p, r, res in instantiate(schema, config.rho, sig)])
 
 
 @cached_beside("_moves_beside")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import ParseError
 from .syntax import (
@@ -55,6 +54,7 @@ from .syntax import (
     check_process_sorts,
     free_channels,
     free_qubit_args,
+    par_all,
 )
 
 KEYWORDS = {
@@ -395,11 +395,19 @@ def pretty_expr(e) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _pretty_cont(t) -> str:
-    # continuation of a prefix: parenthesize anything that is not a prefix
+def _pretty_side(t) -> str:
+    # a prefix's continuation or a sum's alternative: parenthesize anything
+    # that is not a prefix
     if isinstance(t, (Par, Sum, Restrict, Std, Ite)):
         return f"({pretty(t)})"
     return pretty(t)
+
+
+def _pretty_par_side(t) -> str:
+    # a side of a parallel composition, a restricted body or a branch
+    if isinstance(t, Std):
+        t = _nested(t)
+    return f"({pretty(t)})" if isinstance(t, (Par, Ite)) else pretty(t)
 
 
 @cached("_pretty")
@@ -409,60 +417,45 @@ def pretty(t) -> str:
             return "nil"
         return f"disc({', '.join(pretty_expr(e) for e in t.discards)})"
     if isinstance(t, Tau):
-        return f"tau.{_pretty_cont(t.cont)}"
+        return f"tau.{_pretty_side(t.cont)}"
     if isinstance(t, ApplyOp):
-        return f"{t.op}({', '.join(pretty_expr(e) for e in t.args)}).{_pretty_cont(t.cont)}"
+        return f"{t.op}({', '.join(pretty_expr(e) for e in t.args)}).{_pretty_side(t.cont)}"
     if isinstance(t, Measure):
         args = ", ".join(pretty_expr(e) for e in t.args)
-        return f"{t.op}({args} |> {t.var}).{_pretty_cont(t.cont)}"
+        return f"{t.op}({args} |> {t.var}).{_pretty_side(t.cont)}"
     if isinstance(t, Recv):
         pat = t.vars[0] if len(t.vars) == 1 else "(" + ", ".join(t.vars) + ")"
-        return f"{t.chan}?{pat}.{_pretty_cont(t.cont)}"
+        return f"{t.chan}?{pat}.{_pretty_side(t.cont)}"
     if isinstance(t, Send):
         if len(t.payload) == 1:
             return f"{t.chan}!{_pretty_payload(t.payload[0])}"
         return f"{t.chan}!({', '.join(pretty_expr(e) for e in t.payload)})"
     if isinstance(t, Sum):
-        return f"{_pretty_sum_side(t.left)} + {_pretty_sum_side(t.right)}"
+        return f"{_pretty_side(t.left)} + {_pretty_side(t.right)}"
     if isinstance(t, Par):
         return f"{_pretty_par_side(t.left)} || {_pretty_par_side(t.right)}"
     if isinstance(t, Restrict):
         return f"{_pretty_par_side(t.body)} \\ {t.chan}"
     if isinstance(t, Std):
-        return _pretty_std(t)
+        return pretty(_nested(t))
     if isinstance(t, Ite):
         return f"if {pretty_expr(t.cond)} then {_pretty_par_side(t.then)} else {_pretty_par_side(t.els)}"
     if isinstance(t, RandBit):
-        return f"randbit({t.var}).{_pretty_cont(t.cont)}"
+        return f"randbit({t.var}).{_pretty_side(t.cont)}"
     raise TypeError(f"not a term: {t!r}")
 
 
-def _pretty_std(t) -> str:
-    """A standard form printed as the nested term it stands for, as
-    `syntax.par_all` and `Restrict` would build it: for each channel in
-    order, the pieces that have it free in parallel under a restriction on
-    it, beside the other pieces; then every piece in parallel. The pieces
-    start as the components; a piece is its text, the class of the node it
-    prints as, and its free channels, when there are channels to push.
-    The class of the whole is kept in the node's `_printed_as`."""
-    pieces = [(pretty(x), type(x), t.chans and free_channels(x)) for x in t.comps]
+def _nested(t):
+    """The nested term the standard form `t` stands for: for each channel
+    in order, the pieces that have it free in parallel, sorted by the
+    printed term, under a restriction on it, beside the other pieces; then
+    every piece in parallel, sorted. The pieces start as the components."""
+    pieces = list(t.comps)
     for c in sorted(t.chans):
-        using = [p for p in pieces if c in p[2]]
-        pieces = [p for p in pieces if c not in p[2]] + [(
-            f"{_par_side(*_pretty_par_all(using))} \\ {c}", Restrict,
-            frozenset().union(*(p[2] for p in using)) - {c})]
-    text, printed_as = _pretty_par_all(pieces)
-    object.__setattr__(t, "_printed_as", printed_as)
-    return text
-
-
-def _pretty_par_all(pieces) -> tuple:
-    """(text, class) of the pieces, sorted by text, in parallel, nested to
-    the left."""
-    (text, printed_as, _), *rest = sorted(pieces, key=itemgetter(0))
-    for piece in rest:
-        text, printed_as = f"{_par_side(text, printed_as)} || {_par_side(*piece[:2])}", Par
-    return text, printed_as
+        using = [x for x in pieces if c in free_channels(x)]
+        pieces = [x for x in pieces if c not in free_channels(x)]
+        pieces.append(Restrict(par_all(sorted(using, key=pretty)), c))
+    return par_all(sorted(pieces, key=pretty))
 
 
 def _pretty_payload(e) -> str:
@@ -472,19 +465,3 @@ def _pretty_payload(e) -> str:
         return s if s.startswith("(") else f"({s})"
     return s
 
-
-def _pretty_sum_side(t) -> str:
-    if isinstance(t, (Par, Restrict, Std, Ite, Sum)):
-        return f"({pretty(t)})"
-    return pretty(t)
-
-
-def _pretty_par_side(t) -> str:
-    text = pretty(t)
-    return _par_side(text, t._printed_as if isinstance(t, Std) else type(t))
-
-
-def _par_side(text: str, printed_as) -> str:
-    """The text of a side of a parallel composition, or of a restricted
-    body, that prints as a node of class `printed_as`."""
-    return f"({text})" if printed_as in (Par, Ite) else text

@@ -29,6 +29,7 @@ from .syntax import (
     Tau,
     cached,
     cached_beside,
+    par_components,
     sum_guards,
 )
 
@@ -222,16 +223,20 @@ def step(config: Configuration, sig=None) -> list:
 
 def step_genuine(config: Configuration, sig=None) -> list:
     """Reductions derivable by the actual rules (no deadlock augmentation):
-    the process's schemas (`schemas`, built once per term) instantiated on
-    the state, each successor keeping the observer. The list is the
-    caller's own."""
+    the moves of the process's schemas (`schemas`, built once per term),
+    each successor keeping the observer. The list is the caller's own."""
     if config.is_bot:
         return []
-    rho, obs = config.rho, config.obs
-    return unique([
-        Distribution([(Configuration(r, proc, obs), p) for p, r, proc in instantiate(s, rho, sig)])
-        for s in schemas(config.proc)
-    ])
+    return unique([schema_move(config, None, s, sig) for s in schemas(config.proc)])
+
+
+def schema_move(config: Configuration, proc, schema, sig=None) -> Distribution:
+    """The distribution `schema` moves `config` to: a process schema's
+    residuals (no `proc`) replace the process; an observer schema's
+    replace the observer, beside the successor process `proc`."""
+    return Distribution([(Configuration(r, res, config.obs) if proc is None
+                          else Configuration(r, proc, res), p)
+                         for p, r, res in instantiate(schema, config.rho, sig)])
 
 
 def unique(items) -> list:
@@ -416,15 +421,15 @@ def proc_barbs(proc) -> frozenset:
 
 def config_barbs(config: Configuration) -> frozenset:
     """Barbs of a (possibly extended) configuration: process sends plus
-    observer parallel components that are sends (full congruence applies
-    to the observer here, so its parallel structure is flattened)."""
+    the sends among the positions of the observer's parallel tree, its
+    observer normal form read as the enhanced semantics reads it."""
     return frozenset() if config.is_bot else _barbs(config.proc, config.obs)
 
 
 @cached_beside("_barbs_beside")
 def _barbs(proc, obs) -> frozenset:
     barbs = set(proc_barbs(proc))
-    barbs.update(c.chan for c in exec_view(normalize(obs))[0] if isinstance(c, Send))
+    barbs.update(c.chan for c in par_components(normalize_observer(obs)) if isinstance(c, Send))
     return frozenset(barbs)
 
 

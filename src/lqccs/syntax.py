@@ -98,8 +98,8 @@ class _Node(metaclass=_Interned):
     `cached_beside` fill the other slots."""
 
     __slots__ = ("_hash", "_normal", "_free_channels", "_qubit_atoms", "_open_guards", "_size",
-                 "_pretty", "_printed_as", "_schemas", "_first_schema", "_moves_beside",
-                 "_barbs_beside", "__weakref__")
+                 "_pretty", "_schemas", "_first_schema", "_moves_beside", "_barbs_beside",
+                 "__weakref__")
 
     def __hash__(self):
         return self._hash

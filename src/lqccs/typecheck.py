@@ -107,22 +107,18 @@ def _check(term, env, sig) -> frozenset:
         return _qubit_tuple(term.discards, env, "discard")
     if isinstance(term, Tau):
         return _check(term.cont, env, sig)
-    if isinstance(term, ApplyOp):
+    if isinstance(term, (ApplyOp, Measure)):
         used = _qubit_tuple(term.args, env, f"{term.op} arguments")
-        resolve_operator(term.op, len(term.args), sig)
+        if isinstance(term, ApplyOp):
+            resolve_operator(term.op, len(term.args), sig)
+        else:
+            resolve_measurement(term.op, len(term.args), sig)
+            env = {**env, term.var: NAT}
         inner = _check(term.cont, env, sig)
-        if not used <= inner:
+        if not used <= inner:  # a prefix's targets are owned by its continuation
+            verb = "acts on" if isinstance(term, ApplyOp) else "measures"
             raise LinearityError(
-                f"{term.op} acts on {sorted(used - inner)} not owned by its continuation"
-            )
-        return inner
-    if isinstance(term, Measure):
-        used = _qubit_tuple(term.args, env, f"{term.op} arguments")
-        resolve_measurement(term.op, len(term.args), sig)
-        inner = _check(term.cont, {**env, term.var: NAT}, sig)
-        if not used <= inner:
-            raise LinearityError(
-                f"{term.op} measures {sorted(used - inner)} not owned by its continuation"
+                f"{term.op} {verb} {sorted(used - inner)} not owned by its continuation"
             )
         return inner
     if isinstance(term, Recv):
@@ -156,13 +152,13 @@ def _check(term, env, sig) -> frozenset:
         if len(set(owned)) != len(owned):
             raise LinearityError(f"qubit sent twice in one payload on {term.chan!r}")
         return frozenset(owned)
-    if isinstance(term, Sum):
-        s1 = _check(term.left, env, sig)
-        s2 = _check(term.right, env, sig)
+    if isinstance(term, (Sum, Ite)):  # both alternatives own the same qubits
+        if isinstance(term, Ite) and expr_type(term.cond, env) != BOOL:
+            raise TypingError("conditional guard must be boolean")
+        s1, s2 = (_check(alt, env, sig) for alt in children(term))
         if s1 != s2:
-            raise LinearityError(
-                f"sum alternatives own different qubits: {sorted(s1)} vs {sorted(s2)}"
-            )
+            what = "sum alternatives" if isinstance(term, Sum) else "conditional branches"
+            raise LinearityError(f"{what} own different qubits: {sorted(s1)} vs {sorted(s2)}")
         return s1
     if isinstance(term, (Par, Std)):  # a Std's channels own no qubits, as a Restrict's do not
         owned = frozenset()
@@ -175,16 +171,6 @@ def _check(term, env, sig) -> frozenset:
         return owned
     if isinstance(term, Restrict):
         return _check(term.body, env, sig)
-    if isinstance(term, Ite):
-        if expr_type(term.cond, env) != BOOL:
-            raise TypingError("conditional guard must be boolean")
-        s1 = _check(term.then, env, sig)
-        s2 = _check(term.els, env, sig)
-        if s1 != s2:
-            raise LinearityError(
-                f"conditional branches own different qubits: {sorted(s1)} vs {sorted(s2)}"
-            )
-        return s1
     if isinstance(term, RandBit):
         return _check(term.cont, {**env, term.var: NAT}, sig)
     raise TypingError(f"not a term: {term!r}")

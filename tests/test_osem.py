@@ -19,11 +19,14 @@ from lqccs.semantics import (
     Configuration,
     Distribution,
     at_index,
+    config_barbs,
     dist_barbs,
+    exec_view,
     make_config,
     mixture,
+    proc_barbs,
 )
-from lqccs.syntax import NIL, Par
+from lqccs.syntax import NIL, Par, Send
 
 SIG = make_signature(("q", "q1", "q2", "o1"))
 
@@ -37,6 +40,15 @@ def k0(*names):
         qcore.kron_all([qcore.KET0] * len(names)) if len(names) > 1 else qcore.KET0,
         names,
     )
+
+
+def congruence_barbs(config):
+    """The barbs of a triple with the observer read under the full process
+    congruence: the sends among the components of its process normal form."""
+    if config.is_bot:
+        return frozenset()
+    sends = {c.chan for c in exec_view(normalize(config.obs))[0] if isinstance(c, Send)}
+    return proc_barbs(config.proc) | sends
 
 
 MEAS_01 = "c?x.M01(x |> y).((if y = 0 then k!0 else k!1) || disc(x))"
@@ -257,3 +269,21 @@ class TestExtendedBarbs:
     def test_nil_observer_adds_nothing(self):
         d = Distribution.point(make_config(k0("q"), P("k!0 || disc(q)")))
         assert dist_barbs(d) == {"k": 1.0}
+
+    def test_observer_barbs_match_the_congruence_reading(self):
+        # the observer's sends read from its parallel tree agree with the
+        # sends among the components of its full process normal form, on
+        # generated triples and on every triple one move away
+        checked = 0
+        for seed in range(150):
+            cfg, sig = random_config(seed)
+            for c in [cfg] + [c for _, d in estep_genuine(cfg, sig) for c, _ in d.items()]:
+                assert config_barbs(c) == congruence_barbs(c), (seed, c)
+                checked += not c.is_bot and c.obs != NIL
+        assert checked > 300
+
+    def test_a_fresh_observer_s_barbs_normalize_nothing(self):
+        c = make_config(k0("q"), P("disc(q)"), P("k!987654321 || l!true || c?x.disc(x)"))
+        before = normalize.cache_info()
+        assert config_barbs(c) == frozenset({"k", "l"})
+        assert normalize.cache_info().currsize == before.currsize

@@ -6,7 +6,10 @@ form: for each restricted channel, in order, the components that have it
 free are put in parallel, sorted, under a restriction on it, beside the
 others. The printer must print a standard form as that nested term, and
 splicing the nested term's restrictions must give back the standard
-form's components and channels."""
+form's components and channels. A second reference is the string printer
+that ran the same loop on printed pieces: the printer, which builds the
+nested term and prints it with its own rules, must print alike and keep
+no node of that term."""
 
 import gc
 from collections import Counter
@@ -19,8 +22,8 @@ from genterms import TermGen, make_signature
 from lqccs import corpus, rewrite, syntax
 from lqccs.parser import parse_process, parse_program, pretty
 from lqccs.rewrite import _rename_channel, normalize
-from lqccs.syntax import (NIL, Par, Recv, Restrict, Send, Std, Tau, channels, children,
-                          free_channels, map_term, par_all, par_components)
+from lqccs.syntax import (NIL, Ite, Par, Recv, Restrict, Send, Std, Tau, Var, channels,
+                          children, free_channels, map_term, par_all, par_components)
 
 SIG = make_signature()
 
@@ -67,6 +70,35 @@ def spliced(term):
     return comps, chans
 
 
+def string_printed(std) -> tuple:
+    """The text of the standard form `std` and the class of the node it
+    prints as, from a printer that runs the push-inward loop on strings:
+    each piece is its text, its class and its free channels, and the
+    pieces start as the printed components."""
+    pieces = [(pretty(x), type(x), free_channels(x)) for x in std.comps]
+    for c in sorted(std.chans):
+        using = [p for p in pieces if c in p[2]]
+        pieces = [p for p in pieces if c not in p[2]] + [(
+            f"{par_side(*par_all_printed(using))} \\ {c}", Restrict,
+            frozenset().union(*(p[2] for p in using)) - {c})]
+    return par_all_printed(pieces)
+
+
+def par_all_printed(pieces) -> tuple:
+    """(text, class) of the pieces, sorted by text, in parallel, nested to
+    the left."""
+    (text, printed_as, _), *rest = sorted(pieces, key=lambda p: p[0])
+    for piece in rest:
+        text, printed_as = f"{par_side(text, printed_as)} || {par_side(*piece[:2])}", Par
+    return text, printed_as
+
+
+def par_side(text, printed_as) -> str:
+    """A side of a parallel composition or a restricted body, or a branch,
+    that prints as a node of class `printed_as`."""
+    return f"({text})" if printed_as in (Par, Ite) else text
+
+
 def nodes(t):
     yield t
     for c in children(t):
@@ -81,6 +113,9 @@ def check_against_reference(term):
     stds = [x for x in nodes(n) if isinstance(x, Std)]
     for std in stds:
         assert pretty(std) == pretty(nested(std))
+        text, printed_as = string_printed(std)
+        assert pretty(std) == text
+        assert pretty(Ite(Var("x"), std, NIL)) == f"if x then {par_side(text, printed_as)} else nil"
         comps, chans = spliced(push_inward(std.comps, std.chans))
         assert Counter(comps) == Counter(std.comps), pretty(std)
         assert chans == std.chans, pretty(std)
@@ -150,6 +185,32 @@ def _renaming_cases():
 def test_renaming_cases_print_as_their_nested_reference():
     for term in _renaming_cases():
         assert check_against_reference(term), pretty(term)
+
+
+def live_nested_nodes() -> set:
+    """The keys of the live `Par` and `Restrict` nodes."""
+    gc.collect()
+    return {key for key, ref in syntax._TABLE.items()
+            if key[0] in (Par, Restrict) and ref() is not None}
+
+
+def test_printing_a_standard_form_leaves_no_node_behind():
+    # printing a standard form builds its nested term; once the printed
+    # text is all that is kept, no node of that term is left
+    terms = _renaming_cases()
+    gen = TermGen(7, make_signature(chans="ck"))
+    terms += [gen.restricted_par((frozenset({"q1"}), frozenset(), frozenset({"q2"})))
+              for _ in range(20)]
+    held = live_nested_nodes()
+    printed = 0
+    for term in terms:
+        stds = [x for x in nodes(normalize(term)) if isinstance(x, Std)]
+        fresh = [x for x in stds if not hasattr(x, "_pretty")]
+        for std in fresh:
+            assert string_printed(std)[0] == pretty(std)
+        printed += len(fresh)
+    assert live_nested_nodes() <= held
+    assert printed > 10
 
 
 def test_a_scheduled_run_builds_no_nested_normal_form():

@@ -125,10 +125,16 @@ def test_polyadic_channels():
     ("a!(1 = true)", TypingError, "'=' expects equal classical types, got nat, bool"),
     ("a!(true + 1)", TypingError, "'\\+' expects naturals, got bool, nat"),
     ("M01(q |> x).disc(q1)", LinearityError, "M01 measures \\['q'\\] not owned"),
+    ("H(q).disc(q1)", LinearityError, "H acts on \\['q'\\] not owned by its continuation"),
     ("pair?(x, x).nil", LinearityError, "duplicate names in reception pattern"),
     ("if 3 then nil else nil", TypingError, "conditional guard must be boolean"),
+    ("c!q + c!q1", LinearityError,
+     "sum alternatives own different qubits: \\['q'\\] vs \\['q1'\\]"),
+    ("if true then disc(q) else nil", LinearityError,
+     "conditional branches own different qubits: \\['q'\\] vs \\[\\]"),
 ], ids=["undeclared", "not-nat", "and-nats", "equal-mixed", "plus-bool",
-        "measure-unowned", "duplicate-pattern", "nat-guard"])
+        "measure-unowned", "gate-unowned", "duplicate-pattern", "nat-guard", "sum-owners",
+        "branch-owners"])
 def test_ill_typed_expressions_and_prefixes_are_refused(text, error, message):
     sig = ql_signature()
     sig.channels["pair"] = ("nat", "nat")
