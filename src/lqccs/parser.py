@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ParseError
 from .syntax import (
@@ -54,7 +55,6 @@ from .syntax import (
     check_process_sorts,
     free_channels,
     free_qubit_args,
-    par_all,
 )
 
 KEYWORDS = {
@@ -380,9 +380,7 @@ def parse_observer(text: str, sig: Signature | None = None):
 
 
 def pretty_expr(e) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, QubitLit):
+    if isinstance(e, (Var, QubitLit)):
         return e.name
     if isinstance(e, NatLit):
         return str(e.value)
@@ -406,8 +404,12 @@ def _pretty_side(t) -> str:
 def _pretty_par_side(t) -> str:
     # a side of a parallel composition, a restricted body or a branch
     if isinstance(t, Std):
-        t = _nested(t)
-    return f"({pretty(t)})" if isinstance(t, (Par, Ite)) else pretty(t)
+        return _par_side(pretty(t), Restrict if len(_scopes(t)) == 1 else Par)
+    return _par_side(pretty(t), type(t))
+
+
+def _par_side(text: str, printed_as) -> str:
+    return f"({text})" if printed_as in (Par, Ite) else text
 
 
 @cached("_pretty")
@@ -437,7 +439,7 @@ def pretty(t) -> str:
     if isinstance(t, Restrict):
         return f"{_pretty_par_side(t.body)} \\ {t.chan}"
     if isinstance(t, Std):
-        return pretty(_nested(t))
+        return _pretty_pieces(_scopes(t))[0]
     if isinstance(t, Ite):
         return f"if {pretty_expr(t.cond)} then {_pretty_par_side(t.then)} else {_pretty_par_side(t.els)}"
     if isinstance(t, RandBit):
@@ -445,17 +447,29 @@ def pretty(t) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _nested(t):
-    """The nested term the standard form `t` stands for: for each channel
-    in order, the pieces that have it free in parallel, sorted by the
-    printed term, under a restriction on it, beside the other pieces; then
-    every piece in parallel, sorted. The pieces start as the components."""
-    pieces = list(t.comps)
+def _scopes(t) -> list:
+    """The pieces the nested term that the standard form `t` stands for
+    puts in parallel, starting from its components: for each channel in
+    order, the pieces that have it free become one piece `(channel,
+    pieces)`, to print in parallel under a restriction on it. A `Std`
+    prints as a `Restrict` when one piece is left, otherwise as a `Par`."""
+    pieces = [(x, t.chans and free_channels(x)) for x in t.comps]
     for c in sorted(t.chans):
-        using = [x for x in pieces if c in free_channels(x)]
-        pieces = [x for x in pieces if c not in free_channels(x)]
-        pieces.append(Restrict(par_all(sorted(using, key=pretty)), c))
-    return par_all(sorted(pieces, key=pretty))
+        using = [p for p in pieces if c in p[1]]
+        pieces = [p for p in pieces if c not in p[1]] + [
+            ((c, [x for x, _ in using]), frozenset().union(*(p[1] for p in using)) - {c})]
+    return [x for x, _ in pieces]
+
+
+def _pretty_pieces(pieces) -> tuple:
+    """(text, class of the node it prints as) of `_scopes` pieces in
+    parallel, sorted by text and nested to the left, as `par_all` builds."""
+    printed = [(f"{_par_side(*_pretty_pieces(x[1]))} \\ {x[0]}", Restrict)
+               if isinstance(x, tuple) else (pretty(x), type(x)) for x in pieces]
+    (text, printed_as), *rest = sorted(printed, key=itemgetter(0))
+    for piece in rest:
+        text, printed_as = f"{_par_side(text, printed_as)} || {_par_side(*piece)}", Par
+    return text, printed_as
 
 
 def _pretty_payload(e) -> str:

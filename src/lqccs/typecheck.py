@@ -107,20 +107,15 @@ def _check(term, env, sig) -> frozenset:
         return _qubit_tuple(term.discards, env, "discard")
     if isinstance(term, Tau):
         return _check(term.cont, env, sig)
-    if isinstance(term, (ApplyOp, Measure)):
+    if isinstance(term, ApplyOp):
         used = _qubit_tuple(term.args, env, f"{term.op} arguments")
-        if isinstance(term, ApplyOp):
-            resolve_operator(term.op, len(term.args), sig)
-        else:
-            resolve_measurement(term.op, len(term.args), sig)
-            env = {**env, term.var: NAT}
-        inner = _check(term.cont, env, sig)
-        if not used <= inner:  # a prefix's targets are owned by its continuation
-            verb = "acts on" if isinstance(term, ApplyOp) else "measures"
-            raise LinearityError(
-                f"{term.op} {verb} {sorted(used - inner)} not owned by its continuation"
-            )
-        return inner
+        resolve_operator(term.op, len(term.args), sig)
+        return _owned_by_cont(used, _check(term.cont, env, sig), f"{term.op} acts on")
+    if isinstance(term, Measure):
+        used = _qubit_tuple(term.args, env, f"{term.op} arguments")
+        resolve_measurement(term.op, len(term.args), sig)
+        inner = _check(term.cont, {**env, term.var: NAT}, sig)
+        return _owned_by_cont(used, inner, f"{term.op} measures")
     if isinstance(term, Recv):
         ct = _channel(sig, term.chan, len(term.vars), "pattern binds")
         if len(set(term.vars)) != len(term.vars):
@@ -152,14 +147,14 @@ def _check(term, env, sig) -> frozenset:
         if len(set(owned)) != len(owned):
             raise LinearityError(f"qubit sent twice in one payload on {term.chan!r}")
         return frozenset(owned)
-    if isinstance(term, (Sum, Ite)):  # both alternatives own the same qubits
-        if isinstance(term, Ite) and expr_type(term.cond, env) != BOOL:
+    if isinstance(term, Sum):
+        return _agree(_check(term.left, env, sig), _check(term.right, env, sig),
+                      "sum alternatives")
+    if isinstance(term, Ite):
+        if expr_type(term.cond, env) != BOOL:
             raise TypingError("conditional guard must be boolean")
-        s1, s2 = (_check(alt, env, sig) for alt in children(term))
-        if s1 != s2:
-            what = "sum alternatives" if isinstance(term, Sum) else "conditional branches"
-            raise LinearityError(f"{what} own different qubits: {sorted(s1)} vs {sorted(s2)}")
-        return s1
+        return _agree(_check(term.then, env, sig), _check(term.els, env, sig),
+                      "conditional branches")
     if isinstance(term, (Par, Std)):  # a Std's channels own no qubits, as a Restrict's do not
         owned = frozenset()
         for comp in children(term):
@@ -174,3 +169,17 @@ def _check(term, env, sig) -> frozenset:
     if isinstance(term, RandBit):
         return _check(term.cont, {**env, term.var: NAT}, sig)
     raise TypingError(f"not a term: {term!r}")
+
+
+def _owned_by_cont(used: frozenset, inner: frozenset, what: str) -> frozenset:
+    """The prefix `what` (name and verb) has its targets owned by its continuation."""
+    if not used <= inner:
+        raise LinearityError(f"{what} {sorted(used - inner)} not owned by its continuation")
+    return inner
+
+
+def _agree(s1: frozenset, s2: frozenset, what: str) -> frozenset:
+    """Both alternatives, named by `what`, own the same qubits."""
+    if s1 != s2:
+        raise LinearityError(f"{what} own different qubits: {sorted(s1)} vs {sorted(s2)}")
+    return s1

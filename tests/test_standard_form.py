@@ -6,10 +6,8 @@ form: for each restricted channel, in order, the components that have it
 free are put in parallel, sorted, under a restriction on it, beside the
 others. The printer must print a standard form as that nested term, and
 splicing the nested term's restrictions must give back the standard
-form's components and channels. A second reference is the string printer
-that ran the same loop on printed pieces: the printer, which builds the
-nested term and prints it with its own rules, must print alike and keep
-no node of that term."""
+form's components and channels. The printer runs that loop on printed
+pieces and builds no node of the nested term."""
 
 import gc
 from collections import Counter
@@ -70,35 +68,6 @@ def spliced(term):
     return comps, chans
 
 
-def string_printed(std) -> tuple:
-    """The text of the standard form `std` and the class of the node it
-    prints as, from a printer that runs the push-inward loop on strings:
-    each piece is its text, its class and its free channels, and the
-    pieces start as the printed components."""
-    pieces = [(pretty(x), type(x), free_channels(x)) for x in std.comps]
-    for c in sorted(std.chans):
-        using = [p for p in pieces if c in p[2]]
-        pieces = [p for p in pieces if c not in p[2]] + [(
-            f"{par_side(*par_all_printed(using))} \\ {c}", Restrict,
-            frozenset().union(*(p[2] for p in using)) - {c})]
-    return par_all_printed(pieces)
-
-
-def par_all_printed(pieces) -> tuple:
-    """(text, class) of the pieces, sorted by text, in parallel, nested to
-    the left."""
-    (text, printed_as, _), *rest = sorted(pieces, key=lambda p: p[0])
-    for piece in rest:
-        text, printed_as = f"{par_side(text, printed_as)} || {par_side(*piece[:2])}", Par
-    return text, printed_as
-
-
-def par_side(text, printed_as) -> str:
-    """A side of a parallel composition or a restricted body, or a branch,
-    that prints as a node of class `printed_as`."""
-    return f"({text})" if printed_as in (Par, Ite) else text
-
-
 def nodes(t):
     yield t
     for c in children(t):
@@ -113,9 +82,7 @@ def check_against_reference(term):
     stds = [x for x in nodes(n) if isinstance(x, Std)]
     for std in stds:
         assert pretty(std) == pretty(nested(std))
-        text, printed_as = string_printed(std)
-        assert pretty(std) == text
-        assert pretty(Ite(Var("x"), std, NIL)) == f"if x then {par_side(text, printed_as)} else nil"
+        assert pretty(Ite(Var("x"), std, NIL)) == pretty(Ite(Var("x"), nested(std), NIL))
         comps, chans = spliced(push_inward(std.comps, std.chans))
         assert Counter(comps) == Counter(std.comps), pretty(std)
         assert chans == std.chans, pretty(std)
@@ -195,19 +162,30 @@ def live_nested_nodes() -> set:
 
 
 def test_printing_a_standard_form_leaves_no_node_behind():
-    # printing a standard form builds its nested term; once the printed
-    # text is all that is kept, no node of that term is left
+    # the printer runs the push-inward loop on printed pieces: printing a
+    # standard form, alone or as a branch, builds no node, and no Par or
+    # Restrict node it did not hold before is left live
     terms = _renaming_cases()
     gen = TermGen(7, make_signature(chans="ck"))
     terms += [gen.restricted_par((frozenset({"q1"}), frozenset(), frozenset({"q2"})))
               for _ in range(20)]
+    built = Counter()
+    construct = syntax._Interned.__call__
+
+    def counting(cls, *args, **kwargs):
+        built[cls.__name__] += 1
+        return construct(cls, *args, **kwargs)
+
     held = live_nested_nodes()
     printed = 0
     for term in terms:
         stds = [x for x in nodes(normalize(term)) if isinstance(x, Std)]
         fresh = [x for x in stds if not hasattr(x, "_pretty")]
-        for std in fresh:
-            assert string_printed(std)[0] == pretty(std)
+        branches = [Ite(Var("x"), std, NIL) for std in fresh]
+        with mock.patch.object(syntax._Interned, "__call__", counting):
+            for t in fresh + branches:
+                pretty(t)
+        assert not built, built
         printed += len(fresh)
     assert live_nested_nodes() <= held
     assert printed > 10
